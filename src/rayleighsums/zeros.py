@@ -12,6 +12,12 @@ partial sum of the even-part series and T bounds the dropped tail:
   has successive-term ratio below 1/2 from the truncation point on, so T
   is twice the first omitted majorant term.
 
+S is summed fraction-free. With nu = p/q and t = P/Q every partial sum
+is an exact integer over the common denominator L q^2 G_k Q^k (see
+_EvenSeries), the cutoff rule and T are scaled by the same positive
+factor, and each certificate is an integer comparison; no gcd is taken.
+The certificates are exactly those of the same sums in reduced rationals.
+
 Sign certificates from these enclosures drive a scan along a grid of
 spacing roughly pi/4 in z (a heuristic; the certificates are what make
 the output trustworthy), a missed-zero guard that rescans any stretch
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .bounds import nth_root_enclosure
@@ -39,6 +46,7 @@ from .errors import (
     RegimeError,
 )
 from .mercer import MercerParams, derive_pqr
+from .rational import exact
 
 __all__ = [
     "PI_LO",
@@ -88,85 +96,89 @@ class SumEnclosure:
 
 
 class _EvenSeries:
-    """Rigorous evaluator for sum_n h_n g_n t^n with the Bessel factors g_n."""
+    """Rigorous sign oracle for f(t) = sum_n h_n g_n t^n with the Bessel factors g_n.
+
+    With nu = p/q and L the least common denominator of a, b, c, put
+    M_n = 2nq + p, H_n = L q^2 h_n = A M_n (M_n - q) + B M_n q + C q^2 with
+    (A, B, C) = L (a, b, c), and r_n = 4n(p + nq). Then g_n = (-1)^n q^n / G_n
+    with G_n = r_1 ... r_n, and every quantity is an integer. At t = P/Q and
+    X = qP the partial sum through index k is N_k / (L q^2 G_k Q^k) with
+
+        N_k = N_{k-1} r_k Q + (-1)^k H_k X^k,
+
+    so S +- T has the sign of N_k r_{k+1} Q +- w_{k+1} X^{k+1}, where w_n X^n
+    is the tail bound T scaled by the same positive factor. nu > -1 keeps
+    r_n and M_n - q positive for n >= 1, so no comparison changes direction.
+    """
 
     def __init__(self, nu: Fraction, abc: tuple[Fraction, Fraction, Fraction]):
-        self.nu = nu
-        self.a, self.b, self.c = abc
-        self._g: list[Fraction] = [Fraction(1)]
-        self._coef: list[Fraction] = [self._h(0)]
+        self.p, self.q = nu.numerator, nu.denominator
+        L = lcm(*(x.denominator for x in abc))
+        self.A, self.B, self.C = (x.numerator * (L // x.denominator) for x in abc)
+        self.L = L
+        # (r_n, (-1)^n H_n, w_n, G_n) per index n, extended on demand.
+        self._terms: list[tuple[int, int, int, int]] = []
+        h0 = self._extend(0)[0][1]
+        self.sign0 = (h0 > 0) - (h0 < 0)
 
-    def _h(self, n: int) -> Fraction:
-        m = 2 * n + self.nu
-        return self.a * m * (m - 1) + self.b * m + self.c
+    def _extend(self, upto: int) -> list[tuple[int, int, int, int]]:
+        terms = self._terms
+        p, q, A, B, C = self.p, self.q, self.A, self.B, self.C
+        while len(terms) <= upto:
+            n = len(terms)
+            m = 2 * n * q + p
+            h = A * m * (m - q) + B * m * q + C * q * q
+            if not A and not B:
+                # alternating terms of decreasing size: T is the first omitted term
+                w = abs(C) * q * q
+            else:
+                # |h_n| <= |a| u2_n + |b| u1_n + |c|; geometric majorant with ratio <= 1/2
+                w = 2 * (abs(A) * m * (m - q) + abs(B) * m * q + abs(C) * q * q)
+            r = 4 * n * (p + n * q) if n else 1
+            terms.append((r, -h if n % 2 else h, w, terms[-1][3] * r if n else 1))
+        return terms
 
-    def _extend(self, upto: int) -> None:
-        while len(self._coef) <= upto:
-            n = len(self._g)
-            self._g.append(-self._g[-1] / (4 * n * (self.nu + n)))
-            self._coef.append(self._h(n) * self._g[-1])
+    def _ratio2_above_half(self, n: int, X: int, Q: int) -> bool:
+        """Whether the decreasing bound on every majorant term ratio at
+        index n, t (m+2)(m+1) / (4 (n+1)(nu+n+1) m (m-1)) with m = 2n + nu,
+        exceeds 1/2."""
+        q = self.q
+        m = 2 * n * q + self.p
+        r1 = self._extend(n + 1)[n + 1][0]
+        return 2 * X * (m + 2 * q) * (m + q) > Q * r1 * m * (m - q)
 
-    def coef(self, n: int) -> Fraction:
-        self._extend(n)
-        return self._coef[n]
-
-    def _ratio2(self, n: int, t: Fraction) -> Fraction:
-        """Decreasing upper bound on every majorant term ratio at index n."""
-        m = 2 * n + self.nu
-        base = t / (4 * (n + 1) * (self.nu + n + 1))
-        return base * ((m + 2) * (m + 1)) / (m * (m - 1))
-
-    def _tail(self, k1: int, tpow_k1: Fraction) -> Fraction:
-        """Bound on |sum_{n >= k1} c_n t^n| given _ratio2(k1) <= 1/2."""
-        self._extend(k1)
-        g = abs(self._g[k1]) * tpow_k1
-        if not self.a and not self.b:
-            return abs(self.c) * g
-        u1 = 2 * k1 + self.nu
-        u2 = u1 * (u1 - 1)
-        return 2 * (abs(self.a) * u2 + abs(self.b) * u1 + abs(self.c)) * g
-
-    def enclosure(self, t: Fraction, width_target: Union[Fraction, None]) -> tuple[Fraction, Fraction]:
-        """[S - T, S + T] around the true value; deepens until the interval
-        is sign-definite (width_target None) or T <= width_target."""
-        t = Fraction(t)
+    def sign_at(self, t: Fraction) -> int:
+        """Sign of f(t), certified by [S - T, S + T] excluding 0; the sum
+        deepens 8 terms at a time until it does."""
         if t < 0:
             raise InvalidParameterError("even-part series evaluated at negative t")
-        if t == 0:
-            c0 = self.coef(0)
-            return c0, c0
+        X, Q = self.q * t.numerator, t.denominator
+        if not X:
+            return 1 if self.sign0 > 0 else -1
         k = 4
-        while self._ratio2(k + 1, t) > Fraction(1, 2):
+        while self._ratio2_above_half(k + 1, X, Q):
             k *= 2
-        self._extend(k)
-        s = Fraction(0)
-        tp = Fraction(1)
-        for n in range(k + 1):
-            s += self._coef[n] * tp
-            tp *= t
-        tail = self._tail(k + 1, tp)
+        N, Xn, n = 0, 1, 0
         while True:
-            if width_target is not None:
-                if tail <= width_target:
-                    break
-            elif s - tail > 0 or s + tail < 0:
-                break
-            if tail < _SIGN_FLOOR:
+            terms = self._extend(k + 1)
+            for r, h, _, _ in terms[n : k + 1]:
+                N = N * r * Q + h * Xn
+                Xn *= X
+            n = k + 1
+            r, _, w, G = terms[n]
+            s, tail = N * r * Q, w * Xn
+            if s > tail:
+                return 1
+            if s < -tail:
+                return -1
+            # T = tail / (L q^2 G_{k+1} Q^{k+1}) below _SIGN_FLOOR
+            if tail * _SIGN_FLOOR.denominator < (
+                _SIGN_FLOOR.numerator * self.L * self.q**2 * G * Q**n
+            ):
                 raise PrecisionError(
                     f"cannot certify the sign at t = {t}: |value| < {_SIGN_FLOOR}"
                 )
-            stop = k + 8
-            self._extend(stop)
-            while k < stop:
-                k += 1
-                s += self._coef[k] * tp
-                tp *= t
-            tail = self._tail(k + 1, tp)
-        return s - tail, s + tail
-
-    def sign_at(self, t: Fraction) -> int:
-        lo, hi = self.enclosure(t, None)
-        return 1 if lo > 0 else -1
+            k += 8
 
 
 def _scan_window(
@@ -206,14 +218,18 @@ def find_zeros(
     general, so that family demands ``assert_real_zeros=True`` and only
     certifies the real zeros it brackets.
     """
-    nu0 = Fraction(nu)
+    nu0 = exact(nu, "nu")
     if nu0 <= -1:
         raise InvalidParameterError("zero search requires nu > -1")
     if not 1 <= count <= max_count:
         raise InvalidParameterError(f"count must be in 1..{max_count}")
-    precision = Fraction(precision)
+    precision = exact(precision, "precision")
     if precision <= 0:
         raise InvalidParameterError("precision must be positive")
+    z_max = exact(z_max, "z_max")
+    grid_step = exact(grid_step, "grid_step")
+    if grid_step <= 0:
+        raise InvalidParameterError("grid_step must be positive")
     if params is None:
         abc = (Fraction(0), Fraction(0), Fraction(1))
         fid = f"bessel(nu={nu0})"
@@ -231,10 +247,10 @@ def find_zeros(
         fid = f"mercer(a={params.a},b={params.b},c={params.c};nu={nu0})"
 
     f = _EvenSeries(nu0, abc)
-    if not f.coef(0):
+    if not f.sign0:
         raise DegenerateParametersError("constant term vanishes; t = 0 is a zero")
 
-    s0 = 1 if f.coef(0) > 0 else -1
+    s0 = f.sign0
     brackets: list[tuple[Fraction, Fraction, int]] = []
     zp, sp = Fraction(0), s0
     z = grid_step
@@ -324,7 +340,7 @@ def partial_sum_enclosure(
         lower += Fraction(1) / enc.hi**n
         upper_main += Fraction(1) / enc.lo**n
 
-    beta = nth_root_enclosure(zeros[-1].lo, 2, root_width)[0]
+    beta = nth_root_enclosure(zeros[-1].lo, 2, exact(root_width, "root_width"))[0]
     tail = beta ** (-2 * n) + Fraction(1) / (PI_LO * (2 * n - 1) * beta ** (2 * n - 1))
     return SumEnclosure(
         lower=lower,

@@ -130,6 +130,13 @@ def test_parameter_errors_exit_2():
     assert code == 2 and "assert" in err
 
 
+def test_float_literal_names_the_cause(capsys):
+    code, out, _ = invoke(["zeros", "--nu", "0.5", "--count", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and not out
+    assert "floating-point" in err and "rejected on purpose" in err and "1/2" in err
+
+
 def test_unknown_subcommand_exits_2():
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
