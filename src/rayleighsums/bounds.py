@@ -63,10 +63,18 @@ def nth_root_enclosure(x, n: int, width) -> tuple[Fraction, Fraction]:
     if exact_n and exact_d:
         r = Fraction(rn, rd)
         return r, r
+    # One integer root a = floor((x * 2^(K*n))^(1/n)) gives
+    # A = a/2^K <= x^(1/n) < (a+1)/2^K = B with 2^-K at most width/8. A
+    # midpoint outside (A, B) is then decided by one comparison; only a
+    # midpoint inside it needs the exact test mid**n <= x, so the
+    # bisection takes the same steps as with that test alone.
+    k = max(width.denominator.bit_length() - width.numerator.bit_length() + 4, 0)
+    a, _ = _int_nth_root((x.numerator << (k * n)) // x.denominator, n)
+    a_lo, a_hi = Fraction(a, 1 << k), Fraction(a + 1, 1 << k)
     lo, hi = (Fraction(1), x) if x >= 1 else (x, Fraction(1))
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if mid**n <= x:
+        if mid <= a_lo or (mid < a_hi and mid**n <= x):
             lo = mid
         else:
             hi = mid

@@ -21,6 +21,7 @@ from fractions import Fraction
 from typing import ClassVar
 
 from .errors import InvalidParameterError, PoleError
+from .rational import exact
 
 __all__ = ["ChfParams", "STable", "s_table"]
 
@@ -33,8 +34,8 @@ class ChfParams:
     b: Fraction
 
     def __post_init__(self):
-        a = Fraction(self.a)
-        b = Fraction(self.b)
+        a = exact(self.a, "a")
+        b = exact(self.b, "b")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if b.denominator == 1 and b <= 0:

@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sums", help="power-sum tables")
     p.add_argument("family", choices=("sigma", "tau", "chf"))
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--nu", type=_nu_arg, default="symbolic")
+    p.add_argument("--nu", type=_nu_arg, help="sigma/tau only; default symbolic")
     p.add_argument("--a", type=_rat_arg)
     p.add_argument("--b", type=_rat_arg)
     p.add_argument("--c", type=_rat_arg)
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="recurrence table against the series oracle")
     p.add_argument("--family", choices=("sigma", "tau", "chf"), required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--nu", type=_nu_arg, default="symbolic")
+    p.add_argument("--nu", type=_nu_arg, help="sigma/tau only; default symbolic")
     p.add_argument("--a", type=_rat_arg)
     p.add_argument("--b", type=_rat_arg)
     p.add_argument("--c", type=_rat_arg)
@@ -192,13 +192,27 @@ def _print_table(table, ns, out) -> None:
             print(f"{label} = {_render_value(table.entry(n), fmt, decimal)}", file=out)
 
 
+def _family_nu(ns):
+    """The order parameter of a sigma/tau request, symbolic when --nu is
+    absent. The Kummer family has none, so --nu is refused there rather
+    than ignored."""
+    if ns.family == "chf":
+        if ns.nu is not None:
+            raise InvalidParameterError(
+                "the Kummer family (chf) has no order parameter nu; drop --nu"
+            )
+        return None
+    return "symbolic" if ns.nu is None else ns.nu
+
+
 def _make_table(ns):
     family = ns.family
+    nu = _family_nu(ns)
     if family == "sigma":
-        return sigma_table(ns.order, ns.nu)
+        return sigma_table(ns.order, nu)
     if family == "tau":
         _require(ns, ("a", "b", "c"))
-        return tau_table(derive_pqr(ns.a, ns.b, ns.c, ns.nu), ns.order)
+        return tau_table(derive_pqr(ns.a, ns.b, ns.c, nu), ns.order)
     _require(ns, ("a", "b"))
     return s_table(ChfParams(ns.a, ns.b), ns.order)
 
@@ -291,14 +305,15 @@ def _cmd_zeros(ns, out) -> int:
 
 def _cmd_verify(ns, out) -> int:
     family = ns.family
+    nu = _family_nu(ns)
     if family == "sigma":
         lhs_name = "kishore"
-        lhs = sigma_table(ns.order, ns.nu)
-        rhs = genus0_sums_from_series(bessel_t_series(ns.nu, ns.order), ns.order)
+        lhs = sigma_table(ns.order, nu)
+        rhs = genus0_sums_from_series(bessel_t_series(nu, ns.order), ns.order)
     elif family == "tau":
         lhs_name = "riccati"
         _require(ns, ("a", "b", "c"))
-        params = derive_pqr(ns.a, ns.b, ns.c, ns.nu)
+        params = derive_pqr(ns.a, ns.b, ns.c, nu)
         lhs = tau_table(params, ns.order)
         rhs = genus0_sums_from_series(mercer_t_series(params, ns.order), ns.order)
     else:

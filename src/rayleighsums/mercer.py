@@ -33,6 +33,7 @@ from typing import ClassVar, Union
 from .errors import DegenerateParametersError, InvalidParameterError, PoleError
 from .poly import PolyNu
 from .ratfunc import RatFuncNu, as_canonical, as_raw, raw_div
+from .rational import exact
 from .series import FormalSeries
 
 NuMode = Union[str, Fraction]
@@ -73,13 +74,13 @@ class MercerParams:
 
 def derive_pqr(a, b, c, nu: NuMode = "symbolic") -> MercerParams:
     """Build MercerParams with p, q, r exactly as derived from (a, b, c)."""
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = exact(a, "a"), exact(b, "b"), exact(c, "c")
     p_poly = PolyNu([2 * a * c + a * a - b * b, 0, 2 * a * a])
     q_poly = PolyNu([c * c, 0, 2 * a * c - (a - b) ** 2, 0, a * a])
     r_poly = PolyNu([c * (a + b), 0, a * (3 * a - b)])
     if nu == "symbolic":
         return MercerParams(a, b, c, "symbolic", p_poly, q_poly, r_poly)
-    nu0 = Fraction(nu)
+    nu0 = exact(nu, "nu")
     return MercerParams(a, b, c, nu0, p_poly(nu0), q_poly(nu0), r_poly(nu0))
 
 

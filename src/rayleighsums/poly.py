@@ -1,9 +1,29 @@
 """Dense univariate polynomials in the order parameter nu, rational coefficients.
 
-Coefficient lists are ascending (index = power of nu) with trailing zeros
-stripped; the empty tuple is the zero polynomial, of degree -1 by
-convention. Multiplication and gcd work on primitive integer images of the
-operands, which keeps big-rational normalization off the hot path.
+A ``PolyNu`` is stored as ``content * primitive``:
+
+- ``_k`` is the content, a ``Fraction``. It carries the sign and is 0 for
+  the zero polynomial.
+- ``_p`` is the primitive part, a tuple of ``int`` in ascending order
+  (index = power of nu). Its coefficients have gcd 1, its leading
+  coefficient is positive and trailing zeros are stripped; the zero
+  polynomial has ``_p == ()`` and degree -1 by convention.
+
+That split is unique, so ``==`` and ``hash`` compare the pair and
+``primitive()`` is O(1). Every operation works on the pair directly:
+
+- A product multiplies the contents and convolves the integer tuples. By
+  Gauss's lemma the product of primitive polynomials is primitive, so no
+  content pass and no gcd is needed; a scalar touches only the content.
+- A sum brings the two contents to a common denominator, combines the
+  integers and makes one content pass.
+- ``exact_div`` divides the primitive parts by integer long division and
+  the contents as rationals; ``gcd`` runs the primitive PRS on the
+  primitive parts, or a single evaluation when one of them is linear;
+  evaluation is integer Horner over a power of the denominator.
+
+The rational coefficients (``coeffs``, ``coeff``, ``leading``) are
+materialized only on demand, for rendering and serialization.
 """
 
 from __future__ import annotations
@@ -17,8 +37,11 @@ Scalar = Union[int, Fraction]
 
 __all__ = ["PolyNu"]
 
+_F0 = Fraction(0)
+_F1 = Fraction(1)
 
-def _int_content(v: list[int]) -> int:
+
+def _int_content(v) -> int:
     g = 0
     for x in v:
         g = _int_gcd(g, x)
@@ -34,48 +57,98 @@ def _iprimitive(v: list[int]) -> list[int]:
     g = _int_content(v)
     if v[-1] < 0:
         g = -g
-    return [c // g for c in v]
+    return [c // g for c in v] if g != 1 else v
 
 
-def _iprem(u: list[int], v: list[int]) -> list[int]:
-    """Pseudo-remainder of u by v over the integers (v nonzero)."""
-    r = list(u)
-    dv = len(v) - 1
-    lv = v[-1]
-    while r and len(r) - 1 >= dv:
-        f = r[-1]
-        k = len(r) - 1 - dv
-        r = [lv * c for c in r]
-        for i, vc in enumerate(v):
-            r[k + i] -= f * vc
-        r.pop()  # leading term cancels exactly
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-def _ipoly_gcd(u: list[int], v: list[int]) -> list[int]:
-    """Primitive gcd of integer polynomials via the primitive PRS."""
-    u = _iprimitive(u)
-    v = _iprimitive(v)
+def _ipoly_gcd(u, v):
+    """Primitive gcd of primitive integer polynomials via the primitive PRS."""
     if len(u) < len(v):
         u, v = v, u
     while v:
-        r = _iprem(u, v)
+        # pseudo-remainder: lv^m * u = q*v + r with m = deg u - deg v + 1
+        r = [v[-1] ** (len(u) - len(v) + 1) * c for c in u]
+        _ilongdiv(r, v)
         u, v = v, _iprimitive(r)
     return u
+
+
+def _iconv(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients of the product of two nonzero integer polynomials."""
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, vj in enumerate(v):
+                out[i + j] += ui * vj
+    return tuple(out)
+
+
+def _ilongdiv(r: list[int], v: tuple[int, ...]):
+    """Divide r by v in place over the integers; r becomes the remainder.
+
+    Returns the quotient, or None as soon as a quotient coefficient is not
+    an integer (then r is left partly reduced).
+    """
+    dv = len(v) - 1
+    lv = v[-1]
+    q = [0] * max(len(r) - dv, 0)
+    while r and len(r) - 1 >= dv:
+        f, rem = divmod(r[-1], lv)
+        if rem:
+            return None
+        k = len(r) - 1 - dv
+        q[k] = f
+        if f:
+            for i in range(dv):
+                r[k + i] -= f * v[i]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return q
+
+
+def _ihorner(u: tuple[int, ...], n: int, d: int) -> int:
+    """d^D * u(n/d) = sum u_i n^i d^(D-i) for D = deg u and d > 0, by Horner."""
+    acc = 0
+    dp = 1
+    for c in u[::-1]:
+        acc = acc * n + c * dp
+        dp *= d
+    return acc
+
+
+def _split(num: int, den: int, w: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """``num/den * w`` for integer w as (content, primitive part)."""
+    while w and not w[-1]:
+        w.pop()
+    if not w or not num:
+        return _F0, ()
+    p = _iprimitive(w)
+    return Fraction(num * (w[-1] // p[-1]), den), tuple(p)
 
 
 class PolyNu:
     """Immutable polynomial ``a0 + a1*nu + ... + ad*nu^d`` over the rationals."""
 
-    __slots__ = ("_c",)
+    __slots__ = ("_k", "_p")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        while c and not c[-1]:
-            c.pop()
-        self._c = tuple(c)
+        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
+        den = 1
+        for x in c:
+            if isinstance(x, Fraction) and x.denominator != 1:
+                den = _int_lcm(den, x.denominator)
+        ints = [x * den if isinstance(x, int) else x.numerator * (den // x.denominator) for x in c]
+        self._k, self._p = _split(1, den, ints)
+
+    @classmethod
+    def _make(cls, k: Fraction, p: tuple[int, ...]) -> "PolyNu":
+        """Trusted constructor: p is primitive with positive leading term."""
+        self = object.__new__(cls)
+        if k:
+            self._k, self._p = k, p
+        else:
+            self._k, self._p = _F0, ()
+        return self
 
     @classmethod
     def constant(cls, value: Scalar) -> "PolyNu":
@@ -83,46 +156,66 @@ class PolyNu:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._c
+        k = self._k
+        return tuple(k * c for c in self._p)
 
     @property
     def degree(self) -> int:
-        return len(self._c) - 1
+        return len(self._p) - 1
 
     @property
     def leading(self) -> Fraction:
-        return self._c[-1] if self._c else Fraction(0)
+        return self._k * self._p[-1] if self._p else _F0
 
     def coeff(self, k: int) -> Fraction:
-        return self._c[k] if 0 <= k < len(self._c) else Fraction(0)
+        return self._k * self._p[k] if 0 <= k < len(self._p) else _F0
 
     def __bool__(self) -> bool:
-        return bool(self._c)
+        return bool(self._p)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyNu):
-            return self._c == other._c
+            return self._k == other._k and self._p == other._p
         if isinstance(other, (int, Fraction)):
-            return self._c == PolyNu([other])._c
+            if not other:
+                return not self._p
+            return self._p == (1,) and self._k == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        k = self._k
+        return hash((k.numerator, k.denominator, self._p))
 
     def __neg__(self) -> "PolyNu":
-        return PolyNu([-c for c in self._c])
+        return PolyNu._make(-self._k, self._p)
 
     def __add__(self, other: object) -> "PolyNu":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self._c, o._c
+        if not o._p:
+            return self
+        if not self._p:
+            return o
+        a, b = self._p, o._p
+        if a == b:
+            return PolyNu._make(self._k + o._k, a)
+        # k1*a + k2*b = (h/L) * (m1*a + m2*b) over the common denominator L.
+        k1, k2 = self._k, o._k
+        d1, d2 = k1.denominator, k2.denominator
+        g = _int_gcd(d1, d2)
+        m1 = k1.numerator * (d2 // g)
+        m2 = k2.numerator * (d1 // g)
+        h = _int_gcd(m1, m2)
+        if h != 1:
+            m1 //= h
+            m2 //= h
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyNu(out)
+            a, b, m1, m2 = b, a, m2, m1
+        w = [m1 * x for x in a]
+        for i, y in enumerate(b):
+            w[i] += m2 * y
+        return PolyNu._make(*_split(h, d1 // g * d2, w))
 
     __radd__ = __add__
 
@@ -140,84 +233,78 @@ class PolyNu:
 
     def __mul__(self, other: object) -> "PolyNu":
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return PolyNu()
-            return PolyNu([c * other for c in self._c])
+            return PolyNu._make(self._k * other, self._p)
         if not isinstance(other, PolyNu):
             return NotImplemented
-        if not self._c or not other._c:
-            return PolyNu()
-        c1, p1 = self.primitive()
-        c2, p2 = other.primitive()
-        u = [c.numerator for c in p1._c]
-        v = [c.numerator for c in p2._c]
-        out = [0] * (len(u) + len(v) - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    out[i + j] += ui * vj
-        scale = c1 * c2
-        return PolyNu([scale * w for w in out])
+        a, b = self._p, other._p
+        if not a or not b:
+            return PolyNu.ZERO
+        k = self._k * other._k
+        if len(b) == 1:
+            return PolyNu._make(k, a)
+        if len(a) == 1:
+            return PolyNu._make(k, b)
+        return PolyNu._make(k, _iconv(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "PolyNu":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = PolyNu([1])
-        base = self
-        while n:
+        if not n:
+            return PolyNu.ONE
+        k = self._k**n
+        p = self._p
+        if len(p) <= 1:
+            return PolyNu._make(k, p)
+        result = None
+        while True:
             if n & 1:
-                result = result * base
+                result = p if result is None else _iconv(result, p)
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                break
+            p = _iconv(p, p)
+        return PolyNu._make(k, result)
 
     def __call__(self, x: Scalar) -> Fraction:
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._c):
-            acc = acc * x + c
-        return acc
+        if not self._p:
+            return _F0
+        d = x.denominator
+        return self._k * Fraction(_ihorner(self._p, x.numerator, d), d ** (len(self._p) - 1))
 
     def derivative(self) -> "PolyNu":
-        return PolyNu([k * c for k, c in enumerate(self._c)][1:])
+        k = self._k
+        w = [i * c for i, c in enumerate(self._p)][1:]
+        return PolyNu._make(*_split(k.numerator, k.denominator, w))
 
     def primitive(self) -> tuple[Fraction, "PolyNu"]:
         """Split into ``content * primitive`` with an integer, positive-leading
         primitive part; the zero polynomial yields content 0."""
-        if not self._c:
-            return Fraction(0), PolyNu()
-        den_l = 1
-        for c in self._c:
-            den_l = _int_lcm(den_l, c.denominator)
-        ints = [int(c * den_l) for c in self._c]
-        g = _int_content(ints)
-        if ints[-1] < 0:
-            g = -g
-        prim = PolyNu([c // g for c in ints])
-        return Fraction(g, den_l), prim
+        if not self._p:
+            return _F0, PolyNu.ZERO
+        return self._k, PolyNu._make(_F1, self._p)
 
     def __divmod__(self, other: "PolyNu") -> tuple["PolyNu", "PolyNu"]:
         if not isinstance(other, PolyNu):
             return NotImplemented
-        if not other._c:
+        v = other._p
+        if not v:
             raise ZeroDivisionError("polynomial division by zero")
-        r = list(self._c)
-        do = other.degree
-        lo = other.leading
-        q = [Fraction(0)] * max(len(r) - do, 0)
-        while r and len(r) - 1 >= do:
-            f = r[-1] / lo
-            k = len(r) - 1 - do
-            q[k] = f
-            for i, oc in enumerate(other._c):
-                r[k + i] -= f * oc
-            r.pop()
-            while r and not r[-1]:
-                r.pop()
-        return PolyNu(q), PolyNu(r)
+        u = self._p
+        if len(u) < len(v):
+            return PolyNu.ZERO, self
+        # lv^m * u = q*v + r over the integers, m = deg u - deg v + 1.
+        scale = v[-1] ** (len(u) - len(v) + 1)
+        r = [scale * c for c in u]
+        q = _ilongdiv(r, v)
+        k = self._k
+        kq = k / other._k
+        return (
+            PolyNu._make(*_split(kq.numerator, kq.denominator * scale, q)),
+            PolyNu._make(*_split(k.numerator, k.denominator * scale, r)),
+        )
 
     def __floordiv__(self, other: "PolyNu") -> "PolyNu":
         return divmod(self, other)[0]
@@ -226,10 +313,26 @@ class PolyNu:
         return divmod(self, other)[1]
 
     def exact_div(self, other: "PolyNu") -> "PolyNu":
-        q, r = divmod(self, other)
-        if r:
+        """self / other, raising ArithmeticError unless other divides self.
+
+        Both primitive parts are integral and ``other``'s is primitive, so by
+        Gauss's lemma an exact quotient of the primitive parts is a primitive
+        integer polynomial with positive leading term: integer long division
+        finds it, and any fractional quotient coefficient proves inexactness.
+        """
+        if not isinstance(other, PolyNu):
+            raise TypeError("exact_div needs a PolyNu divisor")
+        v = other._p
+        if not v:
+            raise ZeroDivisionError("polynomial division by zero")
+        u = self._p
+        if not u:
+            return PolyNu.ZERO
+        r = list(u)
+        q = _ilongdiv(r, v)
+        if q is None or r:
             raise ArithmeticError("inexact polynomial division")
-        return q
+        return PolyNu._make(self._k / other._k, tuple(q))
 
     @staticmethod
     def gcd(a: "PolyNu", b: "PolyNu") -> "PolyNu":
@@ -238,23 +341,23 @@ class PolyNu:
             return b.primitive()[1]
         if not b:
             return a.primitive()[1]
+        u, v = a._p, b._p
         # Common power of nu is split off cheaply first.
-        va = next(i for i, c in enumerate(a._c) if c)
-        vb = next(i for i, c in enumerate(b._c) if c)
-        shift = min(va, vb)
+        shift = min(next(i for i, c in enumerate(u) if c), next(i for i, c in enumerate(v) if c))
         if shift:
-            a = PolyNu(a._c[shift:])
-            b = PolyNu(b._c[shift:])
-        if a.degree == 0 or b.degree == 0:
-            g = PolyNu([1])
+            u, v = u[shift:], v[shift:]
+        if len(u) == 1 or len(v) == 1:
+            w = [1]
+        elif len(u) == 2 or len(v) == 2:
+            # A linear primitive factor c0 + c1*nu divides the other operand
+            # iff that one vanishes at -c0/c1, which Horner decides in
+            # integers with no pseudo-remainder sequence.
+            if len(u) == 2:
+                u, v = v, u
+            w = v if not _ihorner(u, -v[0], v[1]) else [1]
         else:
-            u = [c.numerator for c in a.primitive()[1]._c]
-            v = [c.numerator for c in b.primitive()[1]._c]
             w = _ipoly_gcd(u, v)
-            g = PolyNu([1]) if len(w) == 1 else PolyNu(w)
-        if shift:
-            g = g * PolyNu([0] * shift + [1])
-        return g
+        return PolyNu._make(_F1, (0,) * shift + tuple(w))
 
     @staticmethod
     def _coerce(other: object):
@@ -265,14 +368,15 @@ class PolyNu:
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"PolyNu({list(self._c)!r})"
+        return f"PolyNu({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self._c:
+        if not self._p:
             return "0"
         parts: list[str] = []
+        cs = self.coeffs
         for k in range(self.degree, -1, -1):
-            c = self._c[k]
+            c = cs[k]
             if not c:
                 continue
             mag = abs(c)

@@ -8,9 +8,16 @@ mathematical equality.
 ``_Raw`` is an unreduced num/(product of factors) pair used internally by
 the table builders and the series division. It never normalizes during
 accumulation; ``to_canonical()`` peels each denominator factor off the
-numerator with small gcds only. Both types coexist with plain ``Fraction``
-coefficients through ``as_raw``/``as_canonical``, so fixed-nu and
-symbolic-nu computations share one code path.
+numerator with small gcds only. Its factors are primitive and kept sorted
+by ``_poly_key``, which compares degree, then the integer primitive tuple,
+then the content, so no ``Fraction`` is built or compared to order them;
+the canonical result does not depend on that order. Both types coexist
+with plain ``Fraction`` coefficients through ``as_raw``/``as_canonical``,
+so fixed-nu and symbolic-nu computations share one code path.
+
+``PolyNu`` stores content and primitive part apart, so the
+``primitive()`` splits done here are free and the scalar rescalings touch
+only the content.
 """
 
 from __future__ import annotations
@@ -29,14 +36,18 @@ __all__ = ["RatFuncNu", "normalize", "eval_at"]
 
 
 def _poly_key(p: PolyNu):
-    return (p.degree, p.coeffs)
+    return (p.degree, p._p, p._k)
 
 
 def _prod(factors) -> PolyNu:
-    out = PolyNu.ONE
-    for f in factors:
-        out = out * f
-    return out
+    """Product of the factors, multiplied pairwise so operands stay balanced."""
+    fs = list(factors)
+    if not fs:
+        return PolyNu.ONE
+    while len(fs) > 1:
+        pairs = [fs[i] * fs[i + 1] for i in range(0, len(fs) - 1, 2)]
+        fs = pairs + fs[-1:] if len(fs) % 2 else pairs
+    return fs[0]
 
 
 class RatFuncNu:

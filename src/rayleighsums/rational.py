@@ -39,6 +39,8 @@ def exact(x, name: str = "value") -> Fraction:
 
 def _int(part: str, text: str) -> int:
     try:
+        if "_" in part:  # int() would read 1_000 as 1000
+            raise ValueError
         return int(part)
     except ValueError:
         if re.fullmatch(_FLOAT_LITERAL, part.strip(), re.I):

@@ -16,6 +16,7 @@ from typing import ClassVar, Union
 
 from .errors import InvalidParameterError, PoleError
 from .ratfunc import RatFuncNu, as_canonical, as_raw, raw_div
+from .rational import exact
 
 NuMode = Union[str, Fraction]
 
@@ -49,7 +50,7 @@ class SigmaTable:
 def _nu_element(nu: NuMode):
     if nu == "symbolic":
         return RatFuncNu.NU
-    return Fraction(nu)
+    return exact(nu, "nu")
 
 
 def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:
@@ -82,11 +83,11 @@ def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:
                 term = term + term
             acc = term if acc is None else acc + term
         entries.append(as_canonical(raw_div(acc, div)))
-    real = nu == "symbolic" or Fraction(nu) > -1
+    symbolic = nu == "symbolic"
     return SigmaTable(
         order=order,
         entries=tuple(entries),
-        nu=nu if nu == "symbolic" else Fraction(nu),
+        nu=nu if symbolic else x,
         provenance="recurrence",
-        real_zero_regime=real,
+        real_zero_regime=symbolic or x > -1,
     )

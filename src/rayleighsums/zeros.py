@@ -221,6 +221,10 @@ def find_zeros(
     nu0 = exact(nu, "nu")
     if nu0 <= -1:
         raise InvalidParameterError("zero search requires nu > -1")
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise InvalidParameterError(
+            f"count must be an int, not {type(count).__name__} ({count!r})"
+        )
     if not 1 <= count <= max_count:
         raise InvalidParameterError(f"count must be in 1..{max_count}")
     precision = exact(precision, "precision")

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import comb
+
+# Inexact stand-ins for a rational argument; every exact entry point
+# refuses each of them.
+INEXACT = [True, 0.1, Decimal("0.1"), "1/2"]
 
 
 def bernoulli(n: int) -> list[Fraction]:

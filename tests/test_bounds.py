@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rayleighsums import (
     ChfParams,
@@ -104,3 +105,38 @@ def test_nonpositive_entries_refused():
     t = s_table(ChfParams(1, 3), 3)  # S_2 = -1/18 < 0
     with pytest.raises(RegimeError):
         euler_rayleigh(t, 2, assert_real_zeros=True)
+
+
+def _bisection_reference(x, n, width):
+    """The plain bisection, every midpoint decided by mid**n <= x."""
+    lo, hi = (F(1), x) if x >= 1 else (x, F(1))
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if mid**n <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    p=st.integers(1, 10**40),
+    q=st.integers(1, 10**40),
+    n=st.integers(2, 70),
+    near_power=st.sampled_from([None, -1, 0, 1]),
+    width=st.builds(F, st.integers(1, 10**6), st.integers(1, 10**15)),
+)
+def test_nth_root_matches_plain_bisection(p, q, n, near_power, width):
+    # near_power puts x at the n-th power of a rational, or a relative
+    # 10^-30 off it.
+    if near_power is None:
+        x = F(p, q)
+    else:
+        x = F(p % 97 + 1, q % 89 + 1) ** n * (1 + F(near_power, 10**30))
+    lo, hi = nth_root_enclosure(x, n, width)
+    if lo == hi:  # exact root
+        assert lo**n == x
+        return
+    assert near_power != 0
+    assert (lo, hi) == _bisection_reference(x, n, width)

@@ -10,7 +10,7 @@ from rayleighsums import (
     s_table,
 )
 
-from _util import rand_fraction, reciprocal_power_sums
+from _util import INEXACT, rand_fraction, reciprocal_power_sums
 
 
 def kummer_poly_coeffs(n: int, b: F) -> list[F]:
@@ -102,3 +102,17 @@ def test_order_bounds():
 def test_helper_polynomial_sanity():
     # 1F1(-2; 1; z) = 1 - 2z + z^2/2
     assert kummer_poly_coeffs(2, F(1)) == [F(1), F(-2), F(1, 2)]
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_params_must_be_exact(name, bad):
+    args = {"a": -2, "b": 1}
+    args[name] = bad
+    with pytest.raises(InvalidParameterError, match=name):
+        ChfParams(**args)
+
+
+def test_params_accept_int_and_fraction():
+    assert ChfParams(-2, 1) == ChfParams(F(-2), F(1))
+    assert isinstance(ChfParams(-2, 1).b, F)

@@ -2,8 +2,11 @@ import io
 import json
 from fractions import Fraction as F
 
+import pytest
+
 from rayleighsums import PI_HI, PI_LO, decode_table, sigma_table, tau_table, derive_pqr
 from rayleighsums.cli import run
+from rayleighsums.rational import parse_rational
 
 
 def invoke(args):
@@ -140,3 +143,31 @@ def test_float_literal_names_the_cause(capsys):
 def test_unknown_subcommand_exits_2():
     code, _, _ = invoke(["frobnicate"])
     assert code == 2
+
+
+def test_kummer_family_refuses_nu():
+    # --nu used to be ignored silently for the Kummer family
+    for args in (
+        ["sums", "chf", "--a", "-2", "--b", "1", "--order", "3", "--nu", "1"],
+        ["verify", "--family", "chf", "--a", "-2", "--b", "5/3", "--order", "4", "--nu", "5"],
+        ["bounds", "--family", "chf", "--a", "-2", "--b", "5/3", "--order", "2", "--nu", "5"],
+    ):
+        code, out, err = invoke(args)
+        assert code == 2 and not out
+        assert "no order parameter nu" in err
+    code, _, _ = invoke(["sums", "chf", "--a", "-2", "--b", "1", "--order", "3"])
+    assert code == 0
+    # sigma/tau still default to symbolic nu when --nu is absent
+    code, out, _ = invoke(["sums", "sigma", "--order", "3", "--format", "json"])
+    assert code == 0 and json.loads(out)["nu"] == "symbolic"
+
+
+def test_rational_literals_reject_underscores(capsys):
+    # The grammar is an integer or p/q in plain digits; int() alone would
+    # read 1_000 as 1000.
+    for text in ("1_000", "1/1_0", "1_0/3"):
+        with pytest.raises(ValueError, match="not an integer or p/q"):
+            parse_rational(text)
+    assert parse_rational("1000") == 1000 and parse_rational("-3/10") == F(-3, 10)
+    code, out, _ = invoke(["sums", "sigma", "--order", "2", "--nu", "1_000"])
+    assert code == 2 and not out and "'1_000' is not an integer" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from rayleighsums import (
     verify_ode,
 )
 
-from _util import rand_fraction
+from _util import INEXACT, rand_fraction
 
 
 def test_derive_pqr_special_cases():
@@ -157,3 +157,18 @@ def test_leading_constant():
     params = derive_pqr(1, 2, 3)
     d0 = mercer_t_series(params, 0).series.coeff(0)
     assert d0 == RatFuncNu(leading_constant(params))
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+@pytest.mark.parametrize("name", ["a", "b", "c", "nu"])
+def test_derive_pqr_rejects_inexact(name, bad):
+    # derive_pqr(0.1, 1, 0, 1) used to give a = 3602879701896397/2^55
+    args = {"a": 1, "b": 2, "c": 3, "nu": 1}
+    args[name] = bad
+    with pytest.raises(InvalidParameterError, match=name):
+        derive_pqr(args["a"], args["b"], args["c"], args["nu"])
+
+
+def test_derive_pqr_accepts_int_and_fraction():
+    assert derive_pqr(1, 2, 3, 1) == derive_pqr(F(1), F(2), F(3), F(1))
+    assert derive_pqr(1, 2, 3) == derive_pqr(F(1), F(2), F(3), "symbolic")

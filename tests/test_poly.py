@@ -1,6 +1,8 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rayleighsums import PolyNu
 
@@ -67,3 +69,109 @@ def test_str():
     assert str(PolyNu([-1, 0, 1])) == "nu^2 - 1"
     assert str(PolyNu([F(1, 2), 1])) == "nu + 1/2"
     assert str(PolyNu()) == "0"
+
+
+# Property test of the content x primitive kernel against plain lists of
+# Fractions, with every operation written out coefficient by coefficient.
+
+fractions = st.builds(F, st.integers(-30, 30), st.integers(1, 6))
+coeff_lists = st.lists(fractions, max_size=5)
+
+
+def ref(cs):
+    cs = [F(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_divmod(a, b):
+    r = list(a)
+    q = [F(0)] * max(len(a) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        f = r[-1] / b[-1]
+        k = len(r) - len(b)
+        q[k] = f
+        for i, y in enumerate(b):
+            r[k + i] -= f * y
+        r = list(ref(r))
+    return ref(q), ref(r)
+
+
+def ref_eval(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def is_primitive(p):
+    cs = p.coeffs
+    return (
+        bool(cs)
+        and all(c.denominator == 1 for c in cs)
+        and gcd(*(c.numerator for c in cs)) == 1
+        and cs[-1] > 0
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(a=coeff_lists, b=coeff_lists, c=coeff_lists, s=fractions, x=fractions, n=st.integers(0, 4))
+def test_kernel_matches_fraction_lists(a, b, c, s, x, n):
+    ra, rb, rc = ref(a), ref(b), ref(c)
+    pa, pb, pc = PolyNu(a), PolyNu(b), PolyNu(c)
+    assert pa.coeffs == ra and pa.degree == len(ra) - 1
+    assert (pa + pb).coeffs == ref_add(ra, rb)
+    assert (pa - pb).coeffs == ref_add(ra, tuple(-y for y in rb))
+    assert (pa * pb).coeffs == ref_mul(ra, rb)
+    assert (pa * s).coeffs == (s * pa).coeffs == ref([s * y for y in ra])
+    power = (F(1),)
+    for _ in range(n):
+        power = ref_mul(power, ra)
+    assert (pa**n).coeffs == power
+    assert pa(x) == ref_eval(ra, x)
+
+    content, prim = pa.primitive()
+    if ra:
+        assert is_primitive(prim) and (content * prim).coeffs == ra
+    else:
+        assert content == 0 and not prim
+
+    # == agrees with hash across different construction routes
+    for other in (PolyNu(list(ra)), (pa + pc) - pc, pa * 1, content * prim):
+        assert other == pa and hash(other) == hash(pa)
+
+    if rb:
+        q, r = divmod(pa, pb)
+        assert (q.coeffs, r.coeffs) == ref_divmod(ra, rb)
+        assert (pa * pb).exact_div(pb) == pa
+        if r:
+            with pytest.raises(ArithmeticError):
+                pa.exact_div(pb)
+        else:
+            assert pa.exact_div(pb) == q
+
+    ua, ub = pa * pc, pb * pc
+    g = PolyNu.gcd(ua, ub)
+    if ua or ub:
+        assert is_primitive(g)
+        for u in (ua, ub):
+            assert not ref_divmod(u.coeffs, g.coeffs)[1]
+        assert not ref_divmod(g.coeffs, rc)[1]  # the common factor survives
+    else:
+        assert not g

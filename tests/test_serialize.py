@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -6,9 +7,11 @@ import pytest
 from rayleighsums import (
     ChfParams,
     InvalidParameterError,
+    bessel_t_series,
     decode_table,
     derive_pqr,
     encode_table,
+    genus0_sums_from_series,
     s_table,
     sigma_table,
     table_csv,
@@ -72,3 +75,23 @@ def test_decode_rejects_unknown_family():
     rec["family"] = "nope"
     with pytest.raises(InvalidParameterError):
         decode_table(rec)
+
+
+def _json_digest(table):
+    text = json.dumps(encode_table(table), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_symbolic_tables():
+    """sha256 of the encode_table JSON of three symbolic tables, captured
+    before PolyNu moved to the content x primitive representation."""
+    assert _json_digest(sigma_table(24)) == (
+        "b5c0ec48c87dc17910beb7747a77d42c6c94a1b186852d33ae2de0582a2ff657"
+    )
+    assert _json_digest(tau_table(derive_pqr(1, 2, 3), 12)) == (
+        "b16518256d8c557dc4f9f356b27cc58bf4bfb71d9f5da59a2d757aed80ba7d4f"
+    )
+    oracle = genus0_sums_from_series(bessel_t_series("symbolic", 16), 16)
+    assert _json_digest(oracle) == (
+        "bc843f2cb16a98b12f633ab21b85b8a37dba6e5a8fa5769a76f05f8c3b324d7d"
+    )

@@ -11,7 +11,7 @@ from rayleighsums import (
     sigma_table,
 )
 
-from _util import bernoulli, rand_fraction
+from _util import INEXACT, bernoulli, rand_fraction
 
 
 def test_first_entries_symbolic():
@@ -86,3 +86,15 @@ def test_entry_range():
         t.entry(4)
     with pytest.raises(IndexError):
         t.entry(0)
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_fixed_nu_must_be_exact(bad):
+    # sigma_table(2, 0.5) used to compute at the binary float
+    with pytest.raises(InvalidParameterError, match="nu"):
+        sigma_table(2, bad)
+
+
+def test_fixed_nu_accepts_int_and_fraction():
+    assert sigma_table(3, 1) == sigma_table(3, F(1))
+    assert sigma_table(3, 1).nu == F(1)

@@ -1,5 +1,4 @@
 import hashlib
-from decimal import Decimal
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -19,6 +18,8 @@ from rayleighsums import (
     sigma_table,
 )
 from rayleighsums.zeros import _EvenSeries
+
+from _util import INEXACT
 
 
 def test_half_integer_zeros_are_k_pi_squared():
@@ -121,10 +122,7 @@ def test_exact_arguments_accept_int_and_fraction():
         find_zeros(0, 1, grid_step=0)
 
 
-_INEXACT = [True, 0.1, Decimal("0.1"), "1/2"]
-
-
-@pytest.mark.parametrize("bad", _INEXACT, ids=repr)
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
 @pytest.mark.parametrize("name", ["nu", "precision", "z_max", "grid_step", "root_width"])
 def test_inexact_arguments_rejected(name, bad):
     with pytest.raises(InvalidParameterError, match=name):
@@ -244,3 +242,10 @@ def test_integer_sign_matches_fraction_reference(point):
             _EvenSeries(nu, abc).sign_at(t)
         return
     assert _EvenSeries(nu, abc).sign_at(t) == want
+
+
+@pytest.mark.parametrize("bad", INEXACT + [1.0, F(1)], ids=repr)
+def test_count_must_be_an_int(bad):
+    # True used to run as count 1
+    with pytest.raises(InvalidParameterError, match="count"):
+        find_zeros(0, bad)
