@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidParameterError, RegimeError
+from .rational import exact
 
 __all__ = ["EulerRayleighBracket", "nth_root_enclosure", "euler_rayleigh"]
 
@@ -48,8 +49,8 @@ def nth_root_enclosure(x, n: int, width) -> tuple[Fraction, Fraction]:
     """(lo, hi) with lo <= x**(1/n) <= hi, hi - lo <= width, certified by
     the exact comparisons lo**n <= x <= hi**n. Exact roots collapse to a
     point."""
-    x = Fraction(x)
-    width = Fraction(width)
+    x = exact(x, "x")
+    width = exact(width, "width")
     if x <= 0:
         raise InvalidParameterError("nth_root_enclosure needs x > 0")
     if n < 1:
@@ -109,6 +110,7 @@ def euler_rayleigh(
     The Bessel family is accepted on its own real-zero flag (nu > -1);
     the combined and Kummer families need ``assert_real_zeros=True``.
     """
+    root_width = exact(root_width, "root_width")
     if getattr(table, "nu", None) == "symbolic":
         raise InvalidParameterError("bounds need a fixed-nu table, not a symbolic one")
     family = table.family

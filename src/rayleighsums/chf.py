@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from .errors import InvalidParameterError, PoleError
+from ._accumulate import self_convolution
+from .errors import InvalidParameterError
 from .rational import exact
 
 __all__ = ["ChfParams", "STable", "s_table"]
@@ -71,10 +72,7 @@ def s_table(params: ChfParams, order: int) -> STable:
     if order >= 3:
         entries.append(a * (a - b) * (b - 2 * a) / (b**3 * (b + 1) * (b + 2)))
     for k in range(3, order):
-        if not b + k:
-            raise PoleError(f"S_{k + 1} divides by (b + {k}) = 0", index=k)
-        acc = Fraction(0)
-        for m in range(2, k):
-            acc += entries[m - 2] * entries[k - m - 1]
+        # sum_{m=2}^{k-1} S_m S_{k-m+1}; entries[i] is S_{i+2}.
+        acc = self_convolution(entries, k - 1)
         entries.append(((b - 2 * a) * entries[k - 2] + b * acc) / (b * (k + b)))
     return STable(params=params, order=order, entries=tuple(entries), provenance="riccati")

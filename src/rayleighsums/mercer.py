@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
+from ._accumulate import self_convolution
 from .errors import DegenerateParametersError, InvalidParameterError, PoleError
 from .poly import PolyNu
 from .ratfunc import RatFuncNu, as_canonical, as_raw, raw_div
@@ -196,16 +197,9 @@ def tau_table(params: MercerParams, order: int) -> TauTable:
     def conv(s: int):
         """sum_{m=1}^{s-1} tau_m tau_{s-m}, accumulated raw."""
         got = conv_cache.get(s)
-        if got is not None:
-            return got
-        acc = None
-        for m in range(1, s // 2 + 1):
-            term = as_raw(entries[m - 1]) * as_raw(entries[s - m - 1])
-            if m < s - m:
-                term = term + term
-            acc = term if acc is None else acc + term
-        conv_cache[s] = acc
-        return acc
+        if got is None:
+            got = conv_cache[s] = self_convolution(entries, s)
+        return got
 
     for k in range(3, order):
         dk = x + (k + 1)

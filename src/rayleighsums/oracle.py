@@ -24,6 +24,7 @@ from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
 from .ratfunc import RatFuncNu
+from .rational import exact
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable
 
@@ -52,7 +53,7 @@ class OracleSeries:
 
 def _bessel_coeffs(nu: NuMode, order: int) -> list:
     """g_n = (-1)^n / (4^n n! (nu+1)(nu+2)...(nu+n)), exactly."""
-    x = RatFuncNu.NU if nu == "symbolic" else Fraction(nu)
+    x = RatFuncNu.NU if nu == "symbolic" else nu
     g = [RatFuncNu.ONE if nu == "symbolic" else Fraction(1)]
     for n in range(1, order + 1):
         shifted = x + n
@@ -74,10 +75,12 @@ def bessel_t_series(nu: NuMode, order: int) -> OracleSeries:
     """
     if order < 0:
         raise InvalidParameterError("order must be >= 0")
+    if nu != "symbolic":
+        nu = exact(nu, "nu")
     coeffs = _bessel_coeffs(nu, order)
     return OracleSeries(
         family="bessel",
-        nu=nu if nu == "symbolic" else Fraction(nu),
+        nu=nu,
         params=None,
         series=FormalSeries("t", coeffs),
         note="z^(-nu) J_nu(z) times 2^nu Gamma(nu+1), in t = z^2",

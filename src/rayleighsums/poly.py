@@ -33,6 +33,8 @@ from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 from typing import Iterable, Union
 
+from .rational import exact
+
 Scalar = Union[int, Fraction]
 
 __all__ = ["PolyNu"]
@@ -132,12 +134,9 @@ class PolyNu:
     __slots__ = ("_k", "_p")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in coeffs]
-        den = 1
-        for x in c:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                den = _int_lcm(den, x.denominator)
-        ints = [x * den if isinstance(x, int) else x.numerator * (den // x.denominator) for x in c]
+        c = [exact(x, "coefficient") for x in coeffs]
+        den = _int_lcm(*(x.denominator for x in c))
+        ints = [x.numerator * (den // x.denominator) for x in c]
         self._k, self._p = _split(1, den, ints)
 
     @classmethod
@@ -268,7 +267,7 @@ class PolyNu:
         return PolyNu._make(k, result)
 
     def __call__(self, x: Scalar) -> Fraction:
-        x = Fraction(x)
+        x = exact(x, "x")
         if not self._p:
             return _F0
         d = x.denominator

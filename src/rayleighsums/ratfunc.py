@@ -11,9 +11,13 @@ accumulation; ``to_canonical()`` peels each denominator factor off the
 numerator with small gcds only. Its factors are primitive and kept sorted
 by ``_poly_key``, which compares degree, then the integer primitive tuple,
 then the content, so no ``Fraction`` is built or compared to order them;
-the canonical result does not depend on that order. Both types coexist
-with plain ``Fraction`` coefficients through ``as_raw``/``as_canonical``,
-so fixed-nu and symbolic-nu computations share one code path.
+the canonical result does not depend on that order. ``as_raw`` and
+``as_canonical`` pass plain ``Fraction`` values through untouched, so the
+few steps around the sums (the linear terms of the tau recurrence, the
+division by each recurrence's pivot, the scaling in series division) are
+written once for fixed and symbolic nu. The convolution sums themselves
+go through ``_accumulate.dot``, which sums ``Fraction`` operands on
+integer numerators and accumulates symbolic ones in ``_Raw``.
 
 ``PolyNu`` stores content and primitive part apart, so the
 ``primitive()`` splits done here are free and the scalar rescalings touch
@@ -28,6 +32,7 @@ from typing import Union
 
 from .errors import PoleError, ZeroDenominatorError
 from .poly import PolyNu
+from .rational import exact
 
 Scalar = Union[int, Fraction]
 Element = Union[Fraction, "RatFuncNu"]
@@ -186,7 +191,7 @@ class RatFuncNu:
         return hash((self._num, self._den))
 
     def __call__(self, nu0: Scalar) -> Fraction:
-        nu0 = Fraction(nu0)
+        nu0 = exact(nu0, "nu0")
         d = self._den(nu0)
         if not d:
             raise PoleError(f"pole of rational function at nu = {nu0}", at=nu0)

@@ -4,6 +4,12 @@ A series carries its variable tag (``t`` for even-part series in z**2,
 ``z`` for the Kummer series) and a coefficient list of length order+1.
 Coefficients are either all ``Fraction`` (fixed nu) or all ``RatFuncNu``
 (symbolic nu); mixed input is promoted to symbolic.
+
+Products and the division are sums of coefficient products, computed by
+``_accumulate.dot``: at fixed nu each coefficient is one integer sum over
+a common denominator that grows only when a term needs it, with a single
+normalising gcd; at symbolic nu the sum is accumulated unreduced and
+canonicalized once per coefficient.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ._accumulate import dot
 from .errors import NonInvertibleError
 from .ratfunc import RatFuncNu, as_canonical, as_raw
 
@@ -101,12 +108,9 @@ class FormalSeries:
         """True-series product, truncated to the shorter operand's order."""
         self._check_compatible(other)
         n = min(self.order, other.order)
-        out = []
-        for k in range(n + 1):
-            acc = as_raw(self._c[0]) * as_raw(other._c[k])
-            for i in range(1, k + 1):
-                acc = acc + as_raw(self._c[i]) * as_raw(other._c[k - i])
-            out.append(as_canonical(acc))
+        out = [
+            as_canonical(dot(self._c[: k + 1], other._c[k::-1])) for k in range(n + 1)
+        ]
         return FormalSeries(self._var, out)
 
     def poly_mul(self, poly_coeffs: Sequence, order: int) -> "FormalSeries":
@@ -118,17 +122,19 @@ class FormalSeries:
         """
         if order > self.order:
             raise ValueError("series too short for requested product order")
-        out = []
-        for k in range(order + 1):
-            acc = None
-            for i, p in enumerate(poly_coeffs):
-                if i > k:
-                    break
-                term = as_raw(p) * as_raw(self._c[k - i])
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = as_raw(self._c[0] * 0)
-            out.append(as_canonical(acc))
+        poly_coeffs = tuple(poly_coeffs)
+        if any(isinstance(p, RatFuncNu) for p in poly_coeffs):
+            # dot() picks the symbolic path from the first term only
+            poly_coeffs = tuple(
+                p if isinstance(p, RatFuncNu) else RatFuncNu.from_rational(p)
+                for p in poly_coeffs
+            )
+        if not poly_coeffs:
+            return FormalSeries(self._var, [self._c[0] * 0] * (order + 1))
+        out = [
+            as_canonical(dot(poly_coeffs[: k + 1], self._c[k::-1]))
+            for k in range(order + 1)
+        ]
         return FormalSeries(self._var, out)
 
     def __eq__(self, other) -> bool:
@@ -164,10 +170,9 @@ def series_divide(f: FormalSeries, g: FormalSeries, order: int) -> FormalSeries:
     if not g0:
         raise NonInvertibleError("constant term of the divisor is zero")
     inv0 = 1 / g0
+    gs = g.coeffs
     h: list = []
     for n in range(order + 1):
-        acc = as_raw(f.coeff(n))
-        for k in range(1, n + 1):
-            acc = acc - as_raw(g.coeff(k)) * as_raw(h[n - k])
+        acc = dot(gs[1 : n + 1], h[::-1], [-1] * n, start=f.coeff(n))
         h.append(as_canonical(acc * as_raw(inv0)))
     return FormalSeries(f.var, h)

@@ -4,8 +4,12 @@ sigma_n(nu) = sum_k j_{nu k}^{-2n} satisfies the convolution recurrence
 
     (nu + n) * sigma_n = sum_{k=1}^{n-1} sigma_k * sigma_{n-k},   n >= 2,
 
-seeded by sigma_1 = 1/(4(nu+1)). The table is built bottom-up; symbolic
-entries are reduced to canonical form as they are produced.
+seeded by sigma_1 = 1/(4(nu+1)). The table is built bottom-up. The
+convolution is summed once per symmetric pair (k, n-k), doubled off the
+centre, by ``_accumulate.self_convolution``: at fixed nu on integer
+numerators over a lazily grown common denominator, reduced by one gcd;
+at symbolic nu unreduced, with each entry reduced to canonical form as it
+is produced.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
+from ._accumulate import self_convolution
 from .errors import InvalidParameterError, PoleError
-from .ratfunc import RatFuncNu, as_canonical, as_raw, raw_div
+from .ratfunc import RatFuncNu, as_canonical, raw_div
 from .rational import exact
 
 NuMode = Union[str, Fraction]
@@ -76,12 +81,7 @@ def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:
                 at=nu,
                 index=n,
             )
-        acc = None
-        for k in range(1, n // 2 + 1):
-            term = as_raw(entries[k - 1]) * as_raw(entries[n - k - 1])
-            if k < n - k:
-                term = term + term
-            acc = term if acc is None else acc + term
+        acc = self_convolution(entries, n)
         entries.append(as_canonical(raw_div(acc, div)))
     symbolic = nu == "symbolic"
     return SigmaTable(

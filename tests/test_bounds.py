@@ -15,6 +15,8 @@ from rayleighsums import (
     tau_table,
 )
 
+from _util import INEXACT
+
 
 def test_nth_root_exact_cases():
     assert nth_root_enclosure(4, 2, F(1, 2)) == (F(2), F(2))
@@ -140,3 +142,24 @@ def test_nth_root_matches_plain_bisection(p, q, n, near_power, width):
         return
     assert near_power != 0
     assert (lo, hi) == _bisection_reference(x, n, width)
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+@pytest.mark.parametrize("name", ["x", "width"])
+def test_nth_root_arguments_must_be_exact(name, bad):
+    args = {"x": 2, "width": F(1, 1000)}
+    args[name] = bad
+    with pytest.raises(InvalidParameterError, match=name):
+        nth_root_enclosure(args["x"], 2, args["width"])
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_euler_rayleigh_root_width_must_be_exact(bad):
+    with pytest.raises(InvalidParameterError, match="root_width"):
+        euler_rayleigh(sigma_table(4, F(0)), 2, root_width=bad)
+
+
+def test_nth_root_and_bracket_accept_ints():
+    assert nth_root_enclosure(2, 2, 1) == nth_root_enclosure(F(2), 2, F(1))
+    table = sigma_table(4, F(0))
+    assert euler_rayleigh(table, 2, root_width=1) == euler_rayleigh(table, 2, root_width=F(1))

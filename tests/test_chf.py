@@ -85,6 +85,8 @@ def test_invalid_b():
         ChfParams(1, 0)
     with pytest.raises(InvalidParameterError):
         ChfParams(1, -3)
+    with pytest.raises(InvalidParameterError):
+        ChfParams(-2, -3)
     # negative non-integers are fine
     t = s_table(ChfParams(1, F(-3, 2)), 3)
     assert t.order == 3

@@ -19,6 +19,8 @@ from rayleighsums import (
     mercer_t_series,
 )
 
+from _util import INEXACT
+
 
 def test_bessel_series_symbolic_prefix():
     s = bessel_t_series("symbolic", 2).series
@@ -114,3 +116,16 @@ def test_chf_sums_from_series_examples():
 def test_genus0_rejects_chf_series():
     with pytest.raises(InvalidParameterError):
         genus0_sums_from_series(chf_series(ChfParams(1, 2), 3), 3)
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_bessel_series_nu_must_be_exact(bad):
+    # bessel_t_series(0.1, 1).nu used to be 3602879701896397/2^55
+    with pytest.raises(InvalidParameterError, match="nu"):
+        bessel_t_series(bad, 1)
+
+
+def test_bessel_series_accepts_int_nu():
+    s = bessel_t_series(1, 3)
+    assert s.nu == F(1) and isinstance(s.nu, F)
+    assert s.series == bessel_t_series(F(1), 3).series

@@ -4,7 +4,9 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rayleighsums import PolyNu
+from rayleighsums import InvalidParameterError, PolyNu
+
+from _util import INEXACT
 
 
 def test_trailing_zeros_stripped():
@@ -175,3 +177,19 @@ def test_kernel_matches_fraction_lists(a, b, c, s, x, n):
         assert not ref_divmod(g.coeffs, rc)[1]  # the common factor survives
     else:
         assert not g
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_coefficients_and_evaluation_point_must_be_exact(bad):
+    # PolyNu([0.1]) used to hold 3602879701896397/2^55
+    with pytest.raises(InvalidParameterError, match="coefficient"):
+        PolyNu([1, bad])
+    with pytest.raises(InvalidParameterError, match="x"):
+        PolyNu([1, 1])(bad)
+
+
+def test_int_coefficients_and_evaluation_point():
+    p = PolyNu([1, 2, 3])
+    assert p == PolyNu([F(1), F(2), F(3)])
+    assert p(2) == p(F(2)) == F(17)
+    assert isinstance(p(2), F)

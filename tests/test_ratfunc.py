@@ -3,8 +3,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rayleighsums import PolyNu, RatFuncNu, ZeroDenominatorError, PoleError, eval_at, normalize
+from rayleighsums import (
+    InvalidParameterError,
+    PolyNu,
+    RatFuncNu,
+    ZeroDenominatorError,
+    PoleError,
+    eval_at,
+    normalize,
+)
 from rayleighsums.ratfunc import as_canonical, as_raw
+
+from _util import INEXACT
 
 fractions = st.builds(F, st.integers(-9, 9), st.integers(1, 4))
 polys = st.lists(fractions, min_size=0, max_size=4).map(PolyNu)
@@ -85,3 +95,18 @@ def test_equality_against_scalars():
     assert RatFuncNu.ZERO == 0
     assert not RatFuncNu.ZERO
     assert RatFuncNu.NU != F(1, 2)
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_evaluation_point_must_be_exact(bad):
+    # eval_at(r, 0.1) used to evaluate at the binary float
+    r = RatFuncNu(PolyNu([1]), PolyNu([1, 1]))
+    with pytest.raises(InvalidParameterError, match="nu0"):
+        r(bad)
+    with pytest.raises(InvalidParameterError, match="nu0"):
+        eval_at(r, bad)
+
+
+def test_int_evaluation_point():
+    r = RatFuncNu(PolyNu([1]), PolyNu([1, 1]))
+    assert r(1) == eval_at(r, F(1)) == F(1, 2)

@@ -8,6 +8,7 @@ from rayleighsums import (
     ChfParams,
     InvalidParameterError,
     bessel_t_series,
+    chf_sums_from_series,
     decode_table,
     derive_pqr,
     encode_table,
@@ -94,4 +95,30 @@ def test_golden_symbolic_tables():
     oracle = genus0_sums_from_series(bessel_t_series("symbolic", 16), 16)
     assert _json_digest(oracle) == (
         "bc843f2cb16a98b12f633ab21b85b8a37dba6e5a8fa5769a76f05f8c3b324d7d"
+    )
+
+
+def test_golden_fixed_nu_tables():
+    """sha256 of the encode_table JSON of fixed-nu recurrence and oracle
+    tables, captured before the tables moved to the shared integer
+    accumulator. S at (1/2, 7/3) does not terminate, so its denominators
+    do not collapse."""
+    assert _json_digest(sigma_table(120, F(2, 3))) == (
+        "0f754c5efdb114cdda6415d2ee86da4fc2c192d7b89277f4ee2b8d9ce97b77a7"
+    )
+    assert _json_digest(tau_table(derive_pqr(1, 2, 3, F(3, 2)), 60)) == (
+        "ae3af134cd68e0119b39050199c5f2d40b00d7477fba86b3716f463462f7d8f9"
+    )
+    assert _json_digest(s_table(ChfParams(-2, F(5, 3)), 200)) == (
+        "09620efa573ad00cfe372b9ade3d27cee37006b0d2a51319429cebb634c23c82"
+    )
+    assert _json_digest(s_table(ChfParams(F(1, 2), F(7, 3)), 80)) == (
+        "9479e20b22265b8efc4fe46a867f6cf9b9888b8cb278d8d1e29d48df8478fb31"
+    )
+    oracle = genus0_sums_from_series(bessel_t_series(F(4, 5), 120), 120)
+    assert _json_digest(oracle) == (
+        "54c5daf39ac1c7cb1d077db829e78cb898047ec77b736b52bf75667c4ed60a09"
+    )
+    assert _json_digest(chf_sums_from_series(ChfParams(F(1, 2), F(7, 3)), 80)) == (
+        "3e7f2d2c5a5eaf101547efefdcbadd5a2d4efa38b3e78af53c0d0e50471cc158"
     )

@@ -83,3 +83,13 @@ def test_derivative_and_shift():
     s = FormalSeries("t", [F(5), F(1), F(2)])
     assert s.derivative().coeffs == (F(1), F(4))
     assert s.times_var().coeffs == (F(0), F(5), F(1), F(2))
+
+
+def test_poly_mul_promotes_a_mixed_factor():
+    s = FormalSeries("t", [F(1), F(2), F(3)])
+    nu = RatFuncNu.NU
+    for factor in ((F(1), nu), (nu, F(1))):
+        out = s.poly_mul(factor, 2)
+        assert out.symbolic
+        a, b = factor
+        assert out.coeffs == (a * 1, a * 2 + b * 1, a * 3 + b * 2)
