@@ -10,8 +10,6 @@ top. Every value is immutable and every operation is a pure function, so
 everything here is safe for concurrent use.
 """
 
-from fractions import Fraction as BigRat
-
 from .bounds import EulerRayleighBracket, euler_rayleigh, nth_root_enclosure
 from .chf import ChfParams, STable, s_table
 from .errors import (
@@ -47,7 +45,7 @@ from .oracle import (
 )
 from .poly import PolyNu
 from .ratfunc import RatFuncNu, eval_at, normalize
-from .rational import decimal_str, parse_rational, rational_str
+from .rational import BigRat, decimal_str, parse_rational, rational_str
 from .serialize import decode_table, encode_table, table_csv
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable, sigma_table

@@ -1,10 +1,13 @@
 """The one exact convolution kernel behind the recurrences and series division.
 
-``dot(xs, ys, weights, start)`` is ``start + sum w*x*y``. The three table
-recurrences (sigma, tau, Kummer S) and the series-oracle division are all
-sums of this shape and differ only in their operands. Sharing this
-arithmetic does not couple the recurrence route to the oracle route:
-neither sees the other's terms or denominators.
+``dot(xs, ys, weights, start)`` is ``start + sum w*x*y``. The fixed-nu
+table recurrences (sigma, tau, Kummer S), the symbolic tau recurrence,
+series products and ``series_divide`` are all sums of this shape and
+differ only in their operands. Sharing this arithmetic does not couple
+the recurrence route to the oracle route: neither sees the other's terms
+or denominators. The symbolic sigma table and the symbolic Bessel and
+Mercer oracle do not come here; they run on integer polynomials over
+a-priori denominators (``ratfunc.FactorPowers``).
 
 Fixed nu (``Fraction`` or ``int`` operands): the sum runs on integer
 numerators over one common denominator ``L``. A term whose denominator
@@ -17,7 +20,9 @@ pays two or three gcds per term; it is the same canonical ``Fraction``.
 Symbolic nu (``RatFuncNu`` operands): each product is taken in
 ``ratfunc._Raw`` and added unreduced; a weight-2 term is added to itself
 and a weight -1 term negated, so no weight costs a polynomial product.
-The caller canonicalizes the returned accumulator.
+The caller canonicalizes the returned accumulator. The symbolic tau
+recurrence, symbolic ``FormalSeries.mul``/``poly_mul`` and
+``series_divide`` on bare symbolic series use this path.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InvalidParameterError, RegimeError
-from .rational import exact
+from .rational import count, exact
 
 __all__ = ["EulerRayleighBracket", "nth_root_enclosure", "euler_rayleigh"]
 
@@ -53,8 +53,7 @@ def nth_root_enclosure(x, n: int, width) -> tuple[Fraction, Fraction]:
     width = exact(width, "width")
     if x <= 0:
         raise InvalidParameterError("nth_root_enclosure needs x > 0")
-    if n < 1:
-        raise InvalidParameterError("root index must be >= 1")
+    n = count(n, "root index", 1)
     if width <= 0:
         raise InvalidParameterError("width must be positive")
     if n == 1:
@@ -110,6 +109,7 @@ def euler_rayleigh(
     The Bessel family is accepted on its own real-zero flag (nu > -1);
     the combined and Kummer families need ``assert_real_zeros=True``.
     """
+    n = count(n, "bracket index", 1)
     root_width = exact(root_width, "root_width")
     if getattr(table, "nu", None) == "symbolic":
         raise InvalidParameterError("bounds need a fixed-nu table, not a symbolic one")

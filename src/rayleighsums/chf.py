@@ -22,7 +22,7 @@ from typing import ClassVar
 
 from ._accumulate import self_convolution
 from .errors import InvalidParameterError
-from .rational import exact
+from .rational import count, exact
 
 __all__ = ["ChfParams", "STable", "s_table"]
 
@@ -65,8 +65,7 @@ class STable:
 
 def s_table(params: ChfParams, order: int) -> STable:
     """Exact S_2 .. S_order by the convolution recurrence."""
-    if order < 2:
-        raise InvalidParameterError("the first convergent sum is S_2; order must be >= 2")
+    order = count(order, "order (the first convergent sum is S_2)", 2)
     a, b = params.a, params.b
     entries = [a * (a - b) / (b * b * (b + 1))]
     if order >= 3:

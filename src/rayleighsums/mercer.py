@@ -31,10 +31,10 @@ from fractions import Fraction
 from typing import ClassVar, Union
 
 from ._accumulate import self_convolution
-from .errors import DegenerateParametersError, InvalidParameterError, PoleError
+from .errors import DegenerateParametersError, PoleError
 from .poly import PolyNu
 from .ratfunc import RatFuncNu, as_canonical, as_raw, raw_div
-from .rational import exact
+from .rational import count, exact
 from .series import FormalSeries
 
 NuMode = Union[str, Fraction]
@@ -151,8 +151,7 @@ def tau_table(params: MercerParams, order: int) -> TauTable:
     (otherwise z = 0 is a zero of z^(-nu) N and the sums are undefined).
     With (a, b, c) = (0, 0, 1) the output coincides with sigma_table.
     """
-    if order < 1:
-        raise InvalidParameterError("table order must be >= 1")
+    order = count(order, "table order", 1)
     x, p, q, r = _elements(params)
     a, b = params.a, params.b
     const = a * x * x + (b - a) * x + params.c
@@ -279,8 +278,7 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
     nonzero residual is a report outcome, not an error, so perturbed
     coefficients can be checked as negative controls.
     """
-    if order < 4:
-        raise InvalidParameterError("verify_ode needs order >= 4")
+    order = count(order, "verify_ode order", 4)
     from .oracle import mercer_t_series  # deferred: oracle imports this module
 
     w = mercer_t_series(params, order).series

@@ -12,19 +12,57 @@ The Kummer function has genus 1; its product carries exp(a z / b), so the
 quotient w'/w starts at the constant a/b (checked as a hard assertion)
 and the z^k coefficient is -S_{k+1}. Everything here is exact rational
 arithmetic; there is no floating point in this module.
+
+Symbolic Bessel and Mercer series are divided on integer polynomials.
+Their coefficients are d_k = N_k / G_k with G_k = 4^k k! (nu+1)_k and a
+polynomial N_k: N_k = (-1)^k for Bessel, N_k = (-1)^k [a (2k+nu)(2k+nu-1)
++ b (2k+nu) + c] for Mercer, so d_0 = N_0 = a nu^2 + (b-a) nu + c. The
+numerators are read off the given series and brought to one integer
+scale (which leaves the quotient y'/y unchanged).
+
+*Denominator.* Expanding 1/y in powers of (y - d_0)/d_0, the quotient
+h = -t y'/y has h_n = sum over compositions k_1 + ... + k_r = n (r <= n)
+of integer multiples of d_{k_1} ... d_{k_r} / d_0^r. A factor (nu+j)
+occurs in G_{k_i} only for parts k_i >= j, and at most floor(n/j) parts
+are that large; k_1! ... k_r! divides n!; and 4^(k_1 + ... + k_r) = 4^n.
+So E_n d_0^n, with E_n = 4^n n! prod_{j<=n} (nu+j)^floor(n/j), clears
+h_n. This follows from the series alone; the oracle shares no recurrence
+and no denominator with the table builders.
+
+*Division.* H_n = E_n d_0^n h_n is then an integer polynomial with
+
+    H_n = - sum_{k=1}^{n} N_k C_{n,k} H'_{n-k},
+    C_{n,k} = E_n d_0^n / (E_{n-k} d_0^(n-k) G_k d_0),
+
+where H'_m = H_m for m >= 1 and H'_0 = n (the k = n term is the
+numerator n d_n of -t y'). C_{n,k} = binom(n,k) d_0^(k-1) prod_j
+(nu+j)^(floor(n/j) - floor((n-k)/j) - [j<=k]); ``FactorPowers.cofactor``
+builds it from the factored denominators and refuses a negative exponent
+or a fractional scale, so a wrong E_n fails loudly instead of giving a
+wrong value.
+
+*Reduction.* d_0 is split once into irreducible factors over Q (a
+quadratic splits when its discriminant is a square); a factor equal to
+some (nu+j) merges with that exponent. Every factor is peeled off H_n
+while it divides, so h_n comes out coprime with no gcd.
+
+Fixed-nu series, the Kummer series and bare ``FormalSeries`` go through
+``series_divide``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, isqrt, lcm
 from typing import Union
 
 from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
-from .ratfunc import RatFuncNu
-from .rational import exact
+from .poly import _iaxpy, _iconv, _iprimitive
+from .ratfunc import FactorPowers, RatFuncNu
+from .rational import count, exact
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable
 
@@ -73,8 +111,7 @@ def bessel_t_series(nu: NuMode, order: int) -> OracleSeries:
     The coefficient of t^n is (-1)^n / (4^n n! (nu+1)_n); the zeros of the
     series in t are the squared positive zeros of J_nu.
     """
-    if order < 0:
-        raise InvalidParameterError("order must be >= 0")
+    order = count(order, "order", 0)
     if nu != "symbolic":
         nu = exact(nu, "nu")
     coeffs = _bessel_coeffs(nu, order)
@@ -94,8 +131,7 @@ def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
     d_n = [a (2n+nu)(2n+nu-1) + b (2n+nu) + c] * g_n; the constant term
     d_0 = a nu^2 + (b-a) nu + c must not vanish.
     """
-    if order < 0:
-        raise InvalidParameterError("order must be >= 0")
+    order = count(order, "order", 0)
     g = _bessel_coeffs(params.nu, order)
     x = RatFuncNu.NU if params.symbolic else Fraction(params.nu)
     a, b, c = params.a, params.b, params.c
@@ -126,13 +162,18 @@ def genus0_sums_from_series(src: Union[OracleSeries, FormalSeries], order: int):
     (s_1, ..., s_order).
     """
     series = src.series if isinstance(src, OracleSeries) else src
+    order = count(order, "order", 0)
     if series.order < order:
         raise InvalidParameterError("series truncated below the requested order")
-    minus_t_dy = FormalSeries(
-        series.var, [-n * c for n, c in enumerate(series.coeffs)]
-    )
-    quot = series_divide(minus_t_dy, series, order)
-    entries = tuple(quot.coeff(n) for n in range(1, order + 1))
+    entries = None
+    if isinstance(src, OracleSeries) and series.symbolic:
+        entries = _integer_sums(series.coeffs[: order + 1])
+    if entries is None:
+        minus_t_dy = FormalSeries(
+            series.var, [-n * c for n, c in enumerate(series.coeffs)]
+        )
+        quot = series_divide(minus_t_dy, series, order)
+        entries = tuple(quot.coeff(n) for n in range(1, order + 1))
     if not isinstance(src, OracleSeries):
         return entries
     if src.family == "bessel":
@@ -153,10 +194,68 @@ def genus0_sums_from_series(src: Union[OracleSeries, FormalSeries], order: int):
     )
 
 
+def _coefficient_den(k: int):
+    """G_k = 4^k k! (nu+1)_k, factored: the denominator of the coefficient g_k."""
+    return 4**k * factorial(k), {(j, 1): 1 for j in range(1, k + 1)}
+
+
+def _split_d0(p):
+    """d_0 = scale * prod f^m over irreducible primitive factors f, for an
+    integer tuple of degree <= 2; None for a higher degree or zero."""
+    if not p or len(p) > 3:
+        return None
+    prim = _iprimitive(list(p))
+    scale = p[-1] // prim[-1]
+    if len(prim) == 3:
+        c, b, a = prim
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:  # a d_0 = (a nu + (b-s)/2) (a nu + (b+s)/2)
+            f1 = tuple(_iprimitive([b - s, 2 * a]))
+            f2 = tuple(_iprimitive([b + s, 2 * a]))
+            return scale, ({f1: 2} if f1 == f2 else {f1: 1, f2: 1})
+    return scale, ({tuple(prim): 1} if len(prim) > 1 else {})
+
+
+def _oracle_den(n: int, d0):
+    """E_n d_0^n, factored; it clears h_n (see the module docstring)."""
+    scale, factors = d0
+    exps = {(j, 1): n // j for j in range(1, n + 1)}
+    for f, m in factors.items():
+        exps[f] = exps.get(f, 0) + m * n
+    return 4**n * factorial(n) * scale**n, exps
+
+
+def _integer_sums(coeffs):
+    """h_1 .. h_order of h = -t y'/y on integer polynomials, for symbolic
+    coefficients d_k = N_k / G_k; None when the series has another shape."""
+    order = len(coeffs) - 1
+    powers = FactorPowers()
+    g = [_coefficient_den(k) for k in range(order + 1)]
+    cleared = [powers.clear(d, gk) for d, gk in zip(coeffs, g)]
+    if None in cleared:
+        return None
+    scale = lcm(*(c.denominator for c, _ in cleared))
+    num = [tuple(c.numerator * (scale // c.denominator) * x for x in p) for c, p in cleared]
+    d0 = _split_d0(num[0])
+    if d0 is None:
+        return None
+    den = [_oracle_den(n, d0) for n in range(order + 1)]
+    scaled = [None]
+    for n in range(1, order + 1):
+        acc: list[int] = []
+        for k in range(1, n + 1):
+            if num[k]:
+                cof = powers.cofactor(den[n], den[n - k], g[k], d0)
+                prev = scaled[n - k] if k < n else (n,)
+                _iaxpy(acc, -1, _iconv(_iconv(num[k], cof), prev))
+        scaled.append(tuple(acc))
+    return tuple(powers.peel(scaled[n], den[n]) for n in range(1, order + 1))
+
+
 def chf_series(params: ChfParams, order: int) -> OracleSeries:
     """Kummer series sum_n (a)_n / ((b)_n n!) z^n, exact rationals."""
-    if order < 0:
-        raise InvalidParameterError("order must be >= 0")
+    order = count(order, "order", 0)
     a, b = params.a, params.b
     w = [Fraction(1)]
     for n in range(1, order + 1):
@@ -172,8 +271,7 @@ def chf_sums_from_series(params: ChfParams, order: int) -> STable:
     The constant term of the quotient must equal a/b exactly; a mismatch
     means an arithmetic bug, not bad input.
     """
-    if order < 2:
-        raise InvalidParameterError("the first convergent sum is S_2; order must be >= 2")
+    order = count(order, "order (the first convergent sum is S_2)", 2)
     w = chf_series(params, order).series
     wprime = w.derivative()
     quot = series_divide(wprime, w.truncate(order - 1), order - 1)

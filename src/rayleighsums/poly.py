@@ -84,6 +84,14 @@ def _iconv(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _iaxpy(acc: list[int], w: int, v: tuple[int, ...]) -> None:
+    """acc += w * v in place, for integer coefficient sequences."""
+    if len(acc) < len(v):
+        acc.extend([0] * (len(v) - len(acc)))
+    for i, c in enumerate(v):
+        acc[i] += w * c
+
+
 def _ilongdiv(r: list[int], v: tuple[int, ...]):
     """Divide r by v in place over the integers; r becomes the remainder.
 
@@ -232,7 +240,7 @@ class PolyNu:
 
     def __mul__(self, other: object) -> "PolyNu":
         if isinstance(other, (int, Fraction)):
-            return PolyNu._make(self._k * other, self._p)
+            return PolyNu._make(self._k * exact(other, "operand"), self._p)
         if not isinstance(other, PolyNu):
             return NotImplemented
         a, b = self._p, other._p
@@ -363,7 +371,7 @@ class PolyNu:
         if isinstance(other, PolyNu):
             return other
         if isinstance(other, (int, Fraction)):
-            return PolyNu([other])
+            return PolyNu([exact(other, "operand")])
         return NotImplemented
 
     def __repr__(self) -> str:

@@ -1,23 +1,28 @@
-"""Reduced rational functions in nu, and the raw accumulator behind recurrences.
+"""Reduced rational functions in nu, and the arithmetic behind the tables.
 
 ``RatFuncNu`` is canonical: numerator and denominator are coprime over the
 rationals and the denominator is an integer-primitive polynomial with
 positive leading coefficient. That form is unique, so ``==`` is exact
 mathematical equality.
 
-``_Raw`` is an unreduced num/(product of factors) pair used internally by
-the table builders and the series division. It never normalizes during
-accumulation; ``to_canonical()`` peels each denominator factor off the
-numerator with small gcds only. Its factors are primitive and kept sorted
-by ``_poly_key``, which compares degree, then the integer primitive tuple,
-then the content, so no ``Fraction`` is built or compared to order them;
-the canonical result does not depend on that order. ``as_raw`` and
-``as_canonical`` pass plain ``Fraction`` values through untouched, so the
-few steps around the sums (the linear terms of the tau recurrence, the
-division by each recurrence's pivot, the scaling in series division) are
-written once for fixed and symbolic nu. The convolution sums themselves
-go through ``_accumulate.dot``, which sums ``Fraction`` operands on
-integer numerators and accumulates symbolic ones in ``_Raw``.
+``FactorPowers`` serves the recurrences whose denominators are known a
+priori as products of powers of fixed factors: the symbolic sigma table
+and the symbolic Bessel and Mercer series oracle. They run on integer
+coefficient tuples and reduce each entry by peeling those factors off the
+numerator, with no polynomial gcd.
+
+``_Raw`` is an unreduced num/(product of factors) pair. It never
+normalizes during accumulation; ``to_canonical()`` peels each denominator
+factor off the numerator with small gcds only. Its factors are primitive
+and kept sorted by ``_poly_key``, which compares degree, then the integer
+primitive tuple, then the content, so no ``Fraction`` is built or compared
+to order them; the canonical result does not depend on that order. It
+remains behind the symbolic tau recurrence (``mercer.tau_table``), the
+symbolic series products ``FormalSeries.mul``/``poly_mul`` (the ODE
+check) and ``series_divide`` on bare symbolic series, all through
+``_accumulate.dot``. ``as_raw`` and ``as_canonical`` pass plain
+``Fraction`` values through untouched, so the steps around those sums are
+written once for fixed and symbolic nu.
 
 ``PolyNu`` stores content and primitive part apart, so the
 ``primitive()`` splits done here are free and the scalar rescalings touch
@@ -30,14 +35,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Union
 
-from .errors import PoleError, ZeroDenominatorError
-from .poly import PolyNu
+from .errors import ConsistencyError, PoleError, ZeroDenominatorError
+from .poly import PolyNu, _iconv, _ihorner, _ilongdiv, _split
 from .rational import exact
 
 Scalar = Union[int, Fraction]
 Element = Union[Fraction, "RatFuncNu"]
 
-__all__ = ["RatFuncNu", "normalize", "eval_at"]
+__all__ = ["RatFuncNu", "FactorPowers", "normalize", "eval_at"]
 
 
 def _poly_key(p: PolyNu):
@@ -209,6 +214,123 @@ class RatFuncNu:
 RatFuncNu.ZERO = RatFuncNu._from_coprime(PolyNu.ZERO, PolyNu.ONE, ())
 RatFuncNu.ONE = RatFuncNu._from_coprime(PolyNu.ONE, PolyNu.ONE, ())
 RatFuncNu.NU = RatFuncNu._from_coprime(PolyNu.NU, PolyNu.ONE, ())
+
+
+class FactorPowers:
+    """Integer polynomials over denominators known in factored form.
+
+    A factored value is a pair ``(scale, exps)``: a nonzero ``int`` and a
+    map from factor to exponent, naming ``scale * prod f^e``. Each factor
+    is a primitive integer coefficient tuple with positive leading term
+    (``(j, 1)`` is nu + j). Recurrences whose denominators are known a
+    priori run on integer numerators over such values:
+
+    - ``cofactor`` turns a quotient of factored values into an integer
+      polynomial and refuses one that is not;
+    - ``clear`` multiplies a ``RatFuncNu`` by a factored value;
+    - ``peel`` divides an integer numerator by a factored value into
+      canonical form with no gcd.
+
+    Powers of the factors are cached per instance, and so is the last
+    product: a table asks for products whose exponent maps differ little
+    from one call to the next, and ``product`` then updates the last one
+    (exact divisions, then multiplications) instead of rebuilding it. Use
+    one instance per table.
+    """
+
+    __slots__ = ("_powers", "_last")
+
+    def __init__(self):
+        self._powers: dict = {}
+        self._last = ({}, (1,))
+
+    def _power(self, f, e: int) -> tuple[int, ...]:
+        pw = self._powers.setdefault(f, [(1,)])
+        while len(pw) <= e:
+            pw.append(_iconv(pw[-1], f))
+        return pw[e]
+
+    def product(self, exps) -> tuple[int, ...]:
+        """prod f^e as an integer tuple; every exponent must be >= 0."""
+        for f, e in exps.items():
+            if e < 0:
+                raise ConsistencyError(
+                    f"factor {f} has exponent {e}: the a-priori denominator "
+                    "does not clear the recurrence"
+                )
+        last_exps, out = self._last
+        delta = {f: exps.get(f, 0) - last_exps.get(f, 0) for f in exps.keys() | last_exps.keys()}
+        # Degrees moved by an update against the degree of a rebuild.
+        if sum(abs(d) * (len(f) - 1) for f, d in delta.items()) >= sum(
+            e * (len(f) - 1) for f, e in exps.items()
+        ):
+            out, delta = (1,), exps
+        for f, d in delta.items():
+            if d < 0:
+                rem = list(out)
+                out = tuple(_ilongdiv(rem, self._power(f, -d)))
+        for f, d in delta.items():
+            if d > 0:
+                out = _iconv(out, self._power(f, d))
+        self._last = (dict(exps), out)
+        return out
+
+    def cofactor(self, top, *bottoms) -> tuple[int, ...]:
+        """``top / prod(bottoms)`` for factored values, as an integer tuple.
+
+        Raises ``ConsistencyError`` unless the quotient is an integer
+        polynomial: each bottom scale must divide and no exponent may go
+        negative.
+        """
+        scale, exps = top[0], dict(top[1])
+        for s, ex in bottoms:
+            scale, rem = divmod(scale, s)
+            if rem:
+                raise ConsistencyError(
+                    f"scale {s} does not divide the a-priori denominator"
+                )
+            for f, e in ex.items():
+                exps[f] = exps.get(f, 0) - e
+        out = self.product(exps)
+        return tuple(scale * c for c in out) if scale != 1 else out
+
+    def clear(self, r: "RatFuncNu", den):
+        """``r * den`` as ``(content, integer tuple)``, or None when r's
+        denominator does not divide the factored ``den``."""
+        if not r:
+            return Fraction(0), ()
+        rem = list(self.product(den[1]))
+        quo = _ilongdiv(rem, r.den._p)
+        if quo is None or rem:
+            return None
+        return r.num._k * den[0], _iconv(r.num._p, tuple(quo))
+
+    def peel(self, h, den) -> "RatFuncNu":
+        """Canonical ``h / den`` for an integer coefficient sequence h.
+
+        Each factor of ``den`` is divided out of h while its exponent
+        allows and it divides h: a linear factor c0 + c1*nu when
+        h(-c0/c1) = 0 by integer Horner, any other one on a trial
+        division. The factors must be irreducible and pairwise coprime;
+        what stays in the denominator is then coprime to h.
+        """
+        scale, exps = den
+        h = list(h)
+        while h and not h[-1]:
+            h.pop()
+        rest = {}
+        for f, e in exps.items():
+            while e and h:
+                if len(f) == 2 and _ihorner(h, -f[0], f[1]):
+                    break
+                r = list(h)
+                q = _ilongdiv(r, f)
+                if q is None or r:
+                    break
+                h, e = q, e - 1
+            rest[f] = e
+        num = PolyNu._make(*_split(1, scale, h))
+        return RatFuncNu._from_coprime(num, PolyNu._make(Fraction(1), self.product(rest)))
 
 
 def normalize(num: PolyNu, den: PolyNu) -> RatFuncNu:

@@ -16,7 +16,7 @@ from .errors import InvalidParameterError
 
 BigRat = Fraction
 
-__all__ = ["BigRat", "exact", "parse_rational", "rational_str", "decimal_str"]
+__all__ = ["BigRat", "exact", "count", "parse_rational", "rational_str", "decimal_str"]
 
 # Decimal-point or exponent syntax, as float() would read it. Matched only
 # on the error path, so importing the module compiles nothing.
@@ -35,6 +35,22 @@ def exact(x, name: str = "value") -> Fraction:
             f"{name} must be an int or Fraction, not {type(x).__name__} ({x!r})"
         )
     return Fraction(x)
+
+
+def count(x, name: str, minimum: int) -> int:
+    """Check an ``int`` order, count or index argument against ``minimum``.
+
+    The integer twin of ``exact``: ``bool`` (an ``int`` subclass),
+    ``float``, ``Decimal``, ``str`` and every other type raise
+    ``InvalidParameterError``, as does a value below ``minimum``.
+    """
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidParameterError(
+            f"{name} must be an int, not {type(x).__name__} ({x!r})"
+        )
+    if x < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}")
+    return x
 
 
 def _int(part: str, text: str) -> int:

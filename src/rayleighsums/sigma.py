@@ -4,12 +4,25 @@ sigma_n(nu) = sum_k j_{nu k}^{-2n} satisfies the convolution recurrence
 
     (nu + n) * sigma_n = sum_{k=1}^{n-1} sigma_k * sigma_{n-k},   n >= 2,
 
-seeded by sigma_1 = 1/(4(nu+1)). The table is built bottom-up. The
-convolution is summed once per symmetric pair (k, n-k), doubled off the
-centre, by ``_accumulate.self_convolution``: at fixed nu on integer
-numerators over a lazily grown common denominator, reduced by one gcd;
-at symbolic nu unreduced, with each entry reduced to canonical form as it
-is produced.
+seeded by sigma_1 = 1/(4(nu+1)). The table is built bottom-up, with the
+convolution summed once per symmetric pair (k, n-k), doubled off the
+centre.
+
+At fixed nu the sum runs through ``_accumulate.self_convolution``, on
+integer numerators over a lazily grown common denominator.
+
+Symbolic nu runs on integer polynomials. With D_n = prod_{j<=n}
+(nu+j)^floor(n/j), the scaled entry S_n = 4^n D_n sigma_n satisfies
+
+    S_n = sum_{k<=n/2} w_k R_{n,k} S_k S_{n-k},   S_1 = 1,
+
+where w_k is 2 off the centre and 1 at it, and R_{n,k} = D_n / ((nu+n)
+D_k D_{n-k}) has exponents floor(n/j) - floor(k/j) - floor((n-k)/j) -
+[j = n] >= 0 (at j = n they are 1 - 0 - 0 - 1). By induction every S_n
+is an integer polynomial; ``FactorPowers.cofactor`` builds each R_{n,k}
+from the exponent maps and refuses a negative exponent, so a wrong D_n
+fails loudly. Each entry is S_n / (4^n D_n), reduced by peeling the
+linear factors (nu+j) with integer Horner tests instead of a gcd.
 """
 
 from __future__ import annotations
@@ -19,9 +32,10 @@ from fractions import Fraction
 from typing import ClassVar, Union
 
 from ._accumulate import self_convolution
-from .errors import InvalidParameterError, PoleError
-from .ratfunc import RatFuncNu, as_canonical, raw_div
-from .rational import exact
+from .errors import PoleError
+from .poly import _iaxpy, _iconv
+from .ratfunc import FactorPowers
+from .rational import count, exact
 
 NuMode = Union[str, Fraction]
 
@@ -52,10 +66,23 @@ class SigmaTable:
         return self.entries[n - 1]
 
 
-def _nu_element(nu: NuMode):
-    if nu == "symbolic":
-        return RatFuncNu.NU
-    return exact(nu, "nu")
+def _denominator(n: int):
+    """4^n D_n as a factored value: the a-priori denominator of sigma_n."""
+    return 4**n, {(j, 1): n // j for j in range(1, n + 1)}
+
+
+def _symbolic_entries(order: int) -> list:
+    powers = FactorPowers()
+    den = [_denominator(n) for n in range(order + 1)]
+    scaled = [None, (1,)]
+    for n in range(2, order + 1):
+        pivot = (1, {(n, 1): 1})
+        acc: list[int] = []
+        for k in range(1, n // 2 + 1):
+            r = powers.cofactor(den[n], den[k], den[n - k], pivot)
+            _iaxpy(acc, 2 if 2 * k < n else 1, _iconv(_iconv(r, scaled[k]), scaled[n - k]))
+        scaled.append(tuple(acc))
+    return [powers.peel(scaled[n], den[n]) for n in range(1, order + 1)]
 
 
 def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:
@@ -64,30 +91,35 @@ def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:
     In fixed mode nu0 must avoid {-1, -2, ..., -order}; each such point is a
     divisor of the recurrence and is reported as a pole naming the index.
     """
-    if order < 1:
-        raise InvalidParameterError("table order must be >= 1")
-    x = _nu_element(nu)
+    order = count(order, "table order", 1)
+    if nu == "symbolic":
+        return SigmaTable(
+            order=order,
+            entries=tuple(_symbolic_entries(order)),
+            nu=nu,
+            provenance="recurrence",
+            real_zero_regime=True,
+        )
+    x = exact(nu, "nu")
     d1 = 4 * (x + 1)
     if not d1:
         raise PoleError(
-            "sigma_1 divides by (nu + 1), which vanishes at nu = -1", at=nu, index=1
+            "sigma_1 divides by (nu + 1), which vanishes at nu = -1", at=x, index=1
         )
     entries = [1 / d1]
     for n in range(2, order + 1):
         div = x + n
         if not div:
             raise PoleError(
-                f"sigma_{n} divides by (nu + {n}), which vanishes at nu = {nu}",
-                at=nu,
+                f"sigma_{n} divides by (nu + {n}), which vanishes at nu = {x}",
+                at=x,
                 index=n,
             )
-        acc = self_convolution(entries, n)
-        entries.append(as_canonical(raw_div(acc, div)))
-    symbolic = nu == "symbolic"
+        entries.append(self_convolution(entries, n) / div)
     return SigmaTable(
         order=order,
         entries=tuple(entries),
-        nu=nu if symbolic else x,
+        nu=x,
         provenance="recurrence",
-        real_zero_regime=symbolic or x > -1,
+        real_zero_regime=x > -1,
     )

@@ -46,6 +46,7 @@ from .errors import (
     RegimeError,
 )
 from .mercer import MercerParams, derive_pqr
+from . import rational
 from .rational import exact
 
 __all__ = [
@@ -221,11 +222,7 @@ def find_zeros(
     nu0 = exact(nu, "nu")
     if nu0 <= -1:
         raise InvalidParameterError("zero search requires nu > -1")
-    if isinstance(count, bool) or not isinstance(count, int):
-        raise InvalidParameterError(
-            f"count must be an int, not {type(count).__name__} ({count!r})"
-        )
-    if not 1 <= count <= max_count:
+    if rational.count(count, "count", 1) > max_count:
         raise InvalidParameterError(f"count must be in 1..{max_count}")
     precision = exact(precision, "precision")
     if precision <= 0:

@@ -1,0 +1,67 @@
+"""The series oracle and the recurrences stay separate computations.
+
+They may share low-level arithmetic (PolyNu, RatFuncNu, FactorPowers),
+but the oracle must not use a recurrence or a recurrence-derived
+denominator, or the cross-check becomes circular.
+"""
+
+import ast
+from pathlib import Path
+
+import rayleighsums
+from rayleighsums import sigma
+
+SRC = Path(rayleighsums.__file__).parent
+
+RECURRENCE_NAMES = {
+    "sigma_table",
+    "tau_table",
+    "s_table",
+    "self_convolution",
+    sigma._denominator.__name__,
+}
+
+
+def _names(source: str) -> set:
+    """Every identifier a module imports, binds or reads."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(filter(None, (node.name, node.asname)))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def _imported_modules(source: str) -> set:
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            if node.module:
+                out.add(node.module.rsplit(".", 1)[-1])
+            else:  # from . import x
+                out.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            out.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+    return out
+
+
+def test_oracle_names_no_recurrence():
+    assert not RECURRENCE_NAMES & _names((SRC / "oracle.py").read_text())
+
+
+def test_sigma_imports_nothing_from_the_oracle():
+    assert "oracle" not in _imported_modules((SRC / "sigma.py").read_text())
+
+
+def test_guards_catch_a_violation():
+    # Negative control: each check flags the pattern it exists for.
+    assert "self_convolution" in _names("from ._accumulate import self_convolution")
+    assert "_denominator" in _names("from . import sigma\nsigma._denominator(3)")
+    assert "oracle" in _imported_modules("from .oracle import bessel_t_series")
+    assert "oracle" in _imported_modules("from . import oracle")
+    assert "oracle" in _imported_modules("import rayleighsums.oracle")

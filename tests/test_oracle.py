@@ -1,10 +1,12 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rayleighsums import (
     ChfParams,
+    ConsistencyError,
     DegenerateParametersError,
     FormalSeries,
     InvalidParameterError,
@@ -17,6 +19,8 @@ from rayleighsums import (
     derive_pqr,
     genus0_sums_from_series,
     mercer_t_series,
+    oracle,
+    sigma_table,
 )
 
 from _util import INEXACT
@@ -129,3 +133,117 @@ def test_bessel_series_accepts_int_nu():
     s = bessel_t_series(1, 3)
     assert s.nu == F(1) and isinstance(s.nu, F)
     assert s.series == bessel_t_series(F(1), 3).series
+
+
+# The integer route for symbolic Bessel and Mercer series against
+# series_divide, which a bare FormalSeries still takes.
+
+
+def _both_routes(src, order):
+    return genus0_sums_from_series(src, order).entries, genus0_sums_from_series(src.series, order)
+
+
+def test_integer_bessel_oracle_matches_series_division():
+    integer, divided = _both_routes(bessel_t_series("symbolic", 16), 16)
+    assert integer == divided
+
+
+@pytest.mark.parametrize(
+    "abc",
+    [
+        (1, 4, 2),  # d_0 = (nu+1)(nu+2), both merge with E_n's factors
+        (0, 1, 2),  # d_0 = nu + 2
+        (0, 0, 1),  # d_0 = 1: the Bessel series
+        (0, 1, 0),  # d_0 = nu
+        (0, 2, 1),  # d_0 = 2nu + 1
+        (1, 3, 1),  # d_0 = (nu+1)^2
+        (4, 0, 1),  # d_0 = (2nu-1)^2
+        (1, 0, -4),  # d_0 = nu^2 - nu - 4, irreducible
+        # d_k = d_0(nu + 2k) g_k, so a d_0 root r cancels when r - 2k is a root:
+        (1, 5, 3),  # d_0 = (nu+1)(nu+3) and d_1 share nu + 3
+        (4, 16, 5),  # d_0 = (2nu+1)(2nu+5) and d_1 share 2nu + 5
+        (1, 2, 3),
+    ],
+    ids=str,
+)
+def test_integer_mercer_oracle_matches_series_division(abc):
+    integer, divided = _both_routes(mercer_t_series(derive_pqr(*abc), 10), 10)
+    assert integer == divided
+
+
+@settings(deadline=None, max_examples=15)
+@given(abc=st.tuples(*[st.integers(-3, 3)] * 3))
+def test_integer_mercer_oracle_matches_series_division_random(abc):
+    try:
+        src = mercer_t_series(derive_pqr(*abc), 6)
+    except DegenerateParametersError:
+        return
+    integer, divided = _both_routes(src, 6)
+    assert integer == divided
+
+
+def test_d0_split_into_irreducible_factors():
+    assert oracle._split_d0((2, 3, 1)) == (1, {(1, 1): 1, (2, 1): 1})
+    assert oracle._split_d0((-2, -6, -4)) == (-2, {(1, 1): 1, (1, 2): 1})
+    assert oracle._split_d0((1, -4, 4)) == (1, {(-1, 2): 2})
+    assert oracle._split_d0((-4, -1, 1)) == (1, {(-4, -1, 1): 1})
+    assert oracle._split_d0((3,)) == (3, {})
+    assert oracle._split_d0((1, 0, 0, 1)) is None
+
+
+def test_symbolic_oracle_series_skip_series_division(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("series_divide called")
+
+    monkeypatch.setattr(oracle, "series_divide", refuse)
+    genus0_sums_from_series(bessel_t_series("symbolic", 8), 8)
+    genus0_sums_from_series(mercer_t_series(derive_pqr(1, 2, 3), 8), 8)
+
+
+def test_other_series_shapes_fall_back_to_series_division():
+    nu = RatFuncNu.NU
+    cases = [
+        # a zero coefficient keeps the shape d_k = N_k / G_k
+        (True, [RatFuncNu.ONE, RatFuncNu.ZERO, 1 / (32 * (nu + 1) * (nu + 2)), -nu / (nu + 3)]),
+        # 1/(nu+5) at t^1 is not N_1 / (4 (nu+1))
+        (False, [RatFuncNu.ONE, 1 / (nu + 5), nu, 1 + nu]),
+        # a cubic d_0 is not split
+        (False, [nu**3 + 1, nu, nu / (nu + 1), RatFuncNu.ONE]),
+    ]
+    for integer, coeffs in cases:
+        series = FormalSeries("t", coeffs)
+        assert (oracle._integer_sums(series.coeffs) is not None) == integer
+        src = oracle.OracleSeries("bessel", "symbolic", None, series)
+        assert genus0_sums_from_series(src, 3).entries == genus0_sums_from_series(series, 3)
+
+
+def test_a_denominator_too_small_fails_loudly(monkeypatch):
+    # One power of (nu+1) short of E_n d_0^n: the k = n cofactor at n = 1
+    # has exponent -1.
+    real = oracle._oracle_den
+
+    def short(n, d0):
+        scale, exps = real(n, d0)
+        return scale, {**exps, (1, 1): exps.get((1, 1), 0) - 1} if n else exps
+
+    monkeypatch.setattr(oracle, "_oracle_den", short)
+    with pytest.raises(ConsistencyError, match="exponent -1"):
+        genus0_sums_from_series(bessel_t_series("symbolic", 4), 4)
+
+
+def test_a_denominator_scale_too_small_fails_loudly(monkeypatch):
+    # Without n! in E_n the cofactor scale 4^n / (4^(n-k) 4^k k!) is 1/k!,
+    # not an integer once k >= 2.
+    real = oracle._oracle_den
+
+    def no_factorial(n, d0):
+        scale, exps = real(n, d0)
+        return scale // factorial(n), exps
+
+    monkeypatch.setattr(oracle, "_oracle_den", no_factorial)
+    with pytest.raises(ConsistencyError, match="scale"):
+        genus0_sums_from_series(mercer_t_series(derive_pqr(1, 2, 3), 4), 4)
+
+
+def test_integer_oracle_at_order_40_matches_recurrence():
+    assert genus0_sums_from_series(bessel_t_series("symbolic", 40), 40).entries == sigma_table(40).entries

@@ -193,3 +193,12 @@ def test_int_coefficients_and_evaluation_point():
     assert p == PolyNu([F(1), F(2), F(3)])
     assert p(2) == p(F(2)) == F(17)
     assert isinstance(p(2), F)
+
+
+def test_bool_operand_refused():
+    # PolyNu([1, 1]) * True used to be accepted as multiplication by 1
+    p = PolyNu([1, 1])
+    for op in (lambda: p * True, lambda: True * p, lambda: p + True, lambda: p - False):
+        with pytest.raises(InvalidParameterError, match="operand"):
+            op()
+    assert p * 2 == 2 * p == PolyNu([2, 2])

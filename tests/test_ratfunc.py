@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rayleighsums import (
+    ConsistencyError,
     InvalidParameterError,
     PolyNu,
     RatFuncNu,
@@ -12,7 +13,7 @@ from rayleighsums import (
     eval_at,
     normalize,
 )
-from rayleighsums.ratfunc import as_canonical, as_raw
+from rayleighsums.ratfunc import FactorPowers, as_canonical, as_raw
 
 from _util import INEXACT
 
@@ -110,3 +111,64 @@ def test_evaluation_point_must_be_exact(bad):
 def test_int_evaluation_point():
     r = RatFuncNu(PolyNu([1]), PolyNu([1, 1]))
     assert r(1) == eval_at(r, F(1)) == F(1, 2)
+
+
+# Irreducible, pairwise coprime factors as FactorPowers takes them:
+# nu, nu + 1, nu + 3, 2nu + 1 and nu^2 + 1.
+FACTORS = [(0, 1), (1, 1), (3, 1), (1, 2), (1, 0, 1)]
+exponent_maps = st.lists(st.integers(0, 3), min_size=len(FACTORS), max_size=len(FACTORS)).map(
+    lambda es: dict(zip(FACTORS, es))
+)
+int_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any)
+
+
+def _poly(exps, scale=1):
+    p = PolyNu([scale])
+    for f, e in exps.items():
+        p = p * PolyNu(list(f)) ** e
+    return p
+
+
+@settings(deadline=None, max_examples=60)
+@given(maps=st.lists(exponent_maps, min_size=1, max_size=6))
+def test_factor_powers_product_matches_plain_powers(maps):
+    # One instance across the sequence, so later products update the last.
+    powers = FactorPowers()
+    for exps in maps:
+        assert PolyNu(list(powers.product(exps))) == _poly(exps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    h=int_polys,
+    common=exponent_maps,
+    den=exponent_maps,
+    scale=st.integers(-12, 12).filter(bool),
+)
+def test_factor_powers_peel_matches_canonical_constructor(h, common, den, scale):
+    # h shares the factors in `common` with the denominator, so peeling has
+    # something to cancel.
+    exps = {f: den[f] + common[f] for f in FACTORS}
+    num = PolyNu(h) * _poly(common)
+    got = FactorPowers().peel(tuple(int(c) for c in num.coeffs), (scale, exps))
+    assert got == RatFuncNu(num, _poly(exps, scale))
+
+
+def test_factor_powers_cofactor_and_clear():
+    powers = FactorPowers()
+    top = (24, {(1, 1): 3, (2, 1): 1})
+    assert powers.cofactor(top, (4, {(1, 1): 1}), (3, {(2, 1): 1})) == (2, 4, 2)
+    r = RatFuncNu(PolyNu([F(1, 3)]), PolyNu([1, 1]))
+    assert powers.clear(r, top) == (F(8), (2, 5, 4, 1))  # 24/3 (nu+1)^2 (nu+2)
+    assert powers.clear(r, (24, {(2, 1): 1})) is None
+    assert powers.clear(RatFuncNu.ZERO, top) == (F(0), ())
+
+
+def test_factor_powers_refuse_a_non_integer_cofactor():
+    powers = FactorPowers()
+    with pytest.raises(ConsistencyError, match="exponent -1"):
+        powers.cofactor((1, {(1, 1): 1}), (1, {(1, 1): 2}))
+    with pytest.raises(ConsistencyError, match="scale 8"):
+        powers.cofactor((12, {}), (8, {}))
+    with pytest.raises(ConsistencyError, match="exponent"):
+        powers.product({(2, 1): -3})
