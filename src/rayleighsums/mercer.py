@@ -22,20 +22,56 @@ r = a nu^2 (3a - b) + c(a + b). The recurrence is treated as a claim to
 verify: the series oracle is authoritative and any mismatch fails tests
 loudly. The k >= 3 step is never used for tau_3 (its k = 2 instance lacks
 the constant a^2 of the seed), hence the separate seeds above.
+
+At fixed nu the recurrence runs in ``Fraction`` arithmetic, its
+convolutions through ``_accumulate.self_convolution``.
+
+Symbolic nu runs on integer polynomials. tau is unchanged by (a, b, c) ->
+lambda (a, b, c), so (a, b, c) is first scaled to coprime integers; then
+p, q, r and d_0 = a nu^2 + (b-a) nu + c have integer coefficients, and
+q = d_0 d_0^- with d_0^-(nu) = d_0(-nu). With D_n = prod_{j<=n}
+(nu+j)^floor(n/j), the denominator is E_n = 4^n D_n d_0^n and the scaled
+entry T_n = E_n tau_n. Write conv(s) = sum_{m=1}^{s-1} tau_m tau_{s-m}
+and C_s = E_s conv(s) / (nu+s) = sum_m T_m T_{s-m} D_s / ((nu+s) D_m
+D_{s-m}), summed over m <= s/2 with the off-centre terms weighted 2; its
+cofactors are those of the sigma table. Dividing the equation for tau_n
+(left side lead * q (nu+n) tau_n, lead = 4 for the seeds and 1 after) by
+lead * q (nu+n) / E_n turns its q-convolution into C_n. Every other term
+keeps 1/q = 1/(d_0 d_0^-), so
+
+    T_n = C_n + R_n / d_0^-,
+
+where R_n sums integer polynomials x * T_m [* T_m'] times the cofactor
+E_n / (lead (nu+n) d_0 E_m E_m'). For n >= 4
+
+    R_n = p (nu+n-2) K_1 T_{n-1} - p (nu+n-1) K_1 C_{n-1}
+        - a^2 (nu+n-4) K_2 T_{n-2} + a^2 (nu+n-2) K_2 C_{n-2},
+
+with K_i = E_n / ((nu+n) d_0 E_{n-i}): K_1 = 4 prod_{j | n, j < n}
+(nu+j) and K_2 = 16 d_0 D_n / ((nu+n) D_{n-2}). The seeds tau_1..tau_3
+are written the same way from their equations above. ``FactorPowers.
+cofactor`` builds every cofactor from the factored denominators and
+refuses a negative exponent or a fractional scale. The division by
+d_0^- is exact integer long division, and it is the certificate for
+E_n: T_n is a polynomial exactly when E_n clears tau_n, so a remainder
+raises ``ConsistencyError`` instead of giving a wrong value. Each entry is
+T_n / E_n, reduced by peeling the factors (nu+j) and the irreducible
+factors of d_0 (split once by ``ratfunc.factor_quadratic``; a factor equal
+to some nu+j merges with it), with no polynomial gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import ClassVar, Union
 
-from ._accumulate import self_convolution
-from .errors import DegenerateParametersError, PoleError
-from .poly import PolyNu
-from .ratfunc import RatFuncNu, as_canonical, as_raw, raw_div
+from ._accumulate import dot, self_convolution
+from .errors import ConsistencyError, DegenerateParametersError, PoleError
+from .poly import PolyNu, _iaxpy, _iconv, _ilongdiv
+from .ratfunc import FactorPowers, factor_quadratic
 from .rational import count, exact
-from .series import FormalSeries
 
 NuMode = Union[str, Fraction]
 
@@ -123,18 +159,6 @@ class TauTable:
         return self.entries[n - 1]
 
 
-def _elements(params: MercerParams):
-    """(nu, p, q, r) as ring elements in the table's mode."""
-    if params.symbolic:
-        return (
-            RatFuncNu.NU,
-            RatFuncNu(params.p),
-            RatFuncNu(params.q),
-            RatFuncNu(params.r),
-        )
-    return Fraction(params.nu), params.p, params.q, params.r
-
-
 def _check_divisor(value, shift: int, nu: NuMode, what: str):
     if not value:
         raise PoleError(
@@ -152,35 +176,39 @@ def tau_table(params: MercerParams, order: int) -> TauTable:
     With (a, b, c) = (0, 0, 1) the output coincides with sigma_table.
     """
     order = count(order, "table order", 1)
-    x, p, q, r = _elements(params)
-    a, b = params.a, params.b
-    const = a * x * x + (b - a) * x + params.c
-    if not const:
+    d0 = leading_constant(params)
+    if not (d0 if params.symbolic else d0(params.nu)):
         raise DegenerateParametersError(
             "constant term a*nu^2 + (b-a)*nu + c vanishes; "
             "the power sums are not defined"
         )
-    if not q:
+    if not params.q:
         raise DegenerateParametersError(
             f"q vanishes for (a, b, c) = ({params.a}, {params.b}, {params.c})"
             + ("" if params.symbolic else f" at nu = {params.nu}")
         )
+    build = _symbolic_entries if params.symbolic else _fixed_entries
+    return TauTable(
+        params=params, order=order, entries=tuple(build(params, order)), provenance="riccati"
+    )
+
+
+def _fixed_entries(params: MercerParams, order: int) -> list:
+    x, p, q, r = Fraction(params.nu), params.p, params.q, params.r
+    a, b = params.a, params.b
     a2 = a * a
 
-    d1 = x + 1
-    _check_divisor(d1, 1, params.nu, "tau_1")
-    t1 = (2 * x * p + q + 2 * r) / (4 * q * d1)
+    _check_divisor(x + 1, 1, params.nu, "tau_1")
+    t1 = (2 * x * p + q + 2 * r) / (4 * q * (x + 1))
     entries = [t1]
 
     if order >= 2:
-        d2 = x + 2
-        _check_divisor(d2, 2, params.nu, "tau_2")
+        _check_divisor(x + 2, 2, params.nu, "tau_2")
         rhs = 4 * q * t1 * t1 + 4 * x * p * t1 - p - 4 * a2 * x + 2 * a * (a + b)
-        entries.append(rhs / (4 * q * d2))
+        entries.append(rhs / (4 * q * (x + 2)))
 
     if order >= 3:
-        d3 = x + 3
-        _check_divisor(d3, 3, params.nu, "tau_3")
+        _check_divisor(x + 3, 3, params.nu, "tau_3")
         t2 = entries[1]
         rhs = (
             4 * p * (x + 1) * t2
@@ -189,29 +217,123 @@ def tau_table(params: MercerParams, order: int) -> TauTable:
             + 8 * q * t1 * t2
             - 4 * p * t1 * t1
         )
-        entries.append(rhs / (4 * q * d3))
+        entries.append(rhs / (4 * q * (x + 3)))
 
     conv_cache: dict = {}
 
-    def conv(s: int):
-        """sum_{m=1}^{s-1} tau_m tau_{s-m}, accumulated raw."""
+    def conv(s: int) -> Fraction:
+        """sum_{m=1}^{s-1} tau_m tau_{s-m}."""
         got = conv_cache.get(s)
         if got is None:
             got = conv_cache[s] = self_convolution(entries, s)
         return got
 
     for k in range(3, order):
-        dk = x + (k + 1)
-        _check_divisor(dk, k + 1, params.nu, f"tau_{k + 1}")
-        rhs = as_raw(p) * as_raw(x + (k - 1)) * as_raw(entries[k - 1])
-        rhs = rhs - as_raw(a2) * as_raw(x + (k - 3)) * as_raw(entries[k - 2])
-        rhs = rhs + as_raw(q) * conv(k + 1)
-        rhs = rhs - as_raw(p) * conv(k)
-        if a2:
-            rhs = rhs + as_raw(a2) * conv(k - 1)
-        entries.append(as_canonical(raw_div(rhs, q * dk)))
+        _check_divisor(x + (k + 1), k + 1, params.nu, f"tau_{k + 1}")
+        rhs = p * (x + (k - 1)) * entries[k - 1] - a2 * (x + (k - 3)) * entries[k - 2]
+        rhs += q * conv(k + 1) - p * conv(k) + a2 * conv(k - 1)
+        entries.append(rhs / (q * (x + (k + 1))))
+    return entries
 
-    return TauTable(params=params, order=order, entries=tuple(entries), provenance="riccati")
+
+def _integer_weights(params: MercerParams) -> tuple[int, int, int]:
+    """(a, b, c) scaled to coprime integers; tau is unchanged by
+    (a, b, c) -> lambda (a, b, c)."""
+    abc = (params.a, params.b, params.c)
+    den = lcm(*(v.denominator for v in abc))
+    ints = [v.numerator * (den // v.denominator) for v in abc]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _trim(v) -> tuple[int, ...]:
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return tuple(v)
+
+
+def _padd(*vs) -> tuple[int, ...]:
+    acc: list[int] = []
+    for v in vs:
+        _iaxpy(acc, 1, v)
+    return _trim(acc)
+
+
+def _tau_denominator(n: int, d0):
+    """4^n D_n d_0^n, factored: the a-priori denominator of tau_n."""
+    scale, factors = d0
+    exps = {(j, 1): n // j for j in range(1, n + 1)}
+    for f, m in factors.items():
+        exps[f] = exps.get(f, 0) + m * n
+    return (4 * scale) ** n, exps
+
+
+def _symbolic_entries(params: MercerParams, order: int) -> list:
+    a, b, c = _integer_weights(params)
+    a2 = a * a
+    p = _trim((2 * a * c + a2 - b * b, 0, 2 * a2))
+    q = _trim((c * c, 0, 2 * a * c - (a - b) ** 2, 0, a2))
+    r = _trim((c * (a + b), 0, a * (3 * a - b)))
+    d0_minus = _trim((c, a - b, a))
+    d0 = factor_quadratic(_trim((c, b - a, a)))
+    powers = FactorPowers()
+    den = [_tau_denominator(n, d0) for n in range(order + 1)]
+    scaled = [(1,)]  # T_n; T_0 = 1 over E_0 = 1
+    conv = [()]  # C_n; C_0 = C_1 = 0
+
+    def term(n, lead, x, *ops):
+        """x times the operands times E_n / (lead (nu+n) d_0 prod E_m), for
+        operands (numerator over E_m, m)."""
+        x = _trim(x)
+        if not x:
+            return ()
+        exps = dict(d0[1])
+        exps[(n, 1)] = exps.get((n, 1), 0) + 1
+        out = _iconv(x, powers.cofactor(den[n], (lead * d0[0], exps), *(den[m] for _, m in ops)))
+        for v, _ in ops:
+            out = _iconv(out, v)
+        return out
+
+    for n in range(1, order + 1):
+        acc: list[int] = []
+        pivot = (1, {(n, 1): 1})
+        for m in range(1, n // 2 + 1):
+            cof = powers.cofactor(den[n], pivot, den[m], den[n - m])
+            _iaxpy(acc, 2 if 2 * m < n else 1, _iconv(_iconv(cof, scaled[m]), scaled[n - m]))
+        conv.append(tuple(acc))
+        if n == 1:
+            rest = [term(1, 4, _padd(_iconv((0, 2), p), q, _iconv((2,), r)))]
+        elif n == 2:
+            rest = [
+                term(2, 4, _iconv((0, 4), p), (scaled[1], 1)),
+                term(2, 4, _padd(_iconv((-1,), p), (2 * a * (a + b), -4 * a2))),
+            ]
+        elif n == 3:
+            t1 = (scaled[1], 1)
+            rest = [
+                term(3, 4, _iconv((4, 4), p), (scaled[2], 2)),
+                term(3, 4, (4 * a2, -4 * a2), t1),
+                term(3, 4, (a2,)),
+                term(3, 4, _iconv((-4,), p), t1, t1),
+            ]
+        else:
+            rest = [
+                term(n, 1, _iconv((n - 2, 1), p), (scaled[n - 1], n - 1)),
+                term(n, 1, _iconv((1 - n, -1), p), (conv[n - 1], n - 1)),
+                term(n, 1, (-a2 * (n - 4), -a2), (scaled[n - 2], n - 2)),
+                term(n, 1, (a2 * (n - 2), a2), (conv[n - 2], n - 2)),
+            ]
+        total = list(_padd(*rest))
+        quo = _ilongdiv(total, d0_minus)
+        if quo is None or total:
+            raise ConsistencyError(
+                f"d_0(-nu) does not divide the tau_{n} numerator: the a-priori "
+                "denominator does not clear the recurrence"
+            )
+        _iaxpy(acc, 1, quo)
+        scaled.append(_trim(acc))
+    return [powers.peel(scaled[n], den[n]) for n in range(1, order + 1)]
 
 
 @dataclass(frozen=True)
@@ -255,62 +377,70 @@ class OdeResidualReport:
     first_nonzero: Union[int, None]
 
 
-def _ode_elements(ode: OdeCoefficients, symbolic: bool) -> tuple:
-    def conv(cs):
-        if symbolic:
-            return tuple(RatFuncNu(c) if isinstance(c, PolyNu) else RatFuncNu.from_rational(c) for c in cs)
-        return tuple(Fraction(c) if not isinstance(c, Fraction) else c for c in cs)
-
-    return conv(ode.denominator), conv(ode.a_numerator), conv(ode.b_numerator)
-
-
 def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = None) -> OdeResidualReport:
     """Check that the truncated series of N solves the cleared ODE.
 
-    Builds the even-part series w with N(z) = z^nu * w(z^2) (from the
-    series oracle), forms
+    Takes the even-part series w with N(z) = z^nu * w(z^2) from the series
+    oracle and applies
 
         D(t) * [nu(nu-1) w + 2 nu w1 + w2] + Anum(t) * [nu w + w1]
-          + [Bnum(t) + D(t) (t - nu^2)] * w
+          + [Bnum(t) + D(t) (t - nu^2)] * w,
 
-    where w1, w2 collect the coefficient images of z w' and z^2 w'', and
-    reports the residual coefficients through order ``order`` in t. A
-    nonzero residual is a report outcome, not an error, so perturbed
-    coefficients can be checked as negative controls.
+    where w1, w2 collect the coefficient images of z w' and z^2 w''. With
+    E = Bnum + D (t - nu^2), a cubic in t, and D_3 = A_3 = 0, the residual
+    coefficient of t^n is
+
+        r_n = sum_{j=0..3} c_j(n-j) w_{n-j},
+        c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j,
+
+    in both modes. At symbolic nu, w_m = N_m / G_m with G_m = 4^m m!
+    (nu+1)_m, so G_n r_n = sum_j c_j(m) N_m 4^j (n!/m!) prod_{i=m+1..n}
+    (nu+i) is a polynomial; after one lcm of the rational contents it is
+    an integer one, and each r_n is reduced by peeling the (nu+i). The
+    residual through order ``order`` in t is reported; a nonzero residual
+    is a report outcome, not an error, so perturbed coefficients can be
+    checked as negative controls.
     """
     order = count(order, "verify_ode order", 4)
-    from .oracle import mercer_t_series  # deferred: oracle imports this module
+    from .oracle import _coefficient_den, mercer_t_series  # deferred: oracle imports this module
 
-    w = mercer_t_series(params, order).series
-    symbolic = params.symbolic
-    x = RatFuncNu.NU if symbolic else Fraction(params.nu)
+    w = mercer_t_series(params, order).series.coeffs
     if ode is None:
         ode = ode_coefficients(params)
-    dcoef, acoef, bcoef = _ode_elements(ode, symbolic)
-
-    w0 = w.coeffs
-    w1 = tuple(2 * n * c for n, c in enumerate(w0))
-    w2 = tuple(2 * n * (2 * n - 1) * c for n, c in enumerate(w0))
-
+    x = PolyNu.NU if params.symbolic else Fraction(params.nu)
+    dc, ac, bc = ode.denominator, ode.a_numerator, ode.b_numerator
     xx = x * x
-    s_bessel = FormalSeries(
-        "t", [(xx - x) * w0[n] + 2 * x * w1[n] + w2[n] for n in range(order + 1)]
-    )
-    s_first = FormalSeries("t", [x * w0[n] + w1[n] for n in range(order + 1)])
-    s_plain = FormalSeries("t", list(w0))
+    ec = (bc[0] - dc[0] * xx, bc[1] + dc[0] - dc[1] * xx, bc[2] + dc[1] - dc[2] * xx, dc[2])
+    dc, ac = (*dc, 0), (*ac, 0)
 
-    # E = Bnum + D*(t - nu^2), a cubic in t.
-    e0 = bcoef[0] - dcoef[0] * xx
-    e1 = bcoef[1] + dcoef[0] - dcoef[1] * xx
-    e2 = bcoef[2] + dcoef[1] - dcoef[2] * xx
-    e3 = dcoef[2]
+    def factor(j: int, m: int):
+        s = x + 2 * m
+        return dc[j] * s * (s - 1) + ac[j] * s + ec[j]
 
-    residual = (
-        s_bessel.poly_mul(dcoef, order)
-        + s_first.poly_mul(acoef, order)
-        + s_plain.poly_mul((e0, e1, e2, e3), order)
-    )
-    coeffs = residual.coeffs
+    coeffs = []
+    if not params.symbolic:
+        for n in range(order + 1):
+            ms = range(n, max(n - 4, -1), -1)
+            coeffs.append(dot([factor(n - m, m) for m in ms], [w[m] for m in ms]))
+    else:
+        powers = FactorPowers()
+        g = [_coefficient_den(m) for m in range(order + 1)]
+        cleared = [powers.clear(wm, gm) for wm, gm in zip(w, g)]
+        if None in cleared:
+            raise ConsistencyError("a series coefficient w_m is not cleared by G_m")
+        for n in range(order + 1):
+            terms = []
+            for m in range(n, max(n - 4, -1), -1):
+                cj = factor(n - m, m)
+                k, wm = cleared[m]
+                if cj and wm:
+                    terms.append((cj._k * k, _iconv(_iconv(cj._p, wm), powers.cofactor(g[n], g[m]))))
+            scale = lcm(*(k.denominator for k, _ in terms))
+            h: list[int] = []
+            for k, v in terms:
+                _iaxpy(h, k.numerator * (scale // k.denominator), v)
+            coeffs.append(powers.peel(h, (scale * g[n][0], g[n][1])))
+    coeffs = tuple(coeffs)
     first = next((n for n, cval in enumerate(coeffs) if cval), None)
     return OdeResidualReport(
         order=order, coefficients=coeffs, ok=first is None, first_nonzero=first

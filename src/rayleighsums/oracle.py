@@ -54,14 +54,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt, lcm
+from math import factorial, lcm
 from typing import Union
 
 from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
-from .poly import _iaxpy, _iconv, _iprimitive
-from .ratfunc import FactorPowers, RatFuncNu
+from .poly import _iaxpy, _iconv
+from .ratfunc import FactorPowers, RatFuncNu, factor_quadratic
 from .rational import count, exact
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable
@@ -199,24 +199,6 @@ def _coefficient_den(k: int):
     return 4**k * factorial(k), {(j, 1): 1 for j in range(1, k + 1)}
 
 
-def _split_d0(p):
-    """d_0 = scale * prod f^m over irreducible primitive factors f, for an
-    integer tuple of degree <= 2; None for a higher degree or zero."""
-    if not p or len(p) > 3:
-        return None
-    prim = _iprimitive(list(p))
-    scale = p[-1] // prim[-1]
-    if len(prim) == 3:
-        c, b, a = prim
-        disc = b * b - 4 * a * c
-        s = isqrt(disc) if disc >= 0 else -1
-        if s * s == disc:  # a d_0 = (a nu + (b-s)/2) (a nu + (b+s)/2)
-            f1 = tuple(_iprimitive([b - s, 2 * a]))
-            f2 = tuple(_iprimitive([b + s, 2 * a]))
-            return scale, ({f1: 2} if f1 == f2 else {f1: 1, f2: 1})
-    return scale, ({tuple(prim): 1} if len(prim) > 1 else {})
-
-
 def _oracle_den(n: int, d0):
     """E_n d_0^n, factored; it clears h_n (see the module docstring)."""
     scale, factors = d0
@@ -237,7 +219,7 @@ def _integer_sums(coeffs):
         return None
     scale = lcm(*(c.denominator for c, _ in cleared))
     num = [tuple(c.numerator * (scale // c.denominator) * x for x in p) for c, p in cleared]
-    d0 = _split_d0(num[0])
+    d0 = factor_quadratic(num[0])
     if d0 is None:
         return None
     den = [_oracle_den(n, d0) for n in range(order + 1)]

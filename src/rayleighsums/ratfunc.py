@@ -3,26 +3,20 @@
 ``RatFuncNu`` is canonical: numerator and denominator are coprime over the
 rationals and the denominator is an integer-primitive polynomial with
 positive leading coefficient. That form is unique, so ``==`` is exact
-mathematical equality.
+mathematical equality. Addition and multiplication follow Henrici (Knuth,
+TAOCP vol. 2, 4.5.1). With g = gcd(d1, d2) the sum n1 (d2/g) + n2 (d1/g)
+needs only a gcd against g to be reduced, and none at all when g = 1. A
+product cancels each numerator against the other denominator, two small
+gcds in place of one of the full products.
 
 ``FactorPowers`` serves the recurrences whose denominators are known a
-priori as products of powers of fixed factors: the symbolic sigma table
-and the symbolic Bessel and Mercer series oracle. They run on integer
-coefficient tuples and reduce each entry by peeling those factors off the
-numerator, with no polynomial gcd.
-
-``_Raw`` is an unreduced num/(product of factors) pair. It never
-normalizes during accumulation; ``to_canonical()`` peels each denominator
-factor off the numerator with small gcds only. Its factors are primitive
-and kept sorted by ``_poly_key``, which compares degree, then the integer
-primitive tuple, then the content, so no ``Fraction`` is built or compared
-to order them; the canonical result does not depend on that order. It
-remains behind the symbolic tau recurrence (``mercer.tau_table``), the
-symbolic series products ``FormalSeries.mul``/``poly_mul`` (the ODE
-check) and ``series_divide`` on bare symbolic series, all through
-``_accumulate.dot``. ``as_raw`` and ``as_canonical`` pass plain
-``Fraction`` values through untouched, so the steps around those sums are
-written once for fixed and symbolic nu.
+priori as products of powers of fixed factors: the symbolic sigma and tau
+tables, the symbolic Bessel and Mercer series oracle and the symbolic ODE
+residual. They run on integer coefficient tuples and reduce each entry by
+peeling those factors off the numerator, with no polynomial gcd.
+``factor_quadratic`` splits the quadratic d_0 they share into such
+factors. The remaining symbolic arithmetic (``FormalSeries`` products and
+``series_divide`` on bare symbolic series) uses the operators here.
 
 ``PolyNu`` stores content and primitive part apart, so the
 ``primitive()`` splits done here are free and the scalar rescalings touch
@@ -31,39 +25,23 @@ only the content.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+from math import isqrt
 from typing import Union
 
 from .errors import ConsistencyError, PoleError, ZeroDenominatorError
-from .poly import PolyNu, _iconv, _ihorner, _ilongdiv, _split
+from .poly import PolyNu, _iconv, _ihorner, _ilongdiv, _iprimitive, _split
 from .rational import exact
 
 Scalar = Union[int, Fraction]
-Element = Union[Fraction, "RatFuncNu"]
 
-__all__ = ["RatFuncNu", "FactorPowers", "normalize", "eval_at"]
-
-
-def _poly_key(p: PolyNu):
-    return (p.degree, p._p, p._k)
-
-
-def _prod(factors) -> PolyNu:
-    """Product of the factors, multiplied pairwise so operands stay balanced."""
-    fs = list(factors)
-    if not fs:
-        return PolyNu.ONE
-    while len(fs) > 1:
-        pairs = [fs[i] * fs[i + 1] for i in range(0, len(fs) - 1, 2)]
-        fs = pairs + fs[-1:] if len(fs) % 2 else pairs
-    return fs[0]
+__all__ = ["RatFuncNu", "FactorPowers", "factor_quadratic", "normalize", "eval_at"]
 
 
 class RatFuncNu:
     """Canonical quotient of two polynomials in nu."""
 
-    __slots__ = ("_num", "_den", "_den_pieces")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=None):
         num = self._as_poly(num)
@@ -71,7 +49,7 @@ class RatFuncNu:
         if not den:
             raise ZeroDenominatorError("denominator polynomial is identically zero")
         if not num:
-            self._num, self._den, self._den_pieces = PolyNu.ZERO, PolyNu.ONE, ()
+            self._num, self._den = PolyNu.ZERO, PolyNu.ONE
             return
         g = PolyNu.gcd(num, den)
         if g.degree > 0:
@@ -82,22 +60,19 @@ class RatFuncNu:
             num = num * (1 / content)
         self._num = num
         self._den = prim
-        self._den_pieces = None
 
     @classmethod
-    def _from_coprime(cls, num: PolyNu, den: PolyNu, pieces=None) -> "RatFuncNu":
+    def _from_coprime(cls, num: PolyNu, den: PolyNu) -> "RatFuncNu":
         """Trusted constructor: gcd(num, den) is already 1."""
         self = object.__new__(cls)
         if not num:
-            self._num, self._den, self._den_pieces = PolyNu.ZERO, PolyNu.ONE, ()
+            self._num, self._den = PolyNu.ZERO, PolyNu.ONE
             return self
         content, prim = den.primitive()
         if content != 1:
             num = num * (1 / content)
-            pieces = None
         self._num = num
         self._den = prim
-        self._den_pieces = tuple(pieces) if pieces is not None else None
         return self
 
     @staticmethod
@@ -110,7 +85,7 @@ class RatFuncNu:
 
     @classmethod
     def from_rational(cls, q: Scalar) -> "RatFuncNu":
-        return cls._from_coprime(PolyNu([q]), PolyNu.ONE, ())
+        return cls._from_coprime(PolyNu([q]), PolyNu.ONE)
 
     @property
     def num(self) -> PolyNu:
@@ -129,19 +104,35 @@ class RatFuncNu:
         if isinstance(other, (int, Fraction)):
             return RatFuncNu.from_rational(other)
         if isinstance(other, PolyNu):
-            return RatFuncNu._from_coprime(other, PolyNu.ONE, ())
+            return RatFuncNu._from_coprime(other, PolyNu.ONE)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFuncNu(self._num * o._den + o._num * self._den, self._den * o._den)
+        if not o._num:
+            return self
+        if not self._num:
+            return o
+        d1, d2 = self._den, o._den
+        g = PolyNu.gcd(d1, d2)
+        if not g.degree:
+            # Coprime denominators: the sum is already reduced.
+            return RatFuncNu._from_coprime(self._num * d2 + o._num * d1, d1 * d2)
+        e1, e2 = d1.exact_div(g), d2.exact_div(g)
+        t = self._num * e2 + o._num * e1
+        if not t:
+            return RatFuncNu.ZERO
+        h = PolyNu.gcd(t, g)
+        if h.degree > 0:
+            t, d2 = t.exact_div(h), d2.exact_div(h)
+        return RatFuncNu._from_coprime(t, e1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFuncNu._from_coprime(-self._num, self._den, self._den_pieces)
+        return RatFuncNu._from_coprime(-self._num, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -159,7 +150,17 @@ class RatFuncNu:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RatFuncNu(self._num * o._num, self._den * o._den)
+        if not (self._num and o._num):
+            return RatFuncNu.ZERO
+        # Henrici: cancel each numerator against the other denominator.
+        n1, d1, n2, d2 = self._num, self._den, o._num, o._den
+        g = PolyNu.gcd(n1, d2)
+        if g.degree > 0:
+            n1, d2 = n1.exact_div(g), d2.exact_div(g)
+        g = PolyNu.gcd(n2, d1)
+        if g.degree > 0:
+            n2, d1 = n2.exact_div(g), d1.exact_div(g)
+        return RatFuncNu._from_coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -169,7 +170,7 @@ class RatFuncNu:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by the zero rational function")
-        return RatFuncNu(self._num * o._den, self._den * o._num)
+        return self * RatFuncNu._from_coprime(o._den, o._num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -182,7 +183,7 @@ class RatFuncNu:
             if not self:
                 raise ZeroDivisionError("inverse of the zero rational function")
             return RatFuncNu(self._den**-n, self._num**-n)
-        return RatFuncNu._from_coprime(self._num**n, self._den**n, None)
+        return RatFuncNu._from_coprime(self._num**n, self._den**n)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -211,9 +212,9 @@ class RatFuncNu:
         return f"({self._num})/({self._den})"
 
 
-RatFuncNu.ZERO = RatFuncNu._from_coprime(PolyNu.ZERO, PolyNu.ONE, ())
-RatFuncNu.ONE = RatFuncNu._from_coprime(PolyNu.ONE, PolyNu.ONE, ())
-RatFuncNu.NU = RatFuncNu._from_coprime(PolyNu.NU, PolyNu.ONE, ())
+RatFuncNu.ZERO = RatFuncNu._from_coprime(PolyNu.ZERO, PolyNu.ONE)
+RatFuncNu.ONE = RatFuncNu._from_coprime(PolyNu.ONE, PolyNu.ONE)
+RatFuncNu.NU = RatFuncNu._from_coprime(PolyNu.NU, PolyNu.ONE)
 
 
 class FactorPowers:
@@ -318,6 +319,8 @@ class FactorPowers:
         h = list(h)
         while h and not h[-1]:
             h.pop()
+        if not h:
+            return RatFuncNu.ZERO
         rest = {}
         for f, e in exps.items():
             while e and h:
@@ -333,6 +336,29 @@ class FactorPowers:
         return RatFuncNu._from_coprime(num, PolyNu._make(Fraction(1), self.product(rest)))
 
 
+def factor_quadratic(p):
+    """``p = scale * prod f^m`` over irreducible primitive factors f, for
+    an integer tuple p of degree <= 2; None for a higher degree or zero.
+
+    A quadratic splits when its discriminant is a square. Factors are
+    normalized as ``FactorPowers`` keys, so a factor equal to nu + j is
+    the key ``(j, 1)`` and merges with that exponent in a denominator map.
+    """
+    if not p or len(p) > 3:
+        return None
+    prim = _iprimitive(list(p))
+    scale = p[-1] // prim[-1]
+    if len(prim) == 3:
+        c, b, a = prim
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:  # a p = (a nu + (b-s)/2) (a nu + (b+s)/2)
+            f1 = tuple(_iprimitive([b - s, 2 * a]))
+            f2 = tuple(_iprimitive([b + s, 2 * a]))
+            return scale, ({f1: 2} if f1 == f2 else {f1: 1, f2: 1})
+    return scale, ({tuple(prim): 1} if len(prim) > 1 else {})
+
+
 def normalize(num: PolyNu, den: PolyNu) -> RatFuncNu:
     """Unique reduced form of num/den; raises on an identically zero den."""
     return RatFuncNu(num, den)
@@ -341,110 +367,3 @@ def normalize(num: PolyNu, den: PolyNu) -> RatFuncNu:
 def eval_at(r: RatFuncNu, nu0: Scalar) -> Fraction:
     """Exact value r(nu0); raises PoleError when the denominator vanishes."""
     return r(nu0)
-
-
-class _Raw:
-    """Unreduced num / prod(factors); factors are primitive, positive leading."""
-
-    __slots__ = ("num", "factors")
-
-    def __init__(self, num: PolyNu, factors: tuple[PolyNu, ...] = ()):
-        self.num = num
-        self.factors = factors
-
-    @classmethod
-    def lift(cls, x) -> "_Raw":
-        if isinstance(x, _Raw):
-            return x
-        if isinstance(x, RatFuncNu):
-            pieces = x._den_pieces
-            if pieces is None:
-                pieces = (x.den,) if x.den.degree > 0 else ()
-            return cls(x.num, pieces)
-        if isinstance(x, PolyNu):
-            return cls(x, ())
-        if isinstance(x, (int, Fraction)):
-            return cls(PolyNu([x]), ())
-        raise TypeError(f"cannot lift {type(x).__name__}")
-
-    def __add__(self, other):
-        o = _Raw.lift(other)
-        c1 = Counter(self.factors)
-        c2 = Counter(o.factors)
-        extra1 = c1 - c2
-        extra2 = c2 - c1
-        num = self.num * _prod(extra2.elements()) + o.num * _prod(extra1.elements())
-        factors = tuple(sorted((c1 | c2).elements(), key=_poly_key))
-        return _Raw(num, factors)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _Raw(-self.num, self.factors)
-
-    def __sub__(self, other):
-        return self + (-_Raw.lift(other))
-
-    def __rsub__(self, other):
-        return _Raw.lift(other) + (-self)
-
-    def __mul__(self, other):
-        o = _Raw.lift(other)
-        return _Raw(
-            self.num * o.num,
-            tuple(sorted(self.factors + o.factors, key=_poly_key)),
-        )
-
-    __rmul__ = __mul__
-
-    def div(self, e: Element) -> "_Raw":
-        """Divide by a canonical element with a nonzero numerator."""
-        if isinstance(e, (int, Fraction)):
-            return _Raw(self.num * (Fraction(1) / Fraction(e)), self.factors)
-        num = self.num * e.den if e.den.degree > 0 else self.num
-        content, prim = e.num.primitive()
-        if content != 1:
-            num = num * (1 / content)
-        factors = self.factors
-        if prim.degree > 0:
-            factors = tuple(sorted(factors + (prim,), key=_poly_key))
-        return _Raw(num, factors)
-
-    def to_canonical(self) -> RatFuncNu:
-        num = self.num
-        if not num:
-            return RatFuncNu.ZERO
-        remaining: list[PolyNu] = []
-        for f in self.factors:
-            piece = f
-            while piece.degree > 0:
-                g = PolyNu.gcd(num, piece)
-                if g.degree == 0:
-                    break
-                num = num.exact_div(g)
-                piece = piece.exact_div(g)
-            if piece.degree > 0:
-                remaining.append(piece)
-        remaining.sort(key=_poly_key)
-        return RatFuncNu._from_coprime(num, _prod(remaining), tuple(remaining))
-
-
-def as_raw(x):
-    """Accumulator form of an element: Fractions pass through untouched."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return _Raw.lift(x)
-
-
-def as_canonical(x):
-    """Collapse an accumulator back to the canonical element."""
-    return x.to_canonical() if isinstance(x, _Raw) else x
-
-
-def raw_div(x, divisor: Element):
-    """Divide an accumulator (or Fraction) by a canonical nonzero element."""
-    if isinstance(x, _Raw):
-        return x.div(divisor)
-    return x / divisor

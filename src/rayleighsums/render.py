@@ -3,6 +3,7 @@
 Rational functions are displayed with the numerator scaled to integer
 coefficients (the canonical internal form keeps the scale on the
 numerator), so sigma_1 prints as 1/(4*nu + 4) rather than (1/4)/(nu + 1).
+Plain polynomials print through ``PolyNu.__str__``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .ratfunc import RatFuncNu
 __all__ = [
     "value_plain",
     "value_latex",
-    "poly_plain",
     "poly_latex",
     "ratfunc_plain",
     "ratfunc_latex",
@@ -32,27 +32,6 @@ def value_latex(x: Fraction) -> str:
         return str(x.numerator)
     sign = "-" if x < 0 else ""
     return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
-
-
-def poly_plain(p: PolyNu, var: str = "nu") -> str:
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = value_plain(mag)
-        else:
-            v = var if k == 1 else f"{var}^{k}"
-            body = v if mag == 1 else f"{value_plain(mag)}*{v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
 
 
 def poly_latex(p: PolyNu, var: str = "\\nu") -> str:
@@ -84,14 +63,12 @@ def _integerized(r: RatFuncNu) -> tuple[PolyNu, PolyNu]:
     return r.num * scale, r.den * scale
 
 
-def ratfunc_plain(r: RatFuncNu, var: str = "nu") -> str:
+def ratfunc_plain(r: RatFuncNu) -> str:
     num, den = _integerized(r)
     if den == PolyNu.ONE:
-        return poly_plain(num, var)
-    num_s = poly_plain(num, var)
-    if num.degree > 0:
-        num_s = f"({num_s})"
-    return f"{num_s}/({poly_plain(den, var)})"
+        return str(num)
+    num_s = f"({num})" if num.degree > 0 else str(num)
+    return f"{num_s}/({den})"
 
 
 def ratfunc_latex(r: RatFuncNu, var: str = "\\nu") -> str:

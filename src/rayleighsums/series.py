@@ -5,11 +5,14 @@ A series carries its variable tag (``t`` for even-part series in z**2,
 Coefficients are either all ``Fraction`` (fixed nu) or all ``RatFuncNu``
 (symbolic nu); mixed input is promoted to symbolic.
 
-Products and the division are sums of coefficient products, computed by
-``_accumulate.dot``: at fixed nu each coefficient is one integer sum over
-a common denominator that grows only when a term needs it, with a single
-normalising gcd; at symbolic nu the sum is accumulated unreduced and
-canonicalized once per coefficient.
+Products and the division are sums of coefficient products. At fixed nu
+``_accumulate.dot`` computes each coefficient as one integer sum over a
+common denominator that grows only when a term needs it, with a single
+normalising gcd. At symbolic nu the products are added with ``RatFuncNu``
+operators, whose Henrici addition reduces each partial sum against the
+gcd of the two denominators only. The symbolic tables, oracle and ODE
+residual do not come here; they run on integer polynomials over a-priori
+denominators.
 """
 
 from __future__ import annotations
@@ -19,11 +22,23 @@ from typing import Sequence, Union
 
 from ._accumulate import dot
 from .errors import NonInvertibleError
-from .ratfunc import RatFuncNu, as_canonical, as_raw
+from .ratfunc import RatFuncNu
 
 Coeff = Union[Fraction, RatFuncNu]
 
 __all__ = ["FormalSeries", "series_divide"]
+
+
+def _dot(symbolic: bool, xs, ys, weights=None, start=None):
+    """``start + sum w*x*y``: ``dot`` on rationals, ``RatFuncNu`` operators
+    when an operand is symbolic."""
+    if not symbolic:
+        return dot(xs, ys, weights, start)
+    acc = RatFuncNu.ZERO if start is None else start
+    for w, x, y in zip(weights or [1] * len(xs), xs, ys):
+        term = x * y
+        acc = acc + term if w == 1 else acc - term if w == -1 else acc + w * term
+    return acc
 
 
 class FormalSeries:
@@ -108,9 +123,8 @@ class FormalSeries:
         """True-series product, truncated to the shorter operand's order."""
         self._check_compatible(other)
         n = min(self.order, other.order)
-        out = [
-            as_canonical(dot(self._c[: k + 1], other._c[k::-1])) for k in range(n + 1)
-        ]
+        symbolic = self.symbolic or other.symbolic
+        out = [_dot(symbolic, self._c[: k + 1], other._c[k::-1]) for k in range(n + 1)]
         return FormalSeries(self._var, out)
 
     def poly_mul(self, poly_coeffs: Sequence, order: int) -> "FormalSeries":
@@ -123,18 +137,10 @@ class FormalSeries:
         if order > self.order:
             raise ValueError("series too short for requested product order")
         poly_coeffs = tuple(poly_coeffs)
-        if any(isinstance(p, RatFuncNu) for p in poly_coeffs):
-            # dot() picks the symbolic path from the first term only
-            poly_coeffs = tuple(
-                p if isinstance(p, RatFuncNu) else RatFuncNu.from_rational(p)
-                for p in poly_coeffs
-            )
         if not poly_coeffs:
             return FormalSeries(self._var, [self._c[0] * 0] * (order + 1))
-        out = [
-            as_canonical(dot(poly_coeffs[: k + 1], self._c[k::-1]))
-            for k in range(order + 1)
-        ]
+        symbolic = self.symbolic or any(isinstance(p, RatFuncNu) for p in poly_coeffs)
+        out = [_dot(symbolic, poly_coeffs[: k + 1], self._c[k::-1]) for k in range(order + 1)]
         return FormalSeries(self._var, out)
 
     def __eq__(self, other) -> bool:
@@ -173,6 +179,5 @@ def series_divide(f: FormalSeries, g: FormalSeries, order: int) -> FormalSeries:
     gs = g.coeffs
     h: list = []
     for n in range(order + 1):
-        acc = dot(gs[1 : n + 1], h[::-1], [-1] * n, start=f.coeff(n))
-        h.append(as_canonical(acc * as_raw(inv0)))
+        h.append(_dot(f.symbolic, gs[1 : n + 1], h[::-1], [-1] * n, start=f.coeff(n)) * inv0)
     return FormalSeries(f.var, h)

@@ -3,9 +3,8 @@ from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
-from rayleighsums import PolyNu, RatFuncNu
+from rayleighsums import FormalSeries, RatFuncNu
 from rayleighsums._accumulate import dot, self_convolution
-from rayleighsums.ratfunc import as_canonical
 
 
 def reference_dot(xs, ys, weights, start):
@@ -76,12 +75,18 @@ def test_edge_cases():
     assert dot(xs, ys, [2, 2, 1]) == F(1, 7) + F(2, 33) + F(1, 25)
 
 
-def test_symbolic_operands_accumulate_unreduced():
+def test_symbolic_series_products_match_operator_sums():
+    # Symbolic products never reach dot; they add RatFuncNu operator products.
     nu = RatFuncNu.NU
-    xs = [1 / (nu + 1), nu / (nu + 2), RatFuncNu(PolyNu([F(1, 3)]))]
-    ys = [nu + 1, 1 / (nu + 2) ** 2, 1 / (nu + 1)]
-    start = 1 / (nu + 3)
-    for weights in ([1, 1, 1], [2, -1, 3], [0, 2, -5]):
-        ref = start + sum((w * x * y for w, x, y in zip(weights, xs, ys)), RatFuncNu.ZERO)
-        assert as_canonical(dot(xs, ys, weights, start=start)) == ref
-    assert as_canonical(self_convolution(xs, 4)) == 2 * xs[0] * xs[2] + xs[1] * xs[1]
+    f = FormalSeries("t", [1 / (nu + 1), nu / (nu + 2), F(1, 3), 1 / (nu + 1) ** 2])
+    g = FormalSeries("t", [nu + 1, 1 / (nu + 2) ** 2, 1 / (nu + 1), F(-2)])
+    poly = (F(2), nu**2 - 1, 1 / (nu + 3))
+    prod = f.mul(g)
+    by_poly = f.poly_mul(poly, 3)
+    for k in range(4):
+        assert prod.coeff(k) == sum((f.coeff(i) * g.coeff(k - i) for i in range(k + 1)), RatFuncNu.ZERO)
+        ref = sum((poly[i] * f.coeff(k - i) for i in range(min(k, 2) + 1)), RatFuncNu.ZERO)
+        assert by_poly.coeff(k) == ref
+        # and at a point, in Fractions only
+        x = F(2, 7)
+        assert prod.coeff(k)(x) == sum(f.coeff(i)(x) * g.coeff(k - i)(x) for i in range(k + 1))

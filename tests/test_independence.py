@@ -1,15 +1,16 @@
 """The series oracle and the recurrences stay separate computations.
 
-They may share low-level arithmetic (PolyNu, RatFuncNu, FactorPowers),
-but the oracle must not use a recurrence or a recurrence-derived
-denominator, or the cross-check becomes circular.
+They may share low-level arithmetic (PolyNu, RatFuncNu, FactorPowers,
+factor_quadratic), but the oracle must not use a recurrence or a
+recurrence-derived denominator, and the tau recurrence must not use the
+oracle's division or its denominator, or the cross-check becomes circular.
 """
 
 import ast
 from pathlib import Path
 
 import rayleighsums
-from rayleighsums import sigma
+from rayleighsums import mercer, oracle, sigma
 
 SRC = Path(rayleighsums.__file__).parent
 
@@ -19,6 +20,15 @@ RECURRENCE_NAMES = {
     "s_table",
     "self_convolution",
     sigma._denominator.__name__,
+    mercer._tau_denominator.__name__,
+}
+
+# The oracle's division and denominator; the recurrence modules must not
+# reuse them.
+ORACLE_NAMES = {
+    "genus0_sums_from_series",
+    oracle._integer_sums.__name__,
+    oracle._oracle_den.__name__,
 }
 
 
@@ -54,6 +64,10 @@ def test_oracle_names_no_recurrence():
     assert not RECURRENCE_NAMES & _names((SRC / "oracle.py").read_text())
 
 
+def test_mercer_names_no_oracle_division():
+    assert not ORACLE_NAMES & _names((SRC / "mercer.py").read_text())
+
+
 def test_sigma_imports_nothing_from_the_oracle():
     assert "oracle" not in _imported_modules((SRC / "sigma.py").read_text())
 
@@ -62,6 +76,9 @@ def test_guards_catch_a_violation():
     # Negative control: each check flags the pattern it exists for.
     assert "self_convolution" in _names("from ._accumulate import self_convolution")
     assert "_denominator" in _names("from . import sigma\nsigma._denominator(3)")
+    assert "_tau_denominator" in _names("from .mercer import _tau_denominator")
+    assert "_integer_sums" in _names("from .oracle import _integer_sums")
+    assert "_oracle_den" in _names("from . import oracle\noracle._oracle_den(3, d0)")
     assert "oracle" in _imported_modules("from .oracle import bessel_t_series")
     assert "oracle" in _imported_modules("from . import oracle")
     assert "oracle" in _imported_modules("import rayleighsums.oracle")

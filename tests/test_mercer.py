@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from rayleighsums import (
+    ConsistencyError,
     DegenerateParametersError,
     InvalidParameterError,
     OdeCoefficients,
@@ -17,6 +19,7 @@ from rayleighsums import (
     ode_coefficients,
     sigma_table,
     tau_table,
+    mercer,
     verify_ode,
 )
 
@@ -172,3 +175,106 @@ def test_derive_pqr_rejects_inexact(name, bad):
 def test_derive_pqr_accepts_int_and_fraction():
     assert derive_pqr(1, 2, 3, 1) == derive_pqr(F(1), F(2), F(3), F(1))
     assert derive_pqr(1, 2, 3) == derive_pqr(F(1), F(2), F(3), "symbolic")
+
+
+# (a, b, c) for the integer tau route: the six orderings of (1, 2, 3);
+# (1, 0, 0), where d_0 = nu(nu-1) and d_0(-nu) = nu(nu+1) shares (nu+1)
+# with D_n; (1, 1, 1), where d_0 = d_0(-nu); (0, 1, 1), where a = 0 and q
+# is quadratic; (1, 4, 2), where d_0 = (nu+1)(nu+2); rational weights.
+TAU_ROUTE_SETS = list(itertools.permutations((1, 2, 3))) + [
+    (0, 0, 1),
+    (0, 1, 0),
+    (1, 0, 0),
+    (1, 1, 1),
+    (0, 1, 1),
+    (1, 4, 2),
+    (F(1, 2), F(1, 3), 2),
+]
+
+
+@pytest.mark.parametrize("abc", TAU_ROUTE_SETS, ids=str)
+def test_integer_tau_matches_series_oracle(abc):
+    params = derive_pqr(*abc)
+    table = tau_table(params, 16)
+    assert table.entries == genus0_sums_from_series(mercer_t_series(params, 16), 16).entries
+    if abc == (0, 0, 1):
+        assert table.entries == sigma_table(16).entries
+
+
+def _operator_tau(params, order):
+    """The tau recurrence of the module docstring in RatFuncNu operators."""
+    x = RatFuncNu.NU
+    p, q, r = RatFuncNu(params.p), RatFuncNu(params.q), RatFuncNu(params.r)
+    a, b = params.a, params.b
+    a2 = a * a
+    t = [(2 * x * p + q + 2 * r) / (4 * q * (x + 1))]
+    t.append((4 * q * t[0] ** 2 + 4 * x * p * t[0] - p - 4 * a2 * x + 2 * a * (a + b)) / (4 * q * (x + 2)))
+    t.append(
+        (4 * p * (x + 1) * t[1] - 4 * a2 * (x - 1) * t[0] + a2 + 8 * q * t[0] * t[1] - 4 * p * t[0] ** 2)
+        / (4 * q * (x + 3))
+    )
+
+    def conv(s):
+        return sum((t[m - 1] * t[s - m - 1] for m in range(1, s)), RatFuncNu.ZERO)
+
+    for k in range(3, order):
+        rhs = p * (x + k - 1) * t[k - 1] - a2 * (x + k - 3) * t[k - 2]
+        rhs = rhs + q * conv(k + 1) - p * conv(k) + a2 * conv(k - 1)
+        t.append(rhs / (q * (x + k + 1)))
+    return tuple(t[:order])
+
+
+@pytest.mark.parametrize("abc", [(1, 2, 3), (1, 0, 0), (0, 1, 1), (F(1, 2), F(1, 3), 2)], ids=str)
+def test_integer_tau_matches_operator_recurrence(abc):
+    params = derive_pqr(*abc)
+    assert tau_table(params, 8).entries == _operator_tau(params, 8)
+
+
+def test_tau_denominator_missing_a_d0_factor_fails_loudly(monkeypatch):
+    real = mercer._tau_denominator
+
+    def short(n, d0):
+        scale, exps = real(n, d0)
+        if n:
+            for f in d0[1]:
+                exps[f] -= 1
+        return scale, exps
+
+    monkeypatch.setattr(mercer, "_tau_denominator", short)
+    with pytest.raises(ConsistencyError):
+        tau_table(derive_pqr(1, 2, 3), 6)
+
+
+def test_tau_remainder_after_d0_minus_division_fails_loudly(monkeypatch):
+    # With nu + 5 in place of d_0 = nu^2 + nu + 3 every cofactor is still
+    # a polynomial, but 4^n D_n (nu+5)^n does not clear tau_n, so the
+    # division by d_0(-nu) leaves a remainder.
+    monkeypatch.setattr(mercer, "factor_quadratic", lambda p: (1, {(5, 1): 1}))
+    with pytest.raises(ConsistencyError, match="d_0"):
+        tau_table(derive_pqr(1, 2, 3), 6)
+
+
+def _at(ode, nu0):
+    """The ODE coefficients evaluated at nu0."""
+    return OdeCoefficients(*(tuple(c(nu0) for c in part) for part in (ode.denominator, ode.a_numerator, ode.b_numerator)))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_symbolic_ode_residual_specializes_to_fixed(first):
+    base = ode_coefficients(derive_pqr(1, 2, 3))
+    if first == 0:
+        perturbed = OdeCoefficients(
+            base.denominator, base.a_numerator, (base.b_numerator[0] + PolyNu([1, 2]),) + base.b_numerator[1:]
+        )
+    else:
+        # A first-order change at t^1 leaves r_0 untouched.
+        perturbed = OdeCoefficients(
+            base.denominator, (base.a_numerator[0], base.a_numerator[1] + PolyNu([0, F(1, 2)]), base.a_numerator[2]),
+            base.b_numerator,
+        )
+    sym = verify_ode(derive_pqr(1, 2, 3), 10, ode=perturbed)
+    assert sym.first_nonzero == first
+    for nu0 in (F(1, 2), F(7, 3), F(5)):
+        fixed = verify_ode(derive_pqr(1, 2, 3, nu0), 10, ode=_at(perturbed, nu0))
+        assert [r(nu0) for r in sym.coefficients] == list(fixed.coefficients)
+        assert fixed.first_nonzero == first

@@ -22,6 +22,7 @@ from rayleighsums import (
     oracle,
     sigma_table,
 )
+from rayleighsums.ratfunc import factor_quadratic
 
 from _util import INEXACT
 
@@ -183,12 +184,12 @@ def test_integer_mercer_oracle_matches_series_division_random(abc):
 
 
 def test_d0_split_into_irreducible_factors():
-    assert oracle._split_d0((2, 3, 1)) == (1, {(1, 1): 1, (2, 1): 1})
-    assert oracle._split_d0((-2, -6, -4)) == (-2, {(1, 1): 1, (1, 2): 1})
-    assert oracle._split_d0((1, -4, 4)) == (1, {(-1, 2): 2})
-    assert oracle._split_d0((-4, -1, 1)) == (1, {(-4, -1, 1): 1})
-    assert oracle._split_d0((3,)) == (3, {})
-    assert oracle._split_d0((1, 0, 0, 1)) is None
+    assert factor_quadratic((2, 3, 1)) == (1, {(1, 1): 1, (2, 1): 1})
+    assert factor_quadratic((-2, -6, -4)) == (-2, {(1, 1): 1, (1, 2): 1})
+    assert factor_quadratic((1, -4, 4)) == (1, {(-1, 2): 2})
+    assert factor_quadratic((-4, -1, 1)) == (1, {(-4, -1, 1): 1})
+    assert factor_quadratic((3,)) == (3, {})
+    assert factor_quadratic((1, 0, 0, 1)) is None
 
 
 def test_symbolic_oracle_series_skip_series_division(monkeypatch):

@@ -13,7 +13,7 @@ from rayleighsums import (
     eval_at,
     normalize,
 )
-from rayleighsums.ratfunc import FactorPowers, as_canonical, as_raw
+from rayleighsums.ratfunc import FactorPowers
 
 from _util import INEXACT
 
@@ -69,14 +69,36 @@ def test_field_laws_at_sampled_points(n1, d1, n2, d2, x):
         assert (r / s)(x) == r(x) / s(x)
 
 
-@settings(deadline=None, max_examples=60)
-@given(n1=polys, d1=nonzero_polys, n2=polys, d2=nonzero_polys)
-def test_raw_accumulator_matches_canonical_arithmetic(n1, d1, n2, d2):
-    r = RatFuncNu(n1, d1)
-    s = RatFuncNu(n2, d2)
-    assert as_canonical(as_raw(r) + as_raw(s)) == r + s
-    assert as_canonical(as_raw(r) * as_raw(s)) == r * s
-    assert as_canonical(as_raw(r) - as_raw(s)) == r - s
+@settings(deadline=None, max_examples=100)
+@given(
+    n1=polys,
+    d1=nonzero_polys,
+    n2=polys,
+    d2=nonzero_polys,
+    shared=st.sampled_from([PolyNu([1]), PolyNu([1, 1]), PolyNu([1, 0, 1]), PolyNu([-2, 1]) ** 2]),
+    same=st.booleans(),
+)
+def test_henrici_addition_matches_cross_multiplied_sum(n1, d1, n2, d2, shared, same):
+    # The denominators share `shared` (and all of d1 when `same`), so the
+    # gcd branch and the reduction of t against g are both exercised.
+    if same:
+        d2 = d1
+    r = RatFuncNu(n1, d1 * shared)
+    s = RatFuncNu(n2, d2 * shared)
+    assert r + s == RatFuncNu(r.num * s.den + s.num * r.den, r.den * s.den)
+    assert r - s == RatFuncNu(r.num * s.den - s.num * r.den, r.den * s.den)
+    assert r * s == RatFuncNu(r.num * s.num, r.den * s.den)
+    assert r + (-r) == RatFuncNu.ZERO
+    # t = n1 (d2/g) + n2 (d1/g) shares a factor with g here.
+    assert (s - r) + r == s
+
+
+def test_henrici_sum_cancels_against_the_shared_factor():
+    nu = RatFuncNu.NU
+    # g = nu + 1 and t = (nu + 2) + nu = 2 (nu + 1)
+    total = 1 / (nu * (nu + 1)) + 1 / ((nu + 1) * (nu + 2))
+    assert total == 2 / (nu * (nu + 2))
+    assert total.den == PolyNu([0, 2, 1])
 
 
 def test_mixed_scalar_arithmetic():

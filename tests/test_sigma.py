@@ -12,8 +12,6 @@ from rayleighsums import (
     sigma,
     sigma_table,
 )
-from rayleighsums._accumulate import self_convolution
-from rayleighsums.ratfunc import as_canonical, raw_div
 
 from _util import INEXACT, bernoulli, rand_fraction
 
@@ -116,22 +114,33 @@ def _plain_recurrence(order):
     return tuple(s)
 
 
-def _accumulated_recurrence(order):
-    """The same recurrence summed unreduced by _accumulate, one gcd pass per entry."""
-    nu = RatFuncNu.NU
-    s = [1 / (4 * (nu + 1))]
-    for n in range(2, order + 1):
-        s.append(as_canonical(raw_div(self_convolution(s, n), nu + n)))
-    return tuple(s)
-
-
 def test_integer_sigma_matches_rational_function_recurrence():
-    table = sigma_table(24).entries
-    # Operator arithmetic pays a PRS gcd per addition: about 0.3 s to
-    # n = 14 and a minute to n = 24, so the full range uses the
-    # unreduced accumulator.
+    """The integer table equals the recurrence run in RatFuncNu operators.
+
+    Operators pay a gcd per addition: about 0.3 s to n = 14 and 12 s to
+    n = 24, so past n = 14 each entry is compared at points instead. By
+    induction on the recurrence, 4^n D_n sigma_n is a polynomial of degree
+    at most deg D_n, with D_n = prod_{j<=n} (nu+j)^floor(n/j). The test
+    checks the same of 4^n D_n times each table entry: its denominator
+    divides D_n and its numerator degree is at most its denominator's.
+    The fixed-nu table evaluates the recurrence exactly at nu0, so
+    agreement at more than deg D_n distinct nu0 makes the difference, a
+    polynomial of degree at most deg D_n, vanish identically.
+    """
+    order = 24
+    table = sigma_table(order).entries
     assert table[:14] == _plain_recurrence(14)
-    assert table == _accumulated_recurrence(24)
+    deg_d = sum(order // j for j in range(1, order + 1))
+    for n, s in enumerate(table, 1):
+        d_n = PolyNu([1])
+        for j in range(1, n + 1):
+            d_n = d_n * PolyNu([j, 1]) ** (n // j)
+        d_n.exact_div(s.den)  # raises unless the denominator divides D_n
+        assert s.num.degree <= s.den.degree
+    points = [F(k, 3) for k in range(deg_d + 1)]  # distinct, > -1
+    for nu0 in points:
+        fixed = sigma_table(order, nu0).entries
+        assert [s(nu0) for s in table] == list(fixed)
 
 
 def test_a_denominator_too_small_fails_loudly(monkeypatch):
