@@ -20,21 +20,35 @@ The certificates are exactly those of the same sums in reduced rationals.
 
 Sign certificates from these enclosures drive a scan along a grid of
 spacing roughly pi/4 in z (a heuristic; the certificates are what make
-the output trustworthy), a missed-zero guard that rescans any stretch
-between consecutive brackets longer than 1.5 pi at half step, and plain
-bisection down to the requested width. The tail of an infinite power sum
-is bounded by comparing the zeros beyond the last bracketed one against
-the arithmetic progression beta + k*pi and replacing the sum by an
-integral; beta is a certified lower bound on the square root of the last
-enclosure's left edge (no extra spacing margin is added, so the k = 1
-term of the bound only uses that later zeros exceed the last one found).
+the output trustworthy) and a missed-zero guard that rescans any stretch
+between consecutive brackets longer than 1.5 pi at half step.
+
+Each bracket [tlo, thi] of width W is then narrowed to a cell
+[a, b] = tlo + W [j, j + 1] / 2^d, where d is the first depth with
+W / 2^d <= precision, as bisection would. Newton's iteration on the even
+series, in exact rationals rounded to dyadic grids of doubling depth,
+picks j; it carries no trust. Two sign certificates make the cell an
+enclosure: f(a) has the sign at tlo and f(b) does not (at a bracket end
+the scan has already certified the sign). If either fails, bisection runs
+from the bracket as the fallback. When a bracket holds one sign change,
+the cell is exactly the one bisection on certified signs ends in: no cell
+edge can be the zero, because the sign certificate raises PrecisionError
+at a zero instead of returning a sign (and for rational nu the zeros are
+transcendental). Every endpoint is therefore backed by a certificate.
+
+The tail of an infinite power sum is bounded by comparing the zeros
+beyond the last bracketed one against the arithmetic progression
+beta + k*pi and replacing the sum by an integral; beta is a certified
+lower bound on the square root of the last enclosure's left edge (no
+extra spacing margin is added, so the k = 1 term of the bound only uses
+that later zeros exceed the last one found).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, floor, lcm
 from typing import Union
 
 from .bounds import nth_root_enclosure
@@ -148,6 +162,40 @@ class _EvenSeries:
         r1 = self._extend(n + 1)[n + 1][0]
         return 2 * X * (m + 2 * q) * (m + q) > Q * r1 * m * (m - q)
 
+    def _cutoff(self, X: int, Q: int) -> int:
+        """First truncation index 4 * 2^i past which the majorant ratio is <= 1/2."""
+        k = 4
+        while self._ratio2_above_half(k + 1, X, Q):
+            k *= 2
+        return k
+
+    def newton_ratio(self, t: Fraction, bits: int) -> tuple[int, int]:
+        """(N, N_w) with N / N_w close to f(t) / (t f'(t)), uncertified.
+
+        N is sign_at's numerator and N_w = N_w r_n Q + n (-1)^n H_n X^n its
+        twin for t f'(t) over the same denominator. Terms are added 8 at a
+        time until the tail bound is below 2^-bits of |N_w|, or a term cap
+        is reached; N_w may be 0.
+        """
+        X, Q = self.q * t.numerator, t.denominator
+        k = self._cutoff(X, Q)
+        cap = 2 * (k + bits)
+        N = Nw = n = 0
+        Xn = 1
+        while True:
+            terms = self._extend(k + 1)
+            for r, h, _, _ in terms[n : k + 1]:
+                rQ, hX = r * Q, h * Xn
+                N, Nw = N * rQ + hX, Nw * rQ + n * hX
+                Xn *= X
+                n += 1
+            r, _, w, _ = terms[n]
+            if (w * Xn) << bits <= abs(Nw * r * Q) or k >= cap:
+                # keeping bits + 8 bits of N_w spares the caller a huge gcd
+                s = max(Nw.bit_length() - bits - 8, 0)
+                return N >> s, Nw >> s
+            k += 8
+
     def sign_at(self, t: Fraction) -> int:
         """Sign of f(t), certified by [S - T, S + T] excluding 0; the sum
         deepens 8 terms at a time until it does."""
@@ -156,9 +204,7 @@ class _EvenSeries:
         X, Q = self.q * t.numerator, t.denominator
         if not X:
             return 1 if self.sign0 > 0 else -1
-        k = 4
-        while self._ratio2_above_half(k + 1, X, Q):
-            k *= 2
+        k = self._cutoff(X, Q)
         N, Xn, n = 0, 1, 0
         while True:
             terms = self._extend(k + 1)
@@ -199,6 +245,28 @@ def _scan_window(
             out.append((zp, z, sp))
         zp, sp = z, s
     return out
+
+
+def _approximate_zero(f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int) -> Fraction:
+    """Untrusted Newton estimate of the zero in [tlo, thi], for picking a
+    depth-d cell. Each step is rounded to the grid tlo + (thi - tlo) j / 2^D,
+    D doubling from 8 up to d + 6, and clamped to the bracket; a step there
+    that moves at most (thi - tlo) / 2^(d + 4), a step cap or N_w = 0 ends it.
+    """
+    W = thi - tlo
+    t, D = tlo + W / 2, 4
+    for _ in range(48):
+        D = min(2 * D, d + 6)
+        # enough bits for a step error below a quarter of a grid cell
+        N, Nw = f.newton_ratio(t, D + 2 + int(t / W).bit_length())
+        if not Nw:
+            break
+        u = min(max(t - t * N / Nw, tlo), thi)
+        u = tlo + W * round((u - tlo) * 2**D / W) / 2**D
+        if D == d + 6 and abs(u - t) * 2 ** (d + 4) <= W:
+            return u
+        t = u
+    return t
 
 
 def find_zeros(
@@ -293,6 +361,23 @@ def find_zeros(
     out = []
     for idx, (zlo, zhi, slo) in enumerate(brackets[:count], start=1):
         tlo, thi = zlo * zlo, zhi * zhi
+        # Bisection stops at the first depth d with W / 2^d <= precision, in
+        # a cell tlo + W [j, j + 1] / 2^d; pick j by Newton, then certify it.
+        W = thi - tlo
+        d = (ceil(W / precision) - 1).bit_length()
+        if d:
+            n = 2**d
+            j = floor((_approximate_zero(f, tlo, thi, d) - tlo) * n / W)
+            j = min(max(j, 0), n - 1)
+            a, b = tlo + W * j / n, tlo + W * (j + 1) / n
+            try:
+                if (not j or f.sign_at(a) == slo) and (
+                    j == n - 1 or f.sign_at(b) != slo
+                ):
+                    tlo, thi = a, b
+            except PrecisionError:
+                pass  # a wrong cell's edge may be one bisection never visits
+        # Fallback bisection; after a certified cell it has nothing left to do.
         while thi - tlo > precision:
             mid = (tlo + thi) / 2
             if f.sign_at(mid) == slo:
@@ -320,8 +405,7 @@ def partial_sum_enclosure(
 
     gives tail <= beta^(-2n) + 1 / (pi (2n-1) beta^(2n-1)).
     """
-    if n < 1:
-        raise InvalidParameterError("tail bound is invalid for n = 0; need n >= 1")
+    n = rational.count(n, "n", 1)  # the tail bound diverges at n = 0
     if not zeros:
         raise InvalidParameterError("need at least one zero enclosure")
     prev_hi = Fraction(0)

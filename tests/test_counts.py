@@ -7,6 +7,7 @@ import pytest
 from rayleighsums import (
     ChfParams,
     InvalidParameterError,
+    ZeroEnclosure,
     bessel_t_series,
     chf_series,
     chf_sums_from_series,
@@ -15,6 +16,7 @@ from rayleighsums import (
     genus0_sums_from_series,
     mercer_t_series,
     nth_root_enclosure,
+    partial_sum_enclosure,
     s_table,
     sigma_table,
     tau_table,
@@ -41,6 +43,10 @@ CALLS = {
     "verify_ode": lambda n: verify_ode(derive_pqr(1, 2, 3), n),
     "nth_root_enclosure": lambda n: nth_root_enclosure(2, n, F(1, 10)),
     "euler_rayleigh": lambda n: euler_rayleigh(sigma_table(4, 0), n),
+    # n = 1.5 used to return a float upper bound and tail
+    "partial_sum_enclosure": lambda n: partial_sum_enclosure(
+        [ZeroEnclosure(F(5), F(6), "x", 1)], n
+    ),
 }
 
 

@@ -17,6 +17,7 @@ from rayleighsums import (
     partial_sum_enclosure,
     sigma_table,
 )
+from rayleighsums import zeros
 from rayleighsums.zeros import _EvenSeries
 
 from _util import INEXACT
@@ -150,6 +151,91 @@ def test_golden_endpoints():
     assert _endpoint_digest(
         find_zeros(1, 30, F(1, 10**5), params=params, assert_real_zeros=True)
     ) == "938f5b849ae94da6e6048c2d58a44023c51fdde32e392d3bd8cfd2fa2ec7e41e"
+
+
+def _search(nu, count, precision, c=None):
+    params = None if c is None else derive_pqr(0, 1, c, nu)
+    return find_zeros(nu, count, precision, params=params, assert_real_zeros=True)
+
+
+# Enclosures from plain bisection, before the cell locator replaced it:
+# every zeros request a benchmark seed can make, and two high precisions.
+_GOLDEN = {
+    (F(0), 30, F(1, 10**5), None): "41853970ed82aebd981378ef2521f2eedd97d382ce820b3971fda2b5d2713a48",
+    (F(1, 2), 30, F(1, 10**5), None): "af334f6dd432e7f5f69576924e89eba7662a76b5b935fda69214632b01e56d4b",
+    (F(1), 30, F(1, 10**5), None): "208a55f2a9cf428f269637395de0733bd590926f30b4b1372ddbedb4a9f44d02",
+    (F(2), 30, F(1, 10**5), None): "2040f8cefbb36b400437ce4fc89a2371f1d8172cb37bb53605b0bfe276989a57",
+    (F(5, 2), 30, F(1, 10**5), None): "05244255d3e58b0f0f872b1700a726a07726c943f3157197ef03563f06f6a972",
+    (F(3), 30, F(1, 10**5), None): "1907c09ac505f2912389321fd0997f5e6200c7764b065e1e3e0a97990109e96b",
+    (F(1), 30, F(1, 10**5), 0): "4a52ecbf126138f137b3906375861806a2e67942f7e15571c7747c8979ccee62",
+    # J_1' + J_1/z = J_0: the same zeros as the nu = 0 Bessel search
+    (F(1), 30, F(1, 10**5), 1): "41853970ed82aebd981378ef2521f2eedd97d382ce820b3971fda2b5d2713a48",
+    (F(1), 30, F(1, 10**5), 2): "938f5b849ae94da6e6048c2d58a44023c51fdde32e392d3bd8cfd2fa2ec7e41e",
+    (F(0), 30, F(1, 10**30), None): "83f844717fb8fed5f899be439757b36b26eb2292f61e2e2d6f40a1775c9333aa",
+    (F(1), 30, F(1, 10**20), 2): "594ea4da8844eff5159dc2780e2357922ccdbadff3adbf29fb0f9e2dded06397",
+}
+
+
+@pytest.mark.parametrize(
+    "case", list(_GOLDEN), ids=lambda c: "nu={} count={} precision={} c={}".format(*c)
+)
+def test_golden_endpoints_every_bench_request(case):
+    assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+
+
+def _count_refinement_calls(monkeypatch):
+    """Count sign_at calls made after the scan, which ends at the first
+    call of the cell approximation."""
+    calls = {"after": 0, "refining": False}
+    sign_at, approximate = _EvenSeries.sign_at, zeros._approximate_zero
+
+    def counted(self, t):
+        calls["after"] += calls["refining"]
+        return sign_at(self, t)
+
+    def marked(*args):
+        calls["refining"] = True
+        return approximate(*args)
+
+    monkeypatch.setattr(_EvenSeries, "sign_at", counted)
+    monkeypatch.setattr(zeros, "_approximate_zero", marked)
+    return calls
+
+
+def test_refinement_needs_few_sign_certificates(monkeypatch):
+    # Bisection needs about 106 sign_at calls per zero here; a certified
+    # Newton cell needs 2.
+    calls = _count_refinement_calls(monkeypatch)
+    case = (F(0), 30, F(1, 10**30), None)
+    assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+    assert calls["after"] <= 6 * 30
+
+
+_APPROXIMATE = zeros._approximate_zero
+_WRONG_CELLS = {
+    "tlo": lambda f, tlo, thi, d: tlo,
+    "thi": lambda f, tlo, thi, d: thi,
+    "below": lambda f, tlo, thi, d: tlo - 1,
+    "above": lambda f, tlo, thi, d: 2 * thi,
+    "neighbour": lambda f, tlo, thi, d: _APPROXIMATE(f, tlo, thi, d) + (thi - tlo) / 2**d,
+}
+
+
+@pytest.mark.parametrize("c", [None, 2])
+@pytest.mark.parametrize("wrong", sorted(_WRONG_CELLS))
+def test_wrong_cells_fall_back_to_bisection(monkeypatch, wrong, c):
+    monkeypatch.setattr(zeros, "_approximate_zero", _WRONG_CELLS[wrong])
+    calls = _count_refinement_calls(monkeypatch)
+    case = (F(0) if c is None else F(1), 30, F(1, 10**5), c)
+    assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+    # a failed certificate is followed by about 20 bisection steps
+    assert calls["after"] > 15 * 30
+
+
+def test_zero_derivative_ends_the_approximation(monkeypatch):
+    monkeypatch.setattr(_EvenSeries, "newton_ratio", lambda self, t, bits: (1, 0))
+    case = (F(0), 30, F(1, 10**5), None)
+    assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
 
 
 def _reference_sign(nu, abc, t):
