@@ -205,20 +205,31 @@ def _family_nu(ns):
     return "symbolic" if ns.nu is None else ns.nu
 
 
-def _make_table(ns):
+def _make_table(ns, order: int):
     family = ns.family
     nu = _family_nu(ns)
     if family == "sigma":
-        return sigma_table(ns.order, nu)
+        return sigma_table(order, nu)
     if family == "tau":
         _require(ns, ("a", "b", "c"))
-        return tau_table(derive_pqr(ns.a, ns.b, ns.c, nu), ns.order)
+        return tau_table(derive_pqr(ns.a, ns.b, ns.c, nu), order)
     _require(ns, ("a", "b"))
-    return s_table(ChfParams(ns.a, ns.b), ns.order)
+    return s_table(ChfParams(ns.a, ns.b), order)
+
+
+def _require_real_zeros(ns, reason: str) -> None:
+    """Refuse a family whose zeros are not certified real unless
+    --assert-real-zeros is given; checked here so that the message names
+    the flag rather than the library's keyword argument."""
+    if not ns.assert_real_zeros:
+        raise InvalidParameterError(
+            f"{ns.command} --family {ns.family}: {reason}; "
+            "pass --assert-real-zeros to proceed"
+        )
 
 
 def _cmd_sums(ns, out) -> int:
-    _print_table(_make_table(ns), ns, out)
+    _print_table(_make_table(ns, ns.order), ns, out)
     return 0
 
 
@@ -228,10 +239,9 @@ def _cmd_bounds(ns, out) -> int:
     if ns.nu == "symbolic":
         raise InvalidParameterError("bounds need a fixed rational --nu")
     n = ns.order
-    table_ns = argparse.Namespace(
-        command="bounds", family=ns.family, order=n + 1, nu=ns.nu, a=ns.a, b=ns.b, c=ns.c
-    )
-    table = _make_table(table_ns)
+    table = _make_table(ns, n + 1)
+    if ns.family != "sigma":
+        _require_real_zeros(ns, "this family does not certify real positive zeros")
     bracket = euler_rayleigh(
         table, n, root_width=ns.root_width, assert_real_zeros=ns.assert_real_zeros
     )
@@ -269,6 +279,7 @@ def _cmd_zeros(ns, out) -> int:
         _require(ns, ("a", "b", "c"))
         if ns.nu == "symbolic":
             raise InvalidParameterError("zeros need a fixed rational --nu")
+        _require_real_zeros(ns, "combined-function zeros are not guaranteed real")
         params = derive_pqr(ns.a, ns.b, ns.c, ns.nu)
     if ns.nu == "symbolic":
         raise InvalidParameterError("zeros need a fixed rational --nu")

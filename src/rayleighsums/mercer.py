@@ -34,7 +34,8 @@ q = d_0 d_0^- with d_0^-(nu) = d_0(-nu). With D_n = prod_{j<=n}
 entry T_n = E_n tau_n. Write conv(s) = sum_{m=1}^{s-1} tau_m tau_{s-m}
 and C_s = E_s conv(s) / (nu+s) = sum_m T_m T_{s-m} D_s / ((nu+s) D_m
 D_{s-m}), summed over m <= s/2 with the off-centre terms weighted 2; its
-cofactors are those of the sigma table. Dividing the equation for tau_n
+cofactors are those of the sigma table, and it is computed by the same
+row walk (``sigma._convolution_row``). Dividing the equation for tau_n
 (left side lead * q (nu+n) tau_n, lead = 4 for the seeds and 1 after) by
 lead * q (nu+n) / E_n turns its q-convolution into C_n. Every other term
 keeps 1/q = 1/(d_0 d_0^-), so
@@ -50,8 +51,9 @@ E_n / (lead (nu+n) d_0 E_m E_m'). For n >= 4
 with K_i = E_n / ((nu+n) d_0 E_{n-i}): K_1 = 4 prod_{j | n, j < n}
 (nu+j) and K_2 = 16 d_0 D_n / ((nu+n) D_{n-2}). The seeds tau_1..tau_3
 are written the same way from their equations above. ``FactorPowers.
-cofactor`` builds every cofactor from the factored denominators and
-refuses a negative exponent or a fractional scale. The division by
+cofactor`` builds every K from the factored denominators and refuses a
+negative exponent or a fractional scale, and R_n is one call of the
+packed kernel ``poly._isumprod``. The division by
 d_0^- is exact integer long division, and it is the certificate for
 E_n: T_n is a polynomial exactly when E_n clears tau_n, so a remainder
 raises ``ConsistencyError`` instead of giving a wrong value. Each entry is
@@ -69,8 +71,9 @@ from typing import ClassVar, Union
 
 from ._accumulate import dot, self_convolution
 from .errors import ConsistencyError, DegenerateParametersError, PoleError
-from .poly import PolyNu, _iaxpy, _iconv, _ilongdiv
+from .poly import PolyNu, _ilongdiv, _isumprod
 from .ratfunc import FactorPowers, factor_quadratic
+from .sigma import _convolution_row
 from .rational import count, exact
 
 NuMode = Union[str, Fraction]
@@ -253,13 +256,6 @@ def _trim(v) -> tuple[int, ...]:
     return tuple(v)
 
 
-def _padd(*vs) -> tuple[int, ...]:
-    acc: list[int] = []
-    for v in vs:
-        _iaxpy(acc, 1, v)
-    return _trim(acc)
-
-
 def _tau_denominator(n: int, d0):
     """4^n D_n d_0^n, factored: the a-priori denominator of tau_n."""
     scale, factors = d0
@@ -279,61 +275,53 @@ def _symbolic_entries(params: MercerParams, order: int) -> list:
     d0 = factor_quadratic(_trim((c, b - a, a)))
     powers = FactorPowers()
     den = [_tau_denominator(n, d0) for n in range(order + 1)]
+    steps = powers.steps(den)
     scaled = [(1,)]  # T_n; T_0 = 1 over E_0 = 1
     conv = [()]  # C_n; C_0 = C_1 = 0
 
-    def term(n, lead, x, *ops):
-        """x times the operands times E_n / (lead (nu+n) d_0 prod E_m), for
-        operands (numerator over E_m, m)."""
-        x = _trim(x)
-        if not x:
-            return ()
+    def cof(n, lead, *ms):
+        """E_n / (lead (nu+n) d_0 prod E_m)."""
         exps = dict(d0[1])
         exps[(n, 1)] = exps.get((n, 1), 0) + 1
-        out = _iconv(x, powers.cofactor(den[n], (lead * d0[0], exps), *(den[m] for _, m in ops)))
-        for v, _ in ops:
-            out = _iconv(out, v)
-        return out
+        return powers.cofactor(den[n], (lead * d0[0], exps), *(den[m] for m in ms))
 
     for n in range(1, order + 1):
-        acc: list[int] = []
-        pivot = (1, {(n, 1): 1})
-        for m in range(1, n // 2 + 1):
-            cof = powers.cofactor(den[n], pivot, den[m], den[n - m])
-            _iaxpy(acc, 2 if 2 * m < n else 1, _iconv(_iconv(cof, scaled[m]), scaled[n - m]))
-        conv.append(tuple(acc))
+        conv.append(_convolution_row(powers, den, steps, scaled, n) if n > 1 else ())
         if n == 1:
-            rest = [term(1, 4, _padd(_iconv((0, 2), p), q, _iconv((2,), r)))]
+            k = cof(1, 4)
+            rest = [(1, ((0, 2), p, k)), (1, (q, k)), (2, (r, k))]
         elif n == 2:
+            k = cof(2, 4)
             rest = [
-                term(2, 4, _iconv((0, 4), p), (scaled[1], 1)),
-                term(2, 4, _padd(_iconv((-1,), p), (2 * a * (a + b), -4 * a2))),
+                (4, ((0, 1), p, cof(2, 4, 1), scaled[1])),
+                (-1, (p, k)),
+                (1, ((2 * a * (a + b), -4 * a2), k)),
             ]
         elif n == 3:
-            t1 = (scaled[1], 1)
+            k1, t1 = cof(3, 4, 1), scaled[1]
             rest = [
-                term(3, 4, _iconv((4, 4), p), (scaled[2], 2)),
-                term(3, 4, (4 * a2, -4 * a2), t1),
-                term(3, 4, (a2,)),
-                term(3, 4, _iconv((-4,), p), t1, t1),
+                (4, ((1, 1), p, cof(3, 4, 2), scaled[2])),
+                (4 * a2, ((1, -1), k1, t1)),
+                (a2, (cof(3, 4),)),
+                (-4, (p, cof(3, 4, 1, 1), t1, t1)),
             ]
         else:
+            k1, k2 = cof(n, 1, n - 1), cof(n, 1, n - 2)
             rest = [
-                term(n, 1, _iconv((n - 2, 1), p), (scaled[n - 1], n - 1)),
-                term(n, 1, _iconv((1 - n, -1), p), (conv[n - 1], n - 1)),
-                term(n, 1, (-a2 * (n - 4), -a2), (scaled[n - 2], n - 2)),
-                term(n, 1, (a2 * (n - 2), a2), (conv[n - 2], n - 2)),
+                (1, ((n - 2, 1), p, k1, scaled[n - 1])),
+                (-1, ((n - 1, 1), p, k1, conv[n - 1])),
+                (-a2, ((n - 4, 1), k2, scaled[n - 2])),
+                (a2, ((n - 2, 1), k2, conv[n - 2])),
             ]
-        total = list(_padd(*rest))
+        total = list(_isumprod(rest))
         quo = _ilongdiv(total, d0_minus)
         if quo is None or total:
             raise ConsistencyError(
                 f"d_0(-nu) does not divide the tau_{n} numerator: the a-priori "
                 "denominator does not clear the recurrence"
             )
-        _iaxpy(acc, 1, quo)
-        scaled.append(_trim(acc))
-    return [powers.peel(scaled[n], den[n]) for n in range(1, order + 1)]
+        scaled.append(_isumprod([(1, (conv[n],)), (1, (tuple(quo),))]))
+    return powers.peel_table(scaled, den, steps)
 
 
 @dataclass(frozen=True)
@@ -396,7 +384,8 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
     in both modes. At symbolic nu, w_m = N_m / G_m with G_m = 4^m m!
     (nu+1)_m, so G_n r_n = sum_j c_j(m) N_m 4^j (n!/m!) prod_{i=m+1..n}
     (nu+i) is a polynomial; after one lcm of the rational contents it is
-    an integer one, and each r_n is reduced by peeling the (nu+i). The
+    an integer one, summed by the packed kernel, and each r_n is reduced
+    by peeling the (nu+i). The
     residual through order ``order`` in t is reported; a nonzero residual
     is a report outcome, not an error, so perturbed coefficients can be
     checked as negative controls.
@@ -434,11 +423,9 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
                 cj = factor(n - m, m)
                 k, wm = cleared[m]
                 if cj and wm:
-                    terms.append((cj._k * k, _iconv(_iconv(cj._p, wm), powers.cofactor(g[n], g[m]))))
+                    terms.append((cj._k * k, (cj._p, wm, powers.cofactor(g[n], g[m]))))
             scale = lcm(*(k.denominator for k, _ in terms))
-            h: list[int] = []
-            for k, v in terms:
-                _iaxpy(h, k.numerator * (scale // k.denominator), v)
+            h = _isumprod([(k.numerator * (scale // k.denominator), fs) for k, fs in terms])
             coeffs.append(powers.peel(h, (scale * g[n][0], g[n][1])))
     coeffs = tuple(coeffs)
     first = next((n for n, cval in enumerate(coeffs) if cval), None)

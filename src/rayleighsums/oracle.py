@@ -17,8 +17,11 @@ Symbolic Bessel and Mercer series are divided on integer polynomials.
 Their coefficients are d_k = N_k / G_k with G_k = 4^k k! (nu+1)_k and a
 polynomial N_k: N_k = (-1)^k for Bessel, N_k = (-1)^k [a (2k+nu)(2k+nu-1)
 + b (2k+nu) + c] for Mercer, so d_0 = N_0 = a nu^2 + (b-a) nu + c. The
-numerators are read off the given series and brought to one integer
-scale (which leaves the quotient y'/y unchanged).
+series builders write each d_k in canonical form with no gcd, by peeling
+the factors (nu+j) of G_k off N_k (N_k(-j) = d_0(2k-j), so a factor
+cancels only where d_0 has a root at a positive integer). The divider
+reads the numerators off the given series and brings them to one
+integer scale (which leaves the quotient y'/y unchanged).
 
 *Denominator.* Expanding 1/y in powers of (y - d_0)/d_0, the quotient
 h = -t y'/y has h_n = sum over compositions k_1 + ... + k_r = n (r <= n)
@@ -36,10 +39,18 @@ and no denominator with the table builders.
 
 where H'_m = H_m for m >= 1 and H'_0 = n (the k = n term is the
 numerator n d_n of -t y'). C_{n,k} = binom(n,k) d_0^(k-1) prod_j
-(nu+j)^(floor(n/j) - floor((n-k)/j) - [j<=k]); ``FactorPowers.cofactor``
-builds it from the factored denominators and refuses a negative exponent
-or a fractional scale, so a wrong E_n fails loudly instead of giving a
-wrong value.
+(nu+j)^(floor(n/j) - floor((n-k)/j) - [j<=k]). Along a row it is walked:
+
+    C_{n,k+1} = C_{n,k} * (E_{n-k} d_0^(n-k) / (E_{n-k-1} d_0^(n-k-1)))
+                        / (G_{k+1} / G_k),
+
+which adds a factor d_0, the divisor product prod_{j | n-k} (nu+j) and
+the binomial scale (n-k)/(k+1), and removes nu + k + 1.
+``ratfunc.CofactorWalk`` takes each step from the declared factored
+denominators E_m d_0^m and G_k, not from this formula, and refuses a
+negative exponent or a fractional scale, so a wrong E_n fails loudly
+instead of giving a wrong value. Each H_n is one call of the packed
+kernel ``poly._isumprod``.
 
 *Reduction.* d_0 is split once into irreducible factors over Q (a
 quadratic splits when its discriminant is a square); a factor equal to
@@ -60,8 +71,8 @@ from typing import Union
 from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
-from .poly import _iaxpy, _iconv
-from .ratfunc import FactorPowers, RatFuncNu, factor_quadratic
+from .poly import _isumprod
+from .ratfunc import FactorPowers, factor_quadratic
 from .rational import count, exact
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable
@@ -89,12 +100,22 @@ class OracleSeries:
     note: str = ""
 
 
+def _symbolic_coeffs(nums, scale: int) -> list:
+    """nums[n] / (scale G_n) for integer polynomials nums[n], canonical by
+    construction: each factor (nu+j) of G_n is peeled off nums[n] while it
+    divides, so no gcd is taken."""
+    powers = FactorPowers()
+    den = [(scale * s, exps) for s, exps in map(_coefficient_den, range(len(nums)))]
+    return [powers.peel(nums[0], den[0])] + powers.peel_table(nums, den, powers.steps(den))
+
+
 def _bessel_coeffs(nu: NuMode, order: int) -> list:
     """g_n = (-1)^n / (4^n n! (nu+1)(nu+2)...(nu+n)), exactly."""
-    x = RatFuncNu.NU if nu == "symbolic" else nu
-    g = [RatFuncNu.ONE if nu == "symbolic" else Fraction(1)]
+    if nu == "symbolic":
+        return _symbolic_coeffs([((-1) ** n,) for n in range(order + 1)], 1)
+    g = [Fraction(1)]
     for n in range(1, order + 1):
-        shifted = x + n
+        shifted = nu + n
         if not shifted:
             raise PoleError(
                 f"series coefficient {n} divides by (nu + {n}) = 0 at nu = {nu}",
@@ -132,13 +153,21 @@ def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
     d_0 = a nu^2 + (b-a) nu + c must not vanish.
     """
     order = count(order, "order", 0)
-    g = _bessel_coeffs(params.nu, order)
-    x = RatFuncNu.NU if params.symbolic else Fraction(params.nu)
-    a, b, c = params.a, params.b, params.c
-    coeffs = []
-    for n, gn in enumerate(g):
-        m = 2 * n + x
-        coeffs.append((a * m * (m - 1) + b * m + c) * gn)
+    if params.symbolic:
+        # (-1)^n L N_n, with (a, b, c) scaled to integers by L.
+        scale = lcm(*(v.denominator for v in (params.a, params.b, params.c)))
+        a, b, c = (int(v * scale) for v in (params.a, params.b, params.c))
+        nums = [
+            tuple((-1) ** n * v for v in (2 * n * (a * (2 * n - 1) + b) + c, a * (4 * n - 1) + b, a))
+            for n in range(order + 1)
+        ]
+        coeffs = _symbolic_coeffs(nums, scale)
+    else:
+        x, a, b, c = Fraction(params.nu), params.a, params.b, params.c
+        coeffs = []
+        for n, gn in enumerate(_bessel_coeffs(params.nu, order)):
+            m = 2 * n + x
+            coeffs.append((a * m * (m - 1) + b * m + c) * gn)
     if not coeffs[0]:
         raise DegenerateParametersError(
             "constant term a*nu^2 + (b-a)*nu + c vanishes; "
@@ -223,16 +252,18 @@ def _integer_sums(coeffs):
     if d0 is None:
         return None
     den = [_oracle_den(n, d0) for n in range(order + 1)]
+    den_steps, g_steps = powers.steps(den), powers.steps(g)
     scaled = [None]
     for n in range(1, order + 1):
-        acc: list[int] = []
+        walk = powers.walk(den[n], den[n - 1], g[1], d0)
+        terms = []
         for k in range(1, n + 1):
-            if num[k]:
-                cof = powers.cofactor(den[n], den[n - k], g[k], d0)
-                prev = scaled[n - k] if k < n else (n,)
-                _iaxpy(acc, -1, _iconv(_iconv(num[k], cof), prev))
-        scaled.append(tuple(acc))
-    return tuple(powers.peel(scaled[n], den[n]) for n in range(1, order + 1))
+            if k > 1:
+                walk.step(den_steps[n - k + 1], g_steps[k])
+            prev = scaled[n - k] if k < n else (n,)
+            terms.append((-walk.scale, (num[k], walk.poly, prev)))
+        scaled.append(_isumprod(terms))
+    return tuple(powers.peel_table(scaled, den, den_steps))
 
 
 def chf_series(params: ChfParams, order: int) -> OracleSeries:

@@ -24,6 +24,14 @@ That split is unique, so ``==`` and ``hash`` compare the pair and
 
 The rational coefficients (``coeffs``, ``coeff``, ``leading``) are
 materialized only on demand, for rendering and serialization.
+
+The fraction-free tables work on bare integer coefficient tuples with the
+helpers below. ``_isumprod`` is their one sum-of-products kernel: it
+computes sum w * f_1 * ... * f_r by signed Kronecker substitution
+(Harvey, J. Symb. Comput. 2009). The rigorous bound B = sum |w| prod
+||f_i||_1 on every coefficient fixes the slot width, with one bit more
+for the sign; each operand is packed into one int once, the products are
+multiplied and added as ints, and the sum is unpacked once.
 """
 
 from __future__ import annotations
@@ -76,6 +84,11 @@ def _ipoly_gcd(u, v):
 
 def _iconv(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """Coefficients of the product of two nonzero integer polynomials."""
+    if len(u) == 2:
+        u, v = v, u
+    if len(v) == 2 and u:  # a linear factor: one pass over u
+        c0, c1 = v
+        return (c0 * u[0], *[c0 * a + c1 * b for a, b in zip(u[1:], u)], c1 * u[-1])
     out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
         if ui:
@@ -84,12 +97,50 @@ def _iconv(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _iaxpy(acc: list[int], w: int, v: tuple[int, ...]) -> None:
-    """acc += w * v in place, for integer coefficient sequences."""
-    if len(acc) < len(v):
-        acc.extend([0] * (len(v) - len(acc)))
-    for i, c in enumerate(v):
-        acc[i] += w * c
+def _isumprod(terms) -> tuple[int, ...]:
+    """Coefficients of sum w * f_1 * ... * f_r over a list of terms (w,
+    (f_1, ..., f_r)), for an int w and integer coefficient sequences f_i.
+
+    Signed Kronecker substitution: every result coefficient and every
+    operand coefficient is at most B = sum |w| prod ||f_i||_1 in absolute
+    value, so with 2^(b-1) > B an operand f becomes the integer f(2^b),
+    packed from the slots f_i + 2^(b-1) minus the offset sum 2^(b-1+bi).
+    Each distinct operand is packed once; the terms are multiplied and
+    added as ints, and the sum, plus the offset, unpacked once. The
+    result has its trailing zeros stripped.
+    """
+    ops = {id(f): f for _, fs in terms for f in fs}
+    norm = {i: sum(map(abs, f)) for i, f in ops.items()}
+    live, bound, size = [], 0, 0
+    for w, fs in terms:
+        m = abs(w)
+        for f in fs:
+            m *= norm[id(f)]
+        if m:  # a zero weight or a zero operand drops the term
+            live.append((w, fs))
+            bound += m
+            size = max(size, sum(map(len, fs)) - len(fs) + 1)
+    if not bound:
+        return ()
+    nb = (bound.bit_length() + 8) // 8  # bytes per slot: 8 nb > bits of B
+    half = 1 << (8 * nb - 1)
+    slot = half.to_bytes(nb, "little")
+    packed = {}
+    for w, fs in live:
+        for f in fs:
+            if id(f) not in packed:
+                raw = b"".join([(c + half).to_bytes(nb, "little") for c in f])
+                packed[id(f)] = int.from_bytes(raw, "little") - int.from_bytes(slot * len(f), "little")
+    total = int.from_bytes(slot * size, "little")
+    for w, fs in live:
+        for f in fs:
+            w *= packed[id(f)]
+        total += w
+    raw = total.to_bytes(nb * size, "little")
+    out = [int.from_bytes(raw[i : i + nb], "little") - half for i in range(0, nb * size, nb)]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
 
 
 def _ilongdiv(r: list[int], v: tuple[int, ...]):
@@ -100,6 +151,13 @@ def _ilongdiv(r: list[int], v: tuple[int, ...]):
     """
     dv = len(v) - 1
     lv = v[-1]
+    if dv == 1 and lv == 1 and len(r) > 1:  # synthetic division by nu + c
+        c, acc = v[0], 0
+        q = [0] * (len(r) - 1)
+        for i in range(len(r) - 1, 0, -1):
+            acc = q[i - 1] = r[i] - c * acc
+        r[:] = [r[0] - c * acc] if r[0] != c * acc else []
+        return q
     q = [0] * max(len(r) - dv, 0)
     while r and len(r) - 1 >= dv:
         f, rem = divmod(r[-1], lv)

@@ -11,11 +11,16 @@ gcds in place of one of the full products.
 
 ``FactorPowers`` serves the recurrences whose denominators are known a
 priori as products of powers of fixed factors: the symbolic sigma and tau
-tables, the symbolic Bessel and Mercer series oracle and the symbolic ODE
-residual. They run on integer coefficient tuples and reduce each entry by
-peeling those factors off the numerator, with no polynomial gcd.
-``factor_quadratic`` splits the quadratic d_0 they share into such
-factors. The remaining symbolic arithmetic (``FormalSeries`` products and
+tables, the symbolic Bessel and Mercer series and their oracle, and the
+symbolic ODE residual. They run on integer coefficient tuples and reduce
+each entry by peeling those factors off the numerator, with no polynomial
+gcd. Consecutive cofactors of one table row differ by a few small
+factors, so ``CofactorWalk`` steps them along the row from the declared
+factored denominators (multiply by the new factors, divide exactly by
+the old ones) instead of rebuilding each from its exponent map; every
+step checks the scale and the exponents, so a wrong a-priori denominator
+still fails loudly. ``factor_quadratic`` splits the quadratic d_0 they
+share into such factors. The remaining symbolic arithmetic (``FormalSeries`` products and
 ``series_divide`` on bare symbolic series) uses the operators here.
 
 ``PolyNu`` stores content and primitive part apart, so the
@@ -30,12 +35,12 @@ from math import isqrt
 from typing import Union
 
 from .errors import ConsistencyError, PoleError, ZeroDenominatorError
-from .poly import PolyNu, _iconv, _ihorner, _ilongdiv, _iprimitive, _split
+from .poly import PolyNu, _iconv, _ilongdiv, _iprimitive, _split
 from .rational import exact
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["RatFuncNu", "FactorPowers", "factor_quadratic", "normalize", "eval_at"]
+__all__ = ["RatFuncNu", "FactorPowers", "CofactorWalk", "factor_quadratic", "normalize", "eval_at"]
 
 
 class RatFuncNu:
@@ -228,22 +233,21 @@ class FactorPowers:
 
     - ``cofactor`` turns a quotient of factored values into an integer
       polynomial and refuses one that is not;
+    - ``walk`` does the same for the first cofactor of a table row and
+      steps it along the row (``CofactorWalk``);
     - ``clear`` multiplies a ``RatFuncNu`` by a factored value;
     - ``peel`` divides an integer numerator by a factored value into
-      canonical form with no gcd.
+      canonical form with no gcd, and ``peel_table`` does so for a whole
+      table over denominator products stepped along it.
 
-    Powers of the factors are cached per instance, and so is the last
-    product: a table asks for products whose exponent maps differ little
-    from one call to the next, and ``product`` then updates the last one
-    (exact divisions, then multiplications) instead of rebuilding it. Use
-    one instance per table.
+    Powers of the factors are cached per instance; use one instance per
+    table.
     """
 
-    __slots__ = ("_powers", "_last")
+    __slots__ = ("_powers",)
 
     def __init__(self):
         self._powers: dict = {}
-        self._last = ({}, (1,))
 
     def _power(self, f, e: int) -> tuple[int, ...]:
         pw = self._powers.setdefault(f, [(1,)])
@@ -253,28 +257,16 @@ class FactorPowers:
 
     def product(self, exps) -> tuple[int, ...]:
         """prod f^e as an integer tuple; every exponent must be >= 0."""
+        out = (1,)
         for f, e in exps.items():
-            if e < 0:
-                raise ConsistencyError(
-                    f"factor {f} has exponent {e}: the a-priori denominator "
-                    "does not clear the recurrence"
-                )
-        last_exps, out = self._last
-        delta = {f: exps.get(f, 0) - last_exps.get(f, 0) for f in exps.keys() | last_exps.keys()}
-        # Degrees moved by an update against the degree of a rebuild.
-        if sum(abs(d) * (len(f) - 1) for f, d in delta.items()) >= sum(
-            e * (len(f) - 1) for f, e in exps.items()
-        ):
-            out, delta = (1,), exps
-        for f, d in delta.items():
-            if d < 0:
-                rem = list(out)
-                out = tuple(_ilongdiv(rem, self._power(f, -d)))
-        for f, d in delta.items():
-            if d > 0:
-                out = _iconv(out, self._power(f, d))
-        self._last = (dict(exps), out)
+            _check_exponent(f, e)
+            if e:
+                out = _iconv(out, self._power(f, e))
         return out
+
+    def walk(self, top, *bottoms) -> "CofactorWalk":
+        """The cofactor ``top / prod(bottoms)``, ready to step along a row."""
+        return CofactorWalk(self, top, bottoms)
 
     def cofactor(self, top, *bottoms) -> tuple[int, ...]:
         """``top / prod(bottoms)`` for factored values, as an integer tuple.
@@ -283,17 +275,22 @@ class FactorPowers:
         polynomial: each bottom scale must divide and no exponent may go
         negative.
         """
-        scale, exps = top[0], dict(top[1])
-        for s, ex in bottoms:
-            scale, rem = divmod(scale, s)
-            if rem:
-                raise ConsistencyError(
-                    f"scale {s} does not divide the a-priori denominator"
-                )
-            for f, e in ex.items():
+        w = self.walk(top, *bottoms)
+        return tuple(w.scale * c for c in w.poly) if w.scale != 1 else w.poly
+
+    @staticmethod
+    def steps(den) -> list:
+        """``[None, den[1] / den[0], den[2] / den[1], ...]`` for a list of
+        factored values, each quotient a step ``(scale, exps)`` with a
+        ``Fraction`` scale and only the nonzero exponent changes, which may
+        be negative."""
+        out = [None]
+        for a, b in zip(den[1:], den):
+            exps = dict(a[1])
+            for f, e in b[1].items():
                 exps[f] = exps.get(f, 0) - e
-        out = self.product(exps)
-        return tuple(scale * c for c in out) if scale != 1 else out
+            out.append((Fraction(a[0], b[0]), {f: e for f, e in exps.items() if e}))
+        return out
 
     def clear(self, r: "RatFuncNu", den):
         """``r * den`` as ``(content, integer tuple)``, or None when r's
@@ -306,14 +303,16 @@ class FactorPowers:
             return None
         return r.num._k * den[0], _iconv(r.num._p, tuple(quo))
 
-    def peel(self, h, den) -> "RatFuncNu":
+    def peel(self, h, den, full=None) -> "RatFuncNu":
         """Canonical ``h / den`` for an integer coefficient sequence h.
 
         Each factor of ``den`` is divided out of h while its exponent
-        allows and it divides h: a linear factor c0 + c1*nu when
-        h(-c0/c1) = 0 by integer Horner, any other one on a trial
-        division. The factors must be irreducible and pairwise coprime;
-        what stays in the denominator is then coprime to h.
+        allows and a trial division leaves no remainder (for nu + c that
+        is one synthetic-division pass, the cost of a Horner test). The
+        factors must be irreducible and pairwise coprime; what stays in
+        the denominator is then coprime to h. ``full``, when given, is
+        prod f^e over den's factors; the denominator left is then
+        ``full`` divided exactly by the factors peeled, not rebuilt.
         """
         scale, exps = den
         h = list(h)
@@ -321,19 +320,101 @@ class FactorPowers:
             h.pop()
         if not h:
             return RatFuncNu.ZERO
-        rest = {}
+        rest, peeled = {}, {}
         for f, e in exps.items():
-            while e and h:
-                if len(f) == 2 and _ihorner(h, -f[0], f[1]):
-                    break
+            k = 0
+            while k < e:
                 r = list(h)
                 q = _ilongdiv(r, f)
                 if q is None or r:
                     break
-                h, e = q, e - 1
-            rest[f] = e
+                h, k = q, k + 1
+            rest[f], peeled[f] = e - k, k
+        if full is None:
+            left = self.product(rest)
+        else:
+            r = list(full)
+            left = tuple(_ilongdiv(r, self.product(peeled)))
+            if r:
+                raise ConsistencyError("the full product is not prod f^e over the denominator")
         num = PolyNu._make(*_split(1, scale, h))
-        return RatFuncNu._from_coprime(num, PolyNu._make(Fraction(1), self.product(rest)))
+        return RatFuncNu._from_coprime(num, PolyNu._make(Fraction(1), left))
+
+    def peel_table(self, nums, den, steps) -> list:
+        """``peel(nums[n], den[n])`` for n = 1 .. len(den) - 1, with
+        ``steps = FactorPowers.steps(den)``: the products of the den[n] are
+        stepped from den[0] along the table instead of rebuilt."""
+        full = self.walk(den[0])
+        out = []
+        for n in range(1, len(den)):
+            full.step(steps[n], (1, {}))
+            out.append(self.peel(nums[n], den[n], full.poly))
+        return out
+
+
+def _check_exponent(f, e: int) -> None:
+    if e < 0:
+        raise ConsistencyError(
+            f"factor {f} has exponent {e}: the a-priori denominator "
+            "does not clear the recurrence"
+        )
+
+
+class CofactorWalk:
+    """The cofactors ``top / prod(bottoms)`` along one table row.
+
+    Consecutive cofactors of a row differ by a few small factors: moving
+    one bottom from the declared value b to b' multiplies the cofactor by
+    b / b'. ``step(up, down)`` multiplies by the quotient of two steps
+    from ``FactorPowers.steps``. It updates the integer ``scale`` and the
+    touched exponents only, refuses a fractional scale or a negative
+    exponent, and divides the polynomial ``poly`` (``prod f^e``) exactly;
+    a remainder raises ``ConsistencyError``. A wrong a-priori denominator
+    therefore fails here as it does in ``FactorPowers.cofactor``, and
+    ``scale * poly`` is the cofactor at every step.
+    """
+
+    __slots__ = ("_exps", "scale", "poly")
+
+    def __init__(self, powers: FactorPowers, top, bottoms):
+        scale, exps = top[0], dict(top[1])
+        for s, ex in bottoms:
+            scale, rem = divmod(scale, s)
+            if rem:
+                raise ConsistencyError(
+                    f"scale {s} does not divide the a-priori denominator"
+                )
+            for f, e in ex.items():
+                exps[f] = exps.get(f, 0) - e
+        self._exps, self.scale, self.poly = exps, scale, powers.product(exps)
+
+    def step(self, up, down) -> None:
+        """Multiply the cofactor by ``up / down``."""
+        if up[0] != down[0]:
+            scale = Fraction(self.scale) * up[0] / down[0]
+            if scale.denominator != 1:
+                raise ConsistencyError(
+                    f"cofactor scale {scale} is not an integer: the a-priori "
+                    "denominator does not clear the recurrence"
+                )
+            self.scale = scale.numerator
+        delta = dict(up[1])
+        for f, e in down[1].items():
+            delta[f] = delta.get(f, 0) - e
+        exps, poly = self._exps, self.poly
+        for f, d in delta.items():
+            if d:
+                e = exps[f] = exps.get(f, 0) + d
+                _check_exponent(f, e)
+            for _ in range(-d):
+                rem = list(poly)
+                quo = _ilongdiv(rem, f)
+                if quo is None or rem:
+                    raise ConsistencyError(f"factor {f} does not divide the cofactor")
+                poly = tuple(quo)
+            for _ in range(d):
+                poly = _iconv(poly, f)
+        self.poly = poly
 
 
 def factor_quadratic(p):

@@ -19,10 +19,17 @@ Symbolic nu runs on integer polynomials. With D_n = prod_{j<=n}
 where w_k is 2 off the centre and 1 at it, and R_{n,k} = D_n / ((nu+n)
 D_k D_{n-k}) has exponents floor(n/j) - floor(k/j) - floor((n-k)/j) -
 [j = n] >= 0 (at j = n they are 1 - 0 - 0 - 1). By induction every S_n
-is an integer polynomial; ``FactorPowers.cofactor`` builds each R_{n,k}
-from the exponent maps and refuses a negative exponent, so a wrong D_n
-fails loudly. Each entry is S_n / (4^n D_n), reduced by peeling the
-linear factors (nu+j) with integer Horner tests instead of a gcd.
+is an integer polynomial. Along a row the cofactors are walked, not
+rebuilt: with Pi(m) = D_m / D_{m-1} = prod_{j | m} (nu+j),
+
+    R_{n,k+1} = R_{n,k} Pi(n-k) / Pi(k+1),
+
+and ``ratfunc.CofactorWalk`` takes each step from the declared factored
+denominators. It refuses a negative exponent and divides exactly, so a
+wrong D_n fails loudly. Each row is one call of the packed kernel
+``poly._isumprod``. Each entry is S_n / (4^n D_n), reduced by peeling
+the linear factors (nu+j) instead of a gcd, over products of D_n stepped
+along the table.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from typing import ClassVar, Union
 
 from ._accumulate import self_convolution
 from .errors import PoleError
-from .poly import _iaxpy, _iconv
+from .poly import _isumprod
 from .ratfunc import FactorPowers
 from .rational import count, exact
 
@@ -71,18 +78,27 @@ def _denominator(n: int):
     return 4**n, {(j, 1): n // j for j in range(1, n + 1)}
 
 
+def _convolution_row(powers, den, steps, scaled, n: int) -> tuple[int, ...]:
+    """sum_{k<=n/2} w_k R_{n,k} S_k S_{n-k} for the numerators S_m over the
+    factored denominators den[m], with R_{n,k} = den[n] / ((nu+n) den[k]
+    den[n-k]) and steps[m] = den[m] / den[m-1]."""
+    walk = powers.walk(den[n], (1, {(n, 1): 1}), den[1], den[n - 1])
+    terms = []
+    for k in range(1, n // 2 + 1):
+        if k > 1:
+            walk.step(steps[n - k + 1], steps[k])
+        terms.append((walk.scale * (2 if 2 * k < n else 1), (walk.poly, scaled[k], scaled[n - k])))
+    return _isumprod(terms)
+
+
 def _symbolic_entries(order: int) -> list:
     powers = FactorPowers()
     den = [_denominator(n) for n in range(order + 1)]
+    steps = powers.steps(den)
     scaled = [None, (1,)]
     for n in range(2, order + 1):
-        pivot = (1, {(n, 1): 1})
-        acc: list[int] = []
-        for k in range(1, n // 2 + 1):
-            r = powers.cofactor(den[n], den[k], den[n - k], pivot)
-            _iaxpy(acc, 2 if 2 * k < n else 1, _iconv(_iconv(r, scaled[k]), scaled[n - k]))
-        scaled.append(tuple(acc))
-    return [powers.peel(scaled[n], den[n]) for n in range(1, order + 1)]
+        scaled.append(_convolution_row(powers, den, steps, scaled, n))
+    return powers.peel_table(scaled, den, steps)
 
 
 def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:

@@ -171,3 +171,25 @@ def test_rational_literals_reject_underscores(capsys):
     assert parse_rational("1000") == 1000 and parse_rational("-3/10") == F(-3, 10)
     code, out, _ = invoke(["sums", "sigma", "--order", "2", "--nu", "1_000"])
     assert code == 2 and not out and "'1_000' is not an integer" in capsys.readouterr().err
+
+
+def test_zeros_mercer_names_the_real_zeros_flag():
+    args = ["zeros", "--family", "mercer", "--nu", "1", "--count", "1", "--a", "0", "--b", "1", "--c", "0"]
+    code, out, err = invoke(args)
+    assert code == 2 and not out
+    assert "--assert-real-zeros" in err and "assert_real_zeros=True" not in err
+    code, out, _ = invoke(args + ["--assert-real-zeros", "--format", "json"])
+    assert code == 0 and json.loads(out)["zeros"][0]["k"] == 1
+
+
+@pytest.mark.parametrize(
+    "family_args",
+    [["--family", "tau", "--a", "1", "--b", "2", "--c", "3", "--nu", "1/2"], ["--family", "chf", "--a", "-2", "--b", "5/3"]],
+)
+def test_bounds_tau_and_chf_name_the_real_zeros_flag(family_args):
+    args = ["bounds", *family_args, "--order", "2"]
+    code, out, err = invoke(args)
+    assert code == 2 and not out
+    assert "--assert-real-zeros" in err and "assert_real_zeros=True" not in err
+    code, out, _ = invoke(args + ["--assert-real-zeros"])
+    assert code == 0 and out.startswith("n = 2: lower root bound in [")

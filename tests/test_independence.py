@@ -1,7 +1,8 @@
 """The series oracle and the recurrences stay separate computations.
 
 They may share low-level arithmetic (PolyNu, RatFuncNu, FactorPowers,
-factor_quadratic), but the oracle must not use a recurrence or a
+CofactorWalk, factor_quadratic, the packed sum-of-products kernel), but the
+oracle must not use a recurrence, a recurrence's row walk or a
 recurrence-derived denominator, and the tau recurrence must not use the
 oracle's division or its denominator, or the cross-check becomes circular.
 """
@@ -21,6 +22,8 @@ RECURRENCE_NAMES = {
     "self_convolution",
     sigma._denominator.__name__,
     mercer._tau_denominator.__name__,
+    # The sigma and tau row walk: sum_k w_k R_{n,k} S_k S_{n-k}.
+    sigma._convolution_row.__name__,
 }
 
 # The oracle's division and denominator; the recurrence modules must not
@@ -77,6 +80,8 @@ def test_guards_catch_a_violation():
     assert "self_convolution" in _names("from ._accumulate import self_convolution")
     assert "_denominator" in _names("from . import sigma\nsigma._denominator(3)")
     assert "_tau_denominator" in _names("from .mercer import _tau_denominator")
+    assert "_convolution_row" in _names("from .sigma import _convolution_row")
+    assert "_convolution_row" in _names("from . import sigma\nsigma._convolution_row(p, d, s, v, 4)")
     assert "_integer_sums" in _names("from .oracle import _integer_sums")
     assert "_oracle_den" in _names("from . import oracle\noracle._oracle_den(3, d0)")
     assert "oracle" in _imported_modules("from .oracle import bessel_t_series")

@@ -248,3 +248,46 @@ def test_a_denominator_scale_too_small_fails_loudly(monkeypatch):
 
 def test_integer_oracle_at_order_40_matches_recurrence():
     assert genus0_sums_from_series(bessel_t_series("symbolic", 40), 40).entries == sigma_table(40).entries
+
+
+def _operator_bessel_coeffs(order):
+    """g_n = -g_{n-1} / (4 n (nu+n)) in RatFuncNu operators, reduced by gcds."""
+    g = [RatFuncNu.ONE]
+    for n in range(1, order + 1):
+        g.append(-g[-1] / (4 * n * (RatFuncNu.NU + n)))
+    return g
+
+
+def test_symbolic_bessel_coefficients_are_canonical_without_gcds():
+    got = bessel_t_series("symbolic", 24).series.coeffs
+    want = _operator_bessel_coeffs(24)
+    assert got == tuple(want)
+    assert [hash(c) for c in got] == [hash(c) for c in want]
+
+
+# N_n(-j) = d_0(2n - j), so with d_0 = (nu - 3)(nu + 1) the factor nu + j of
+# (nu+1)_n cancels at (n, j) = (2, 1) and (3, 3).
+@pytest.mark.parametrize("abc", [(1, 2, 3), (1, 5, 3), (4, 16, 5), (1, -1, -3), (F(1, 2), F(-1, 3), 2)])
+def test_symbolic_mercer_coefficients_are_canonical_without_gcds(abc):
+    a, b, c = abc
+    x = RatFuncNu.NU
+    want = []
+    for n, gn in enumerate(_operator_bessel_coeffs(16)):
+        m = 2 * n + x
+        want.append((a * m * (m - 1) + b * m + c) * gn)
+    got = mercer_t_series(derive_pqr(*abc), 16).series.coeffs
+    assert got == tuple(want)
+    assert [hash(v) for v in got] == [hash(v) for v in want]
+    # Every denominator is what is left of (nu+1)_n after the peel, so
+    # numerator and denominator share no root.
+    for v in got:
+        assert PolyNu.gcd(v.num, v.den).degree == 0
+
+
+def test_symbolic_series_take_no_polynomial_gcd(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("PolyNu.gcd called")
+
+    monkeypatch.setattr(PolyNu, "gcd", staticmethod(refuse))
+    bessel_t_series("symbolic", 12)
+    mercer_t_series(derive_pqr(1, -1, -3), 12)

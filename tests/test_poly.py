@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rayleighsums import InvalidParameterError, PolyNu
+from rayleighsums.poly import _isumprod
 
 from _util import INEXACT
 
@@ -202,3 +203,73 @@ def test_bool_operand_refused():
         with pytest.raises(InvalidParameterError, match="operand"):
             op()
     assert p * 2 == 2 * p == PolyNu([2, 2])
+
+
+def _ref_iconv(u, v):
+    out = [0] * (len(u) + len(v) - 1)
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            out[i + j] += ui * vj
+    return out
+
+
+def _ref_iaxpy(acc, w, v):
+    acc.extend([0] * (len(v) - len(acc)))
+    for i, c in enumerate(v):
+        acc[i] += w * c
+
+
+def _ref_sumprod(terms):
+    """Schoolbook sum of w * f_1 * ... * f_r, trailing zeros stripped."""
+    acc = []
+    for w, fs in terms:
+        prod = [1]
+        for f in fs:
+            prod = _ref_iconv(prod, f) if f else []
+        _ref_iaxpy(acc, w, prod)
+    while acc and not acc[-1]:
+        acc.pop()
+    return tuple(acc)
+
+
+# Coefficients near powers of two, so that packed slots sit at the edges of
+# their width, mixed with small and zero ones.
+_edge_coeffs = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda k, d, s: s * (2**k + d), st.integers(1, 200), st.integers(-2, 2), st.sampled_from([1, -1])),
+)
+_operands = st.lists(_edge_coeffs, min_size=0, max_size=6).map(tuple)
+_terms = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-5, 5), st.builds(lambda k, s: s * 2**k, st.integers(0, 300), st.sampled_from([1, -1]))),
+        st.lists(_operands, min_size=0, max_size=3).map(tuple),
+    ),
+    min_size=0,
+    max_size=5,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(terms=_terms, share=st.booleans())
+def test_packed_sum_of_products_matches_schoolbook(terms, share):
+    if share and terms and terms[0][1]:
+        # Reuse one operand object across terms, as the table rows do.
+        f = terms[0][1][0]
+        terms = [(w, (f,) + fs[1:]) if fs else (w, fs) for w, fs in terms]
+    assert _isumprod(terms) == _ref_sumprod(terms)
+
+
+def test_packed_sum_of_products_edges():
+    big = 2**64
+    assert _isumprod([]) == ()
+    assert _isumprod([(0, ((1, 2),))]) == ()
+    assert _isumprod([(3, ())]) == (3,)  # no factors: the constant w
+    assert _isumprod([(1, ((5,), (0, 0)))]) == ()  # a zero operand
+    assert _isumprod([(1, ((1, 1),)), (-1, ((1, 1),))]) == ()  # cancellation
+    # Bounds whose bit length is a multiple of 8 need the next byte for the
+    # sign, and the slot edges are hit from both sides.
+    for c in (2**63, -(2**63), 2**63 - 1, 255, -256):
+        assert _isumprod([(1, ((c,),))]) == (c,)
+        assert _isumprod([(1, ((c, 0, -c),))]) == (c, 0, -c)
+    assert _isumprod([(1, ((big - 1, -(big - 1)),))]) == (big - 1, -(big - 1))
+    assert _isumprod([(-1, ((-big,), (big, 1)))]) == (big * big, big)

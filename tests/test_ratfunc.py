@@ -154,7 +154,7 @@ def _poly(exps, scale=1):
 @settings(deadline=None, max_examples=60)
 @given(maps=st.lists(exponent_maps, min_size=1, max_size=6))
 def test_factor_powers_product_matches_plain_powers(maps):
-    # One instance across the sequence, so later products update the last.
+    # One instance across the sequence, so later products reuse cached powers.
     powers = FactorPowers()
     for exps in maps:
         assert PolyNu(list(powers.product(exps))) == _poly(exps)
