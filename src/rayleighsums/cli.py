@@ -217,17 +217,6 @@ def _make_table(ns, order: int):
     return s_table(ChfParams(ns.a, ns.b), order)
 
 
-def _require_real_zeros(ns, reason: str) -> None:
-    """Refuse a family whose zeros are not certified real unless
-    --assert-real-zeros is given; checked here so that the message names
-    the flag rather than the library's keyword argument."""
-    if not ns.assert_real_zeros:
-        raise InvalidParameterError(
-            f"{ns.command} --family {ns.family}: {reason}; "
-            "pass --assert-real-zeros to proceed"
-        )
-
-
 def _cmd_sums(ns, out) -> int:
     _print_table(_make_table(ns, ns.order), ns, out)
     return 0
@@ -240,8 +229,6 @@ def _cmd_bounds(ns, out) -> int:
         raise InvalidParameterError("bounds need a fixed rational --nu")
     n = ns.order
     table = _make_table(ns, n + 1)
-    if ns.family != "sigma":
-        _require_real_zeros(ns, "this family does not certify real positive zeros")
     bracket = euler_rayleigh(
         table, n, root_width=ns.root_width, assert_real_zeros=ns.assert_real_zeros
     )
@@ -279,7 +266,6 @@ def _cmd_zeros(ns, out) -> int:
         _require(ns, ("a", "b", "c"))
         if ns.nu == "symbolic":
             raise InvalidParameterError("zeros need a fixed rational --nu")
-        _require_real_zeros(ns, "combined-function zeros are not guaranteed real")
         params = derive_pqr(ns.a, ns.b, ns.c, ns.nu)
     if ns.nu == "symbolic":
         raise InvalidParameterError("zeros need a fixed rational --nu")
@@ -386,6 +372,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except _MATH_ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 3
+    except RegimeError as exc:  # the library names its keyword; the CLI has a flag
+        print(f"error: {exc}".replace("assert_real_zeros=True", "--assert-real-zeros"), file=err)
+        return 2
     except _PARAM_ERRORS as exc:
         print(f"error: {exc}", file=err)
         return 2

@@ -72,7 +72,7 @@ from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
 from .poly import _isumprod
-from .ratfunc import FactorPowers, factor_quadratic
+from .ratfunc import CofactorWalk, FactorPowers, factor_quadratic
 from .rational import count, exact
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable
@@ -255,7 +255,7 @@ def _integer_sums(coeffs):
     den_steps, g_steps = powers.steps(den), powers.steps(g)
     scaled = [None]
     for n in range(1, order + 1):
-        walk = powers.walk(den[n], den[n - 1], g[1], d0)
+        walk = CofactorWalk(powers, den[n], [den[n - 1], g[1], d0])
         terms = []
         for k in range(1, n + 1):
             if k > 1:

@@ -20,8 +20,9 @@ factored denominators (multiply by the new factors, divide exactly by
 the old ones) instead of rebuilding each from its exponent map; every
 step checks the scale and the exponents, so a wrong a-priori denominator
 still fails loudly. ``factor_quadratic`` splits the quadratic d_0 they
-share into such factors. The remaining symbolic arithmetic (``FormalSeries`` products and
-``series_divide`` on bare symbolic series) uses the operators here.
+share into such factors. The remaining symbolic arithmetic
+(``FormalSeries`` products and ``series_divide`` on bare symbolic series)
+uses the operators here.
 
 ``PolyNu`` stores content and primitive part apart, so the
 ``primitive()`` splits done here are free and the scalar rescalings touch
@@ -40,7 +41,7 @@ from .rational import exact
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["RatFuncNu", "FactorPowers", "CofactorWalk", "factor_quadratic", "normalize", "eval_at"]
+__all__ = ["RatFuncNu", "FactorPowers", "factor_quadratic", "normalize", "eval_at"]
 
 
 class RatFuncNu:
@@ -232,9 +233,9 @@ class FactorPowers:
     priori run on integer numerators over such values:
 
     - ``cofactor`` turns a quotient of factored values into an integer
-      polynomial and refuses one that is not;
-    - ``walk`` does the same for the first cofactor of a table row and
-      steps it along the row (``CofactorWalk``);
+      polynomial and refuses one that is not; ``CofactorWalk`` does the
+      same for the first cofactor of a table row and steps it along the
+      row;
     - ``clear`` multiplies a ``RatFuncNu`` by a factored value;
     - ``peel`` divides an integer numerator by a factored value into
       canonical form with no gcd, and ``peel_table`` does so for a whole
@@ -264,10 +265,6 @@ class FactorPowers:
                 out = _iconv(out, self._power(f, e))
         return out
 
-    def walk(self, top, *bottoms) -> "CofactorWalk":
-        """The cofactor ``top / prod(bottoms)``, ready to step along a row."""
-        return CofactorWalk(self, top, bottoms)
-
     def cofactor(self, top, *bottoms) -> tuple[int, ...]:
         """``top / prod(bottoms)`` for factored values, as an integer tuple.
 
@@ -275,7 +272,7 @@ class FactorPowers:
         polynomial: each bottom scale must divide and no exponent may go
         negative.
         """
-        w = self.walk(top, *bottoms)
+        w = CofactorWalk(self, top, bottoms)
         return tuple(w.scale * c for c in w.poly) if w.scale != 1 else w.poly
 
     @staticmethod
@@ -310,9 +307,9 @@ class FactorPowers:
         allows and a trial division leaves no remainder (for nu + c that
         is one synthetic-division pass, the cost of a Horner test). The
         factors must be irreducible and pairwise coprime; what stays in
-        the denominator is then coprime to h. ``full``, when given, is
-        prod f^e over den's factors; the denominator left is then
-        ``full`` divided exactly by the factors peeled, not rebuilt.
+        the denominator is then coprime to h. That denominator is ``full``
+        = prod f^e over den's factors (built here unless given) divided
+        exactly by the factors peeled.
         """
         scale, exps = den
         h = list(h)
@@ -320,7 +317,7 @@ class FactorPowers:
             h.pop()
         if not h:
             return RatFuncNu.ZERO
-        rest, peeled = {}, {}
+        peeled = {}
         for f, e in exps.items():
             k = 0
             while k < e:
@@ -329,22 +326,19 @@ class FactorPowers:
                 if q is None or r:
                     break
                 h, k = q, k + 1
-            rest[f], peeled[f] = e - k, k
-        if full is None:
-            left = self.product(rest)
-        else:
-            r = list(full)
-            left = tuple(_ilongdiv(r, self.product(peeled)))
-            if r:
-                raise ConsistencyError("the full product is not prod f^e over the denominator")
+            peeled[f] = k
+        left = list(self.product(exps) if full is None else full)
+        quo = _ilongdiv(left, self.product(peeled))
+        if quo is None or left:
+            raise ConsistencyError("the full product is not prod f^e over the denominator")
         num = PolyNu._make(*_split(1, scale, h))
-        return RatFuncNu._from_coprime(num, PolyNu._make(Fraction(1), left))
+        return RatFuncNu._from_coprime(num, PolyNu._make(Fraction(1), tuple(quo)))
 
     def peel_table(self, nums, den, steps) -> list:
         """``peel(nums[n], den[n])`` for n = 1 .. len(den) - 1, with
         ``steps = FactorPowers.steps(den)``: the products of the den[n] are
         stepped from den[0] along the table instead of rebuilt."""
-        full = self.walk(den[0])
+        full = CofactorWalk(self, den[0], [])
         out = []
         for n in range(1, len(den)):
             full.step(steps[n], (1, {}))

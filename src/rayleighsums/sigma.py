@@ -41,7 +41,7 @@ from typing import ClassVar, Union
 from ._accumulate import self_convolution
 from .errors import PoleError
 from .poly import _isumprod
-from .ratfunc import FactorPowers
+from .ratfunc import CofactorWalk, FactorPowers
 from .rational import count, exact
 
 NuMode = Union[str, Fraction]
@@ -82,7 +82,7 @@ def _convolution_row(powers, den, steps, scaled, n: int) -> tuple[int, ...]:
     """sum_{k<=n/2} w_k R_{n,k} S_k S_{n-k} for the numerators S_m over the
     factored denominators den[m], with R_{n,k} = den[n] / ((nu+n) den[k]
     den[n-k]) and steps[m] = den[m] / den[m-1]."""
-    walk = powers.walk(den[n], (1, {(n, 1): 1}), den[1], den[n - 1])
+    walk = CofactorWalk(powers, den[n], [(1, {(n, 1): 1}), den[1], den[n - 1]])
     terms = []
     for k in range(1, n // 2 + 1):
         if k > 1:

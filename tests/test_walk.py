@@ -3,7 +3,9 @@
 Each table row walks its cofactors top / prod(bottoms) from one k to the
 next by the quotient of two declared denominator steps. At every (n, k)
 the walk must equal ``FactorPowers.cofactor`` of the same factored values,
-and a walk fed a wrong divisor must fail loudly.
+and a walk fed a wrong divisor must fail loudly. ``peel_table``, which
+steps the full denominator products along a table, must equal ``peel``
+entry by entry.
 """
 
 from fractions import Fraction as F
@@ -11,7 +13,8 @@ from fractions import Fraction as F
 import pytest
 
 from rayleighsums import ConsistencyError, mercer, oracle, sigma
-from rayleighsums.ratfunc import FactorPowers, factor_quadratic
+from rayleighsums.poly import _iconv
+from rayleighsums.ratfunc import CofactorWalk, FactorPowers, factor_quadratic
 
 
 def _rows(order, top, bottoms, up, down, first=1, last=None):
@@ -21,7 +24,7 @@ def _rows(order, top, bottoms, up, down, first=1, last=None):
     checked = 0
     for n in range(2, order + 1):
         ks = range(first, (last or (lambda n: n // 2))(n) + 1)
-        walk = powers.walk(top(n), *bottoms(n, ks[0]))
+        walk = CofactorWalk(powers, top(n), bottoms(n, ks[0]))
         for k in ks:
             if k > ks[0]:
                 walk.step(up(n, k), down(n, k))
@@ -78,7 +81,7 @@ def test_oracle_rows_walk_equals_cofactor(d0_poly):
 def _sigma_walk(n):
     powers = FactorPowers()
     den = [sigma._denominator(m) for m in range(n + 1)]
-    return powers.walk(den[n], (1, {(n, 1): 1}), den[1], den[n - 1]), den
+    return CofactorWalk(powers, den[n], [(1, {(n, 1): 1}), den[1], den[n - 1]]), den
 
 
 def test_a_wrong_divisor_product_fails_loudly():
@@ -106,3 +109,26 @@ def test_a_walk_whose_polynomial_disagrees_fails_loudly():
     steps = FactorPowers.steps(den)
     with pytest.raises(ConsistencyError, match="divide"):
         walk.step(steps[5], steps[2])
+
+
+def test_peel_table_equals_peel_entry_by_entry():
+    # Numerators holding some of their denominator's factors, so that the
+    # peeling stops at different depths along the table.
+    order = 24
+    den = [sigma._denominator(n) for n in range(order + 1)]
+    powers = FactorPowers()
+    nums = [
+        _iconv(powers.product({(j, 1): min(n % (j + 1), n // j) for j in range(1, n + 1)}), (n, 1, 3))
+        for n in range(order + 1)
+    ]
+    got = powers.peel_table(nums, den, FactorPowers.steps(den))
+    assert got == [FactorPowers().peel(nums[n], den[n]) for n in range(1, order + 1)]
+
+
+def test_peel_with_a_wrong_full_product_fails_loudly():
+    powers = FactorPowers()
+    den = (1, {(1, 1): 2, (2, 1): 1})
+    h = (2, 1)  # nu + 2 peels off
+    assert powers.peel(h, den, powers.product(den[1])) == powers.peel(h, den)
+    with pytest.raises(ConsistencyError, match="full product"):
+        powers.peel(h, den, powers.product({(1, 1): 2}))
