@@ -194,6 +194,29 @@ def _split(num: int, den: int, w: list[int]) -> tuple[Fraction, tuple[int, ...]]
     return Fraction(num * (w[-1] // p[-1]), den), tuple(p)
 
 
+def _term_text(p, number, power, times: str) -> str:
+    """p as a signed sum of its nonzero terms, highest degree first, as in
+    "-2*nu^2 + nu - 1/3". ``number`` renders a coefficient's magnitude,
+    ``power(k)`` renders nu^k for k >= 1, and ``times`` joins a magnitude
+    other than 1 to its power."""
+    parts: list[str] = []
+    cs = p.coeffs
+    for k in range(len(cs) - 1, -1, -1):
+        c = cs[k]
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            body = number(mag)
+        else:
+            body = power(k) if mag == 1 else f"{number(mag)}{times}{power(k)}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
 class PolyNu:
     """Immutable polynomial ``a0 + a1*nu + ... + ad*nu^d`` over the rationals."""
 
@@ -436,25 +459,7 @@ class PolyNu:
         return f"PolyNu({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self._p:
-            return "0"
-        parts: list[str] = []
-        cs = self.coeffs
-        for k in range(self.degree, -1, -1):
-            c = cs[k]
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "nu" if k == 1 else f"nu^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return _term_text(self, str, lambda k: "nu" if k == 1 else f"nu^{k}", "*")
 
 
 PolyNu.ZERO = PolyNu()

@@ -3,7 +3,8 @@
 Rational functions are displayed with the numerator scaled to integer
 coefficients (the canonical internal form keeps the scale on the
 numerator), so sigma_1 prints as 1/(4*nu + 4) rather than (1/4)/(nu + 1).
-Plain polynomials print through ``PolyNu.__str__``.
+Plain polynomials print through ``PolyNu.__str__``, which shares its
+term walk ``poly._term_text`` with ``poly_latex``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .poly import PolyNu
+from .poly import PolyNu, _term_text
 from .ratfunc import RatFuncNu
 
 __all__ = [
@@ -35,24 +36,7 @@ def value_latex(x: Fraction) -> str:
 
 
 def poly_latex(p: PolyNu, var: str = "\\nu") -> str:
-    if not p:
-        return "0"
-    parts: list[str] = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        mag = abs(c)
-        if k == 0:
-            body = value_latex(mag)
-        else:
-            v = var if k == 1 else f"{var}^{{{k}}}"
-            body = v if mag == 1 else f"{value_latex(mag)} {v}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return _term_text(p, value_latex, lambda k: var if k == 1 else f"{var}^{{{k}}}", " ")
 
 
 def _integerized(r: RatFuncNu) -> tuple[PolyNu, PolyNu]:

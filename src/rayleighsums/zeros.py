@@ -29,12 +29,14 @@ W / 2^d <= precision, as bisection would. Newton's iteration on the even
 series, in exact rationals rounded to dyadic grids of doubling depth,
 picks j; it carries no trust. Two sign certificates make the cell an
 enclosure: f(a) has the sign at tlo and f(b) does not (at a bracket end
-the scan has already certified the sign). If either fails, bisection runs
-from the bracket as the fallback. When a bracket holds one sign change,
-the cell is exactly the one bisection on certified signs ends in: no cell
-edge can be the zero, because the sign certificate raises PrecisionError
-at a zero instead of returning a sign (and for rational nu the zeros are
-transcendental). Every endpoint is therefore backed by a certificate.
+the scan has already certified the sign). A failed edge says on which
+side the zero lies, so the neighbouring cell is tried next, with one new
+certificate; if that fails too, bisection runs from the bracket as the
+fallback. When a bracket holds one sign change, the cell is exactly the
+one bisection on certified signs ends in: no cell edge can be the zero,
+because the sign certificate raises PrecisionError at a zero instead of
+returning a sign (and for rational nu the zeros are transcendental).
+Every endpoint is therefore backed by a certificate.
 
 The tail of an infinite power sum is bounded by comparing the zeros
 beyond the last bracketed one against the arithmetic progression
@@ -269,6 +271,30 @@ def _approximate_zero(f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int) -> F
     return t
 
 
+def _certified_cell(f: _EvenSeries, tlo: Fraction, W: Fraction, n: int, j: int, slo: int):
+    """Index i of the cell [tlo + W i / n, tlo + W (i + 1) / n] that two edge
+    signs certify: cell j, or else the neighbour its failed edge points to,
+    whose shared edge keeps its certified sign. None if neither holds."""
+    edge = {0: slo, n: -slo}  # the scan certified the bracket ends
+
+    def sign(i):
+        if i not in edge:
+            edge[i] = f.sign_at(tlo + W * i / n)
+        return edge[i]
+
+    try:
+        for _ in range(2):
+            if sign(j) != slo:
+                j -= 1
+            elif sign(j + 1) == slo:
+                j += 1
+            else:
+                return j
+    except PrecisionError:
+        pass  # a wrong cell's edge may be one bisection never visits
+    return None
+
+
 def find_zeros(
     nu,
     count: int,
@@ -368,15 +394,9 @@ def find_zeros(
         if d:
             n = 2**d
             j = floor((_approximate_zero(f, tlo, thi, d) - tlo) * n / W)
-            j = min(max(j, 0), n - 1)
-            a, b = tlo + W * j / n, tlo + W * (j + 1) / n
-            try:
-                if (not j or f.sign_at(a) == slo) and (
-                    j == n - 1 or f.sign_at(b) != slo
-                ):
-                    tlo, thi = a, b
-            except PrecisionError:
-                pass  # a wrong cell's edge may be one bisection never visits
+            j = _certified_cell(f, tlo, W, n, min(max(j, 0), n - 1), slo)
+            if j is not None:
+                tlo, thi = tlo + W * j / n, tlo + W * (j + 1) / n
         # Fallback bisection; after a certified cell it has nothing left to do.
         while thi - tlo > precision:
             mid = (tlo + thi) / 2

@@ -6,7 +6,7 @@ import pytest
 
 from rayleighsums import PI_HI, PI_LO, decode_table, sigma_table, tau_table, derive_pqr
 from rayleighsums.cli import run
-from rayleighsums.rational import parse_rational
+from rayleighsums.rational import decimal_str, parse_rational
 
 
 def invoke(args):
@@ -101,6 +101,27 @@ def test_bounds_json():
     rec = json.loads(out)
     assert rec["lower"] == ["4/1", "4/1"]
     assert rec["exact_upper"] == "8/1"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bounds_decimal_applies_to_json_and_csv(fmt):
+    # --decimal used to reach only the plain form of bounds
+    args = ["bounds", "--family", "sigma", "--nu", "1/3", "--order", "3", "--format", fmt]
+    code, exact, _ = invoke(args)
+    assert code == 0
+    code, out, _ = invoke(args + ["--decimal", "7"])
+    assert code == 0 and out != exact
+    if fmt == "json":
+        rec = json.loads(out)
+        assert rec["nu"] == "1/3"
+        assert rec["lower"] == ["8.3870115", "8.3870115"]
+        assert rec["exact_upper"] == "8.5146199"
+        assert rec["exact_upper"] == decimal_str(parse_rational(json.loads(exact)["exact_upper"]), 7)
+    else:
+        assert out.splitlines() == [
+            "n,lower_lo,lower_hi,exact_upper",
+            "3,8.3870115,8.3870115,8.5146199",
+        ]
 
 
 def test_pole_exits_3_with_named_pole():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rayleighsums import InvalidParameterError, PolyNu
 from rayleighsums.poly import _isumprod
+from rayleighsums.render import poly_latex
 
 from _util import INEXACT
 
@@ -72,6 +73,16 @@ def test_str():
     assert str(PolyNu([-1, 0, 1])) == "nu^2 - 1"
     assert str(PolyNu([F(1, 2), 1])) == "nu + 1/2"
     assert str(PolyNu()) == "0"
+    # the plain and the LaTeX form walk the same terms
+    for p, plain, latex in [
+        (PolyNu([F(1, 7), -1, 0, -1]), "-nu^3 - nu + 1/7", "-\\nu^{3} - \\nu + \\frac{1}{7}"),
+        (PolyNu([0, F(-5, 7), 0, 0, 0, 1]), "nu^5 - 5/7*nu", "\\nu^{5} - \\frac{5}{7} \\nu"),
+        (PolyNu([-3, F(9, 2)]), "9/2*nu - 3", "\\frac{9}{2} \\nu - 3"),
+        (PolyNu([0, -1]), "-nu", "-\\nu"),
+        (PolyNu(), "0", "0"),
+    ]:
+        assert str(p) == plain and poly_latex(p) == latex
+    assert poly_latex(PolyNu([1, 0, -2]), "x") == "-2 x^{2} + 1"
 
 
 # Property test of the content x primitive kernel against plain lists of
