@@ -12,6 +12,10 @@ Zeros are generally complex and are never enumerated here; the sums are
 exact rationals computed from the series coefficients alone, which is
 valid regardless of where the zeros lie. a = 0 gives the constant
 function, hence no zeros and all sums zero, consistent with the seeds.
+
+The entries are kept on nested running-lcm denominators
+(``_accumulate.Nested``), and each convolution is one walked row of
+``_accumulate.self_row``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
-from ._accumulate import self_convolution
+from ._accumulate import Nested, self_row
 from .errors import InvalidParameterError
 from .rational import count, exact
 
@@ -67,11 +71,11 @@ def s_table(params: ChfParams, order: int) -> STable:
     """Exact S_2 .. S_order by the convolution recurrence."""
     order = count(order, "order (the first convergent sum is S_2)", 2)
     a, b = params.a, params.b
-    entries = [a * (a - b) / (b * b * (b + 1))]
+    seq = Nested([a * (a - b) / (b * b * (b + 1))])
     if order >= 3:
-        entries.append(a * (a - b) * (b - 2 * a) / (b**3 * (b + 1) * (b + 2)))
+        seq.append(a * (a - b) * (b - 2 * a) / (b**3 * (b + 1) * (b + 2)))
     for k in range(3, order):
-        # sum_{m=2}^{k-1} S_m S_{k-m+1}; entries[i] is S_{i+2}.
-        acc = self_convolution(entries, k - 1)
-        entries.append(((b - 2 * a) * entries[k - 2] + b * acc) / (b * (k + b)))
-    return STable(params=params, order=order, entries=tuple(entries), provenance="riccati")
+        # sum_{m=2}^{k-1} S_m S_{k-m+1}; seq.values[i] is S_{i+2}.
+        conv = Fraction(*self_row(seq, k - 1))
+        seq.append(((b - 2 * a) * seq.values[k - 2] + b * conv) / (b * (k + b)))
+    return STable(params=params, order=order, entries=tuple(seq.values), provenance="riccati")

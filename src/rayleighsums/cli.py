@@ -18,7 +18,7 @@ from .chf import ChfParams, s_table
 from .errors import InvalidParameterError, RayleighError, RegimeError
 from .mercer import derive_pqr, tau_table, verify_ode
 from .oracle import bessel_t_series, chf_sums_from_series, genus0_sums_from_series, mercer_t_series
-from .rational import decimal_str, parse_rational, rational_str
+from .rational import count, decimal_str, parse_rational, rational_str
 from .ratfunc import RatFuncNu
 from .render import ratfunc_latex, ratfunc_plain, value_latex, value_plain
 from .serialize import encode_table, table_csv
@@ -152,15 +152,27 @@ def _family_nu(ns):
     return "symbolic" if ns.nu is None else ns.nu
 
 
+def _check_decimal(ns, symbolic: bool = False) -> None:
+    """Refuse --decimal before any work is done: on a symbolic table, or
+    with a negative digit count."""
+    digits = getattr(ns, "decimal", None)
+    if digits is None:
+        return
+    if symbolic:
+        raise InvalidParameterError("--decimal applies to fixed-nu tables only")
+    count(digits, "digits", 0)
+
+
 def _make_table(ns, order: int):
     family = ns.family
     nu = _family_nu(ns)
+    if family != "sigma":
+        _require(ns, ("a", "b", "c") if family == "tau" else ("a", "b"))
+    _check_decimal(ns, nu == "symbolic")
     if family == "sigma":
         return sigma_table(order, nu)
     if family == "tau":
-        _require(ns, ("a", "b", "c"))
         return tau_table(derive_pqr(ns.a, ns.b, ns.c, nu), order)
-    _require(ns, ("a", "b"))
     return s_table(ChfParams(ns.a, ns.b), order)
 
 
@@ -168,8 +180,6 @@ def _cmd_sums(ns, out) -> int:
     table = _make_table(ns, ns.order)
     indices = range(table.start, table.order + 1)
     symbolic = isinstance(table.entry(table.start), RatFuncNu)
-    if ns.decimal is not None and symbolic:
-        raise InvalidParameterError("--decimal applies to fixed-nu tables only")
     latex = ns.format == "latex"
     if symbolic:
         num = ratfunc_latex if latex else ratfunc_plain
@@ -227,6 +237,7 @@ def _cmd_zeros(ns, out) -> int:
     if ns.nu == "symbolic":
         raise InvalidParameterError("zeros need a fixed rational --nu")
     params = None if ns.family == "bessel" else derive_pqr(ns.a, ns.b, ns.c, ns.nu)
+    _check_decimal(ns)
     enclosures = find_zeros(
         ns.nu, ns.count, ns.precision, params=params, assert_real_zeros=ns.assert_real_zeros
     )

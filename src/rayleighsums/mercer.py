@@ -23,8 +23,9 @@ verify: the series oracle is authoritative and any mismatch fails tests
 loudly. The k >= 3 step is never used for tau_3 (its k = 2 instance lacks
 the constant a^2 of the seed), hence the separate seeds above.
 
-At fixed nu the recurrence runs in ``Fraction`` arithmetic, its
-convolutions through ``_accumulate.self_convolution``.
+At fixed nu the recurrence runs in ``Fraction`` arithmetic. The entries
+are also kept on nested running-lcm denominators (``_accumulate.Nested``),
+and each convolution is one walked row of ``_accumulate.self_row``.
 
 Symbolic nu runs on integer polynomials. tau is unchanged by (a, b, c) ->
 lambda (a, b, c), so (a, b, c) is first scaled to coprime integers; then
@@ -69,7 +70,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import ClassVar, Union
 
-from ._accumulate import dot, self_convolution
+from ._accumulate import Nested, self_row
 from .errors import ConsistencyError, DegenerateParametersError, PoleError
 from .poly import PolyNu, _ilongdiv, _isumprod
 from .ratfunc import FactorPowers, factor_quadratic
@@ -222,20 +223,22 @@ def _fixed_entries(params: MercerParams, order: int) -> list:
         )
         entries.append(rhs / (4 * q * (x + 3)))
 
+    seq = Nested(entries)
+    entries = seq.values  # grows with seq
     conv_cache: dict = {}
 
     def conv(s: int) -> Fraction:
         """sum_{m=1}^{s-1} tau_m tau_{s-m}."""
         got = conv_cache.get(s)
         if got is None:
-            got = conv_cache[s] = self_convolution(entries, s)
+            got = conv_cache[s] = Fraction(*self_row(seq, s))
         return got
 
     for k in range(3, order):
         _check_divisor(x + (k + 1), k + 1, params.nu, f"tau_{k + 1}")
         rhs = p * (x + (k - 1)) * entries[k - 1] - a2 * (x + (k - 3)) * entries[k - 2]
         rhs += q * conv(k + 1) - p * conv(k) + a2 * conv(k - 1)
-        entries.append(rhs / (q * (x + (k + 1))))
+        seq.append(rhs / (q * (x + (k + 1))))
     return entries
 
 
@@ -381,14 +384,16 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
         r_n = sum_{j=0..3} c_j(n-j) w_{n-j},
         c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j,
 
-    in both modes. At symbolic nu, w_m = N_m / G_m with G_m = 4^m m!
+    in both modes. At fixed nu each r_n is a plain ``Fraction`` sum. At
+    symbolic nu, D_j, A_j and E_j are first written as integer tuples over
+    one common denominator L, so each L c_j(m) is an integer tuple built
+    without ``PolyNu`` arithmetic. w_m = N_m / G_m with G_m = 4^m m!
     (nu+1)_m, so G_n r_n = sum_j c_j(m) N_m 4^j (n!/m!) prod_{i=m+1..n}
     (nu+i) is a polynomial; after one lcm of the rational contents it is
     an integer one, summed by the packed kernel, and each r_n is reduced
-    by peeling the (nu+i). The
-    residual through order ``order`` in t is reported; a nonzero residual
-    is a report outcome, not an error, so perturbed coefficients can be
-    checked as negative controls.
+    by peeling the (nu+i). The residual through order ``order`` in t is
+    reported; a nonzero residual is a report outcome, not an error, so
+    perturbed coefficients can be checked as negative controls.
     """
     order = count(order, "verify_ode order", 4)
     from .oracle import _coefficient_den, mercer_t_series  # deferred: oracle imports this module
@@ -402,16 +407,20 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
     ec = (bc[0] - dc[0] * xx, bc[1] + dc[0] - dc[1] * xx, bc[2] + dc[1] - dc[2] * xx, dc[2])
     dc, ac = (*dc, 0), (*ac, 0)
 
-    def factor(j: int, m: int):
-        s = x + 2 * m
-        return dc[j] * s * (s - 1) + ac[j] * s + ec[j]
-
     coeffs = []
     if not params.symbolic:
         for n in range(order + 1):
-            ms = range(n, max(n - 4, -1), -1)
-            coeffs.append(dot([factor(n - m, m) for m in ms], [w[m] for m in ms]))
+            r = Fraction(0)
+            for m in range(n, max(n - 4, -1), -1):
+                s = x + 2 * m
+                j = n - m
+                r += (dc[j] * s * (s - 1) + ac[j] * s + ec[j]) * w[m]
+            coeffs.append(r)
     else:
+        # D_j, A_j and E_j as integer tuples over one common denominator L.
+        polys = [[PolyNu._coerce(v) for v in part] for part in (dc, ac, ec)]
+        common = lcm(*(v._k.denominator for part in polys for v in part))
+        dc, ac, ec = ([tuple(int(v._k * common) * c for c in v._p) for v in part] for part in polys)
         powers = FactorPowers()
         g = [_coefficient_den(m) for m in range(order + 1)]
         cleared = [powers.clear(wm, gm) for wm, gm in zip(w, g)]
@@ -420,10 +429,13 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
         for n in range(order + 1):
             terms = []
             for m in range(n, max(n - 4, -1), -1):
-                cj = factor(n - m, m)
+                j = n - m
+                # L c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j
+                lin, quad = (2 * m, 1), (2 * m * (2 * m - 1), 4 * m - 1, 1)
+                cj = _isumprod([(1, (dc[j], quad)), (1, (ac[j], lin)), (1, (ec[j],))])
                 k, wm = cleared[m]
                 if cj and wm:
-                    terms.append((cj._k * k, (cj._p, wm, powers.cofactor(g[n], g[m]))))
+                    terms.append((k / common, (cj, wm, powers.cofactor(g[n], g[m]))))
             scale = lcm(*(k.denominator for k, _ in terms))
             h = _isumprod([(k.numerator * (scale // k.denominator), fs) for k, fs in terms])
             coeffs.append(powers.peel(h, (scale * g[n][0], g[n][1])))

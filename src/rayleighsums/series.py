@@ -6,13 +6,13 @@ Coefficients are either all ``Fraction`` (fixed nu) or all ``RatFuncNu``
 (symbolic nu); mixed input is promoted to symbolic.
 
 Products and the division are sums of coefficient products. At fixed nu
-``_accumulate.dot`` computes each coefficient as one integer sum over a
-common denominator that grows only when a term needs it, with a single
-normalising gcd. At symbolic nu the products are added with ``RatFuncNu``
-operators, whose Henrici addition reduces each partial sum against the
-gcd of the two denominators only. The symbolic tables, oracle and ODE
-residual do not come here; they run on integer polynomials over a-priori
-denominators.
+each operand is kept on nested running-lcm denominators
+(``_accumulate.Nested``), and each coefficient is one walked row of
+``_accumulate.row``, reduced by a single gcd. At symbolic nu the products
+are added with ``RatFuncNu`` operators, whose Henrici addition reduces
+each partial sum against the gcd of the two denominators only. The
+symbolic tables, oracle and ODE residual do not come here; they run on
+integer polynomials over a-priori denominators.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from ._accumulate import dot
+from ._accumulate import Nested, row
 from .errors import NonInvertibleError
 from .ratfunc import RatFuncNu
 
@@ -29,16 +29,19 @@ Coeff = Union[Fraction, RatFuncNu]
 __all__ = ["FormalSeries", "series_divide"]
 
 
-def _dot(symbolic: bool, xs, ys, weights=None, start=None):
-    """``start + sum w*x*y``: ``dot`` on rationals, ``RatFuncNu`` operators
-    when an operand is symbolic."""
-    if not symbolic:
-        return dot(xs, ys, weights, start)
-    acc = RatFuncNu.ZERO if start is None else start
-    for w, x, y in zip(weights or [1] * len(xs), xs, ys):
-        term = x * y
-        acc = acc + term if w == 1 else acc - term if w == -1 else acc + w * term
+def _symbolic_dot(xs, ys):
+    """``sum x*y`` with ``RatFuncNu`` operators."""
+    acc = RatFuncNu.ZERO
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
     return acc
+
+
+def _products(xs, ys, order: int) -> list:
+    """``[sum_{i<=k} xs[i] ys[k-i] for k <= order]`` for fixed-nu
+    coefficients, with xs[i] = 0 past its end; ys covers ``order``."""
+    x, y = Nested(xs[: order + 1]), Nested(ys[: order + 1])
+    return [Fraction(*row(x, 0, y, k, [1] * min(k + 1, len(x)))) for k in range(order + 1)]
 
 
 class FormalSeries:
@@ -123,8 +126,10 @@ class FormalSeries:
         """True-series product, truncated to the shorter operand's order."""
         self._check_compatible(other)
         n = min(self.order, other.order)
-        symbolic = self.symbolic or other.symbolic
-        out = [_dot(symbolic, self._c[: k + 1], other._c[k::-1]) for k in range(n + 1)]
+        if self.symbolic or other.symbolic:
+            out = [_symbolic_dot(self._c[: k + 1], other._c[k::-1]) for k in range(n + 1)]
+        else:
+            out = _products(self._c[: n + 1], other._c, n)
         return FormalSeries(self._var, out)
 
     def poly_mul(self, poly_coeffs: Sequence, order: int) -> "FormalSeries":
@@ -139,8 +144,10 @@ class FormalSeries:
         poly_coeffs = tuple(poly_coeffs)
         if not poly_coeffs:
             return FormalSeries(self._var, [self._c[0] * 0] * (order + 1))
-        symbolic = self.symbolic or any(isinstance(p, RatFuncNu) for p in poly_coeffs)
-        out = [_dot(symbolic, poly_coeffs[: k + 1], self._c[k::-1]) for k in range(order + 1)]
+        if self.symbolic or any(isinstance(p, RatFuncNu) for p in poly_coeffs):
+            out = [_symbolic_dot(poly_coeffs[: k + 1], self._c[k::-1]) for k in range(order + 1)]
+        else:
+            out = _products(poly_coeffs, self._c, order)
         return FormalSeries(self._var, out)
 
     def __eq__(self, other) -> bool:
@@ -175,9 +182,18 @@ def series_divide(f: FormalSeries, g: FormalSeries, order: int) -> FormalSeries:
     g0 = g.coeff(0)
     if not g0:
         raise NonInvertibleError("constant term of the divisor is zero")
-    inv0 = 1 / g0
-    gs = g.coeffs
-    h: list = []
+    if f.symbolic:
+        inv0 = 1 / g0
+        gs = g.coeffs
+        h: list = []
+        for n in range(order + 1):
+            h.append((f.coeff(n) - _symbolic_dot(gs[1 : n + 1], h[::-1])) * inv0)
+        return FormalSeries(f.var, h)
+    # h_n = (f_n - sum_{k=1}^{n} g_k h_{n-k}) / g_0 as one reduced fraction.
+    gs, h = Nested(g.coeffs[: order + 1]), Nested()
+    a0, b0 = g0.numerator, g0.denominator
     for n in range(order + 1):
-        h.append(_dot(f.symbolic, gs[1 : n + 1], h[::-1], [-1] * n, start=f.coeff(n)) * inv0)
-    return FormalSeries(f.var, h)
+        acc, den = row(gs, 1, h, n - 1, [1] * n)
+        fn = f.coeff(n)
+        h.append(Fraction((fn.numerator * den - acc * fn.denominator) * b0, fn.denominator * den * a0))
+    return FormalSeries(f.var, h.values)

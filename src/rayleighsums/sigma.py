@@ -8,8 +8,10 @@ seeded by sigma_1 = 1/(4(nu+1)). The table is built bottom-up, with the
 convolution summed once per symmetric pair (k, n-k), doubled off the
 centre.
 
-At fixed nu the sum runs through ``_accumulate.self_convolution``, on
-integer numerators over a lazily grown common denominator.
+At fixed nu the entries are kept on nested running-lcm denominators
+(``_accumulate.Nested``) and each convolution is one walked row of
+``_accumulate.self_row``, reduced once together with the division by
+nu + n.
 
 Symbolic nu runs on integer polynomials. With D_n = prod_{j<=n}
 (nu+j)^floor(n/j), the scaled entry S_n = 4^n D_n sigma_n satisfies
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Union
 
-from ._accumulate import self_convolution
+from ._accumulate import Nested, self_row
 from .errors import PoleError
 from .poly import _isumprod
 from .ratfunc import CofactorWalk, FactorPowers
@@ -122,19 +124,21 @@ def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:
         raise PoleError(
             "sigma_1 divides by (nu + 1), which vanishes at nu = -1", at=x, index=1
         )
-    entries = [1 / d1]
+    seq = Nested([1 / d1])
+    p, q = x.numerator, x.denominator
     for n in range(2, order + 1):
-        div = x + n
+        div = p + n * q  # q (nu + n)
         if not div:
             raise PoleError(
                 f"sigma_{n} divides by (nu + {n}), which vanishes at nu = {x}",
                 at=x,
                 index=n,
             )
-        entries.append(self_convolution(entries, n) / div)
+        acc, den = self_row(seq, n)
+        seq.append(Fraction(acc * q, den * div))
     return SigmaTable(
         order=order,
-        entries=tuple(entries),
+        entries=tuple(seq.values),
         nu=x,
         provenance="recurrence",
         real_zero_regime=x > -1,

@@ -214,3 +214,31 @@ def test_bounds_tau_and_chf_name_the_real_zeros_flag(family_args):
     assert "--assert-real-zeros" in err and "assert_real_zeros=True" not in err
     code, out, _ = invoke(args + ["--assert-real-zeros"])
     assert code == 0 and out.startswith("n = 2: lower root bound in [")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computed before --decimal was checked")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sums", "sigma", "--order", "60", "--decimal", "3"], "--decimal applies to fixed-nu tables only"),
+        (["sums", "sigma", "--order", "3", "--decimal", "-1"], "--decimal applies to fixed-nu tables only"),
+        (["sums", "tau", "--a", "1", "--b", "2", "--c", "3", "--order", "20", "--decimal", "3"],
+         "--decimal applies to fixed-nu tables only"),
+        (["sums", "sigma", "--order", "300", "--nu", "1/2", "--decimal", "-1"], "digits must be >= 0"),
+        (["sums", "tau", "--a", "1", "--b", "2", "--c", "3", "--nu", "1/2", "--order", "9", "--decimal", "-1"],
+         "digits must be >= 0"),
+        (["sums", "chf", "--a", "-2", "--b", "5/3", "--order", "9", "--decimal", "-1"], "digits must be >= 0"),
+        (["bounds", "--nu", "1/3", "--order", "2", "--decimal", "-1"], "digits must be >= 0"),
+        (["zeros", "--nu", "0", "--count", "1", "--decimal", "-1"], "digits must be >= 0"),
+    ],
+)
+def test_decimal_is_refused_before_computing(monkeypatch, args, message):
+    from rayleighsums import cli
+
+    for name in ("sigma_table", "tau_table", "s_table", "find_zeros", "euler_rayleigh"):
+        monkeypatch.setattr(cli, name, _refuse)
+    code, out, err = invoke(args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -1,7 +1,8 @@
 """The series oracle and the recurrences stay separate computations.
 
 They may share low-level arithmetic (PolyNu, RatFuncNu, FactorPowers,
-CofactorWalk, factor_quadratic, the packed sum-of-products kernel), but the
+CofactorWalk, factor_quadratic, the packed sum-of-products kernel, the
+fixed-nu walked row ``_accumulate.row``), but the
 oracle must not use a recurrence, a recurrence's row walk or a
 recurrence-derived denominator, and the tau recurrence must not use the
 oracle's division or its denominator, or the cross-check becomes circular.
@@ -11,7 +12,7 @@ import ast
 from pathlib import Path
 
 import rayleighsums
-from rayleighsums import mercer, oracle, sigma
+from rayleighsums import _accumulate, mercer, oracle, sigma
 
 SRC = Path(rayleighsums.__file__).parent
 
@@ -19,7 +20,9 @@ RECURRENCE_NAMES = {
     "sigma_table",
     "tau_table",
     "s_table",
-    "self_convolution",
+    # The recurrences' self-convolution row; the oracle's series division
+    # uses the bare walked row only.
+    _accumulate.self_row.__name__,
     sigma._denominator.__name__,
     mercer._tau_denominator.__name__,
     # The sigma and tau row walk: sum_k w_k R_{n,k} S_k S_{n-k}.
@@ -77,7 +80,8 @@ def test_sigma_imports_nothing_from_the_oracle():
 
 def test_guards_catch_a_violation():
     # Negative control: each check flags the pattern it exists for.
-    assert "self_convolution" in _names("from ._accumulate import self_convolution")
+    assert "self_row" in _names("from ._accumulate import self_row")
+    assert "self_row" in _names("from . import _accumulate\n_accumulate.self_row(seq, 4)")
     assert "_denominator" in _names("from . import sigma\nsigma._denominator(3)")
     assert "_tau_denominator" in _names("from .mercer import _tau_denominator")
     assert "_convolution_row" in _names("from .sigma import _convolution_row")

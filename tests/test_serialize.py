@@ -6,17 +6,24 @@ import pytest
 
 from rayleighsums import (
     ChfParams,
+    FormalSeries,
     InvalidParameterError,
+    OdeCoefficients,
+    PoleError,
     bessel_t_series,
     chf_sums_from_series,
     decode_table,
     derive_pqr,
     encode_table,
     genus0_sums_from_series,
+    mercer_t_series,
+    ode_coefficients,
     s_table,
+    series_divide,
     sigma_table,
     table_csv,
     tau_table,
+    verify_ode,
 )
 
 
@@ -122,3 +129,84 @@ def test_golden_fixed_nu_tables():
     assert _json_digest(chf_sums_from_series(ChfParams(F(1, 2), F(7, 3)), 80)) == (
         "3e7f2d2c5a5eaf101547efefdcbadd5a2d4efa38b3e78af53c0d0e50471cc158"
     )
+
+
+def _values_digest(values):
+    return hashlib.sha256("\n".join(str(v) for v in values).encode()).hexdigest()
+
+
+def test_golden_fixed_nu_large_tables():
+    """sha256 of fixed-nu recurrence, oracle, series and ODE residual
+    outputs, captured before the fixed-nu sums moved to nested running-lcm
+    denominators. nu = -7/2 gives a formal table (nu <= -1)."""
+    assert _json_digest(sigma_table(300, F(4, 3))) == (
+        "4b5b4327d956932adbad61ac454d71b32d878cbeadab856ee552dc9ffc69de1b"
+    )
+    assert _json_digest(genus0_sums_from_series(bessel_t_series(F(4, 5), 200), 200)) == (
+        "41a30618c372d38508fee7b45ceaa28782aad8a3a0d5087c91022a725bc4476d"
+    )
+    assert _json_digest(s_table(ChfParams(-2, F(7, 3)), 400)) == (
+        "0046f9c7ed3039f20effc51846edc5842135b11d35dae461271ca120b88e9190"
+    )
+    assert _json_digest(chf_sums_from_series(ChfParams(-2, F(7, 3)), 300)) == (
+        "6452964302a094c92e8dfc3c3572b7914373732cfa4db2ddb76d48f308e9c9d8"
+    )
+    params = derive_pqr(2, 3, 1, F(3, 2))
+    assert _json_digest(tau_table(params, 120)) == (
+        "b9df8967f0a5411b29e63fc100b3af050d824053d0a9eae02b828f50bf95f7ec"
+    )
+    assert _json_digest(genus0_sums_from_series(mercer_t_series(params, 120), 120)) == (
+        "8f0fe710876fc0ec4efb6e067d27e9eb9b233923cecdfb66ec5942a7c2ef85ee"
+    )
+    formal = sigma_table(60, F(-7, 2))
+    assert not formal.real_zero_regime
+    assert _json_digest(formal) == (
+        "1a7c6e4294af20e470a10e2da3db2f5b24a7c0db9eae5c375a935ca271d82d19"
+    )
+    assert _json_digest(genus0_sums_from_series(bessel_t_series(F(-7, 2), 60), 60)) == (
+        "2e2aeb239c17ec3b94dc88a625d8cf8e5bbec173e832c4eaf0000937d65e5633"
+    )
+
+
+def test_golden_fixed_series_and_residuals():
+    f = FormalSeries("t", [F(k * k - 3, 2 * k + 7) for k in range(40)])
+    g = FormalSeries("t", [F((-1) ** k, k + 1) + F(1, 3) for k in range(40)])
+    assert _values_digest(f.mul(g).coeffs) == (
+        "60959700bfeb276006fda9afeeb80608c1b7c24aada38976321060c21be87e10"
+    )
+    assert _values_digest(f.poly_mul([F(2, 3), 0, F(-5, 7), F(1, 9)], 39).coeffs) == (
+        "f80d68026b9572341b4f2f39d8195fecc90db0952288843423e33b990f1e3511"
+    )
+    assert _values_digest(series_divide(f, g, 39).coeffs) == (
+        "172be334797bc24723fb3a6812e395fe36594beb4ab6a5fa544cb72819382022"
+    )
+    zero = "df96df814e043b05b8a5ba46cc672bdc1f05fd476016e5d41d17a122755eae55"
+    perturbed = {
+        "symbolic": "e58fbdf13ee7c9f118c027c7fe49bd30bd1c5bbbd2f826d67a884f82b62e3fd3",
+        F(3, 2): "5d80d83f882ea58dbbeb24ea27be6202af3bc8bd001db011359a18b93ed332b0",
+    }
+    for nu, digest in perturbed.items():
+        params = derive_pqr(1, 2, 3, nu)
+        ode = ode_coefficients(params)
+        bad = OdeCoefficients(
+            ode.denominator, ode.a_numerator, (ode.b_numerator[0] + 1,) + ode.b_numerator[1:]
+        )
+        assert _values_digest(verify_ode(params, 20).coefficients) == zero
+        assert _values_digest(verify_ode(params, 20, bad).coefficients) == digest
+
+
+@pytest.mark.parametrize(
+    "build, message, index",
+    [
+        (lambda: sigma_table(10, F(-3)), "sigma_3 divides by (nu + 3), which vanishes at nu = -3", 3),
+        (lambda: tau_table(derive_pqr(1, 2, 3, F(-5)), 10), "tau_5 divides by (nu + 5), which vanishes at nu = -5", 5),
+        (lambda: tau_table(derive_pqr(1, 2, 3, F(-1)), 10), "tau_1 divides by (nu + 1), which vanishes at nu = -1", 1),
+        (lambda: bessel_t_series(F(-4), 10), "series coefficient 4 divides by (nu + 4) = 0 at nu = -4", 4),
+    ],
+)
+def test_fixed_nu_poles_keep_index_and_message(build, message, index):
+    with pytest.raises(PoleError) as err:
+        build()
+    assert str(err.value) == message
+    assert err.value.index == index
+    assert err.value.at == -index
