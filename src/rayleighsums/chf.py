@@ -15,13 +15,15 @@ function, hence no zeros and all sums zero, consistent with the seeds.
 
 The entries are kept on nested running-lcm denominators
 (``_accumulate.Nested``), and each convolution is one walked row of
-``_accumulate.self_row``.
+``_accumulate.self_row``; from S_4 on, each right-hand side is summed as
+one integer over that row's denominator and reduced once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import ClassVar
 
 from ._accumulate import Nested, self_row
@@ -74,8 +76,18 @@ def s_table(params: ChfParams, order: int) -> STable:
     seq = Nested([a * (a - b) / (b * b * (b + 1))])
     if order >= 3:
         seq.append(a * (a - b) * (b - 2 * a) / (b**3 * (b + 1) * (b + 2)))
+    # On integers: with (U, V) = L (b - 2a, b) for L the lcm of their
+    # denominators and b = bn/bd, S_{k+1} = (U S_k + V conv) bd^2 /
+    # (L bn (k bd + bn)), both terms over the row's denominator.
+    bn, bd = b.numerator, b.denominator
+    c = b - 2 * a
+    L = lcm(bd, c.denominator)
+    U, V = c.numerator * (L // c.denominator), bn * (L // bd)
+    nums, dens, steps = seq.nums, seq.dens, seq.steps
     for k in range(3, order):
-        # sum_{m=2}^{k-1} S_m S_{k-m+1}; seq.values[i] is S_{i+2}.
-        conv = Fraction(*self_row(seq, k - 1))
-        seq.append(((b - 2 * a) * seq.values[k - 2] + b * conv) / (b * (k + b)))
+        # sum_{m=2}^{k-1} S_m S_{k-m+1} = acc / den, and nums[i] / dens[i] is
+        # S_{i+2}; both go over den steps[k-2] = den dens[k-2] / dens[k-3].
+        acc, den = self_row(seq, k - 1)
+        rhs = U * (den // dens[k - 3]) * nums[k - 2] + V * steps[k - 2] * acc
+        seq.append(Fraction(rhs * bd * bd, den * steps[k - 2] * L * bn * (k * bd + bn)))
     return STable(params=params, order=order, entries=tuple(seq.values), provenance="riccati")

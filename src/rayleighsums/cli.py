@@ -8,6 +8,7 @@ degenerate condition reported by the math modules.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -106,6 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (top, *sub.choices.values()):
         p._negative_number_matcher = _NEGATIVE_RATIONAL
     return top
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call: parsing leaves a
+    parser unchanged, so one serves every call."""
+    return build_parser()
 
 
 def _require(ns, names):
@@ -241,7 +249,7 @@ def _cmd_zeros(ns, out) -> int:
     enclosures = find_zeros(
         ns.nu, ns.count, ns.precision, params=params, assert_real_zeros=ns.assert_real_zeros
     )
-    num = _number(ns, rational_str)
+    num = _number(ns, value_plain)
     cells = [(e.index, num(e.lo), num(e.hi)) for e in enclosures]
     return _emit(
         ns,
@@ -306,9 +314,8 @@ _DISPATCH = {
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its message
         return int(exc.code or 0)
     try:

@@ -23,9 +23,11 @@ verify: the series oracle is authoritative and any mismatch fails tests
 loudly. The k >= 3 step is never used for tau_3 (its k = 2 instance lacks
 the constant a^2 of the seed), hence the separate seeds above.
 
-At fixed nu the recurrence runs in ``Fraction`` arithmetic. The entries
-are also kept on nested running-lcm denominators (``_accumulate.Nested``),
-and each convolution is one walked row of ``_accumulate.self_row``.
+At fixed nu the entries are kept on nested running-lcm denominators
+(``_accumulate.Nested``), and each convolution is one walked row of
+``_accumulate.self_row``. From tau_4 on, each right-hand side is summed as
+one integer over a common denominator and reduced once, into one
+``Fraction`` per entry.
 
 Symbolic nu runs on integer polynomials. tau is unchanged by (a, b, c) ->
 lambda (a, b, c), so (a, b, c) is first scaled to coprime integers; then
@@ -223,23 +225,39 @@ def _fixed_entries(params: MercerParams, order: int) -> list:
         )
         entries.append(rhs / (4 * q * (x + 3)))
 
+    # The k >= 3 step on integers: with x = X/Y and (P, Q, A) = L (p, q, a^2)
+    # for L the lcm of their denominators, every term of the right-hand side
+    # times L Y is an integer over d_0 dens[k-1] G, G the lcm of the three
+    # rows' growth factors g, and the division by q (x+k+1) is one by
+    # Q (X + (k+1) Y) / (L Y).
+    X, Y = x.numerator, x.denominator
+    L = lcm(p.denominator, q.denominator, a2.denominator)
+    P, Q, A = (v.numerator * (L // v.denominator) for v in (p, q, a2))
     seq = Nested(entries)
-    entries = seq.values  # grows with seq
-    conv_cache: dict = {}
+    nums, dens, steps = seq.nums, seq.dens, seq.steps
+    d0 = dens[0]
+    rows: dict = {}
 
-    def conv(s: int) -> Fraction:
-        """sum_{m=1}^{s-1} tau_m tau_{s-m}."""
-        got = conv_cache.get(s)
+    def conv(s: int) -> tuple[int, int]:
+        """(acc, g) with sum_{m=1}^{s-1} tau_m tau_{s-m} = acc / (d_0 dens[s-2] g)."""
+        got = rows.get(s)
         if got is None:
-            got = conv_cache[s] = Fraction(*self_row(seq, s))
+            acc, den = self_row(seq, s)
+            got = rows[s] = (acc, den // (d0 * dens[s - 2]))
         return got
 
     for k in range(3, order):
         _check_divisor(x + (k + 1), k + 1, params.nu, f"tau_{k + 1}")
-        rhs = p * (x + (k - 1)) * entries[k - 1] - a2 * (x + (k - 3)) * entries[k - 2]
-        rhs += q * conv(k + 1) - p * conv(k) + a2 * conv(k - 1)
-        seq.append(rhs / (q * (x + (k + 1))))
-    return entries
+        (c1, g1), (c2, g2), (c3, g3) = conv(k + 1), conv(k), conv(k - 1)
+        G = lcm(g1, g2, g3)
+        s1 = steps[k - 1]  # dens[k-1] / dens[k-2]
+        s2 = s1 * steps[k - 2]  # dens[k-1] / dens[k-3]
+        rhs = d0 * G * (
+            P * (X + (k - 1) * Y) * nums[k - 1] - A * (X + (k - 3) * Y) * s1 * nums[k - 2]
+        )
+        rhs += Y * (Q * (G // g1) * c1 - P * (G // g2) * s1 * c2 + A * (G // g3) * s2 * c3)
+        seq.append(Fraction(rhs, d0 * dens[k - 1] * G * Q * (X + (k + 1) * Y)))
+    return seq.values
 
 
 def _integer_weights(params: MercerParams) -> tuple[int, int, int]:

@@ -16,7 +16,7 @@ from .errors import InvalidParameterError
 
 BigRat = Fraction
 
-__all__ = ["BigRat", "exact", "count", "parse_rational", "rational_str", "decimal_str"]
+__all__ = ["BigRat", "exact", "count", "parse_rational", "int_str", "rational_str", "decimal_str"]
 
 # Decimal-point or exponent syntax, as float() would read it. Matched only
 # on the error path, so importing the module compiles nothing.
@@ -53,11 +53,39 @@ def count(x, name: str, minimum: int) -> int:
     return x
 
 
+def int_str(n: int) -> str:
+    """``str(n)`` for an int of any size. Past CPython's int-to-str limit
+    (4300 digits by default, a process-wide setting this package leaves
+    alone), n is split on a power of 10 and the halves are converted in
+    turn."""
+    try:
+        return str(n)
+    except ValueError:
+        k = abs(n).bit_length() * 3 // 20  # about half the digits
+        hi, lo = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + int_str(hi) + int_str(lo).rjust(k, "0")
+
+
+def _str_int(s: str) -> int:
+    """``int(s)`` for a string of any length: past the same limit, a sign
+    and plain digits are read in halves."""
+    try:
+        return int(s)
+    except ValueError:
+        s = s.strip()
+        digits = s[1:] if s[:1] in ("+", "-") else s
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+        k = len(digits) // 2
+        n = _str_int(digits[:-k]) * 10**k + _str_int(digits[-k:])
+        return -n if s[0] == "-" else n
+
+
 def _int(part: str, text: str) -> int:
     try:
         if "_" in part:  # int() would read 1_000 as 1000
             raise ValueError
-        return int(part)
+        return _str_int(part)
     except ValueError:
         if re.fullmatch(_FLOAT_LITERAL, part.strip(), re.I):
             raise ValueError(
@@ -87,7 +115,10 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_str(x: Fraction) -> str:
     """Serialize as ``num/den`` with the denominator always explicit."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the int-to-str limit
+        return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 def decimal_str(x: Fraction, digits: int) -> str:
@@ -106,7 +137,7 @@ def decimal_str(x: Fraction, digits: int) -> str:
     d = scaled.denominator
     if 2 * r > d or (2 * r == d and q % 2 == 1):
         q += 1
-    s = str(q)
+    s = int_str(q)
     if digits:
         s = s.rjust(digits + 1, "0")
         s = s[:-digits] + "." + s[-digits:]

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import lcm
 
 from .poly import PolyNu, _term_text
+from .rational import int_str
 from .ratfunc import RatFuncNu
 
 __all__ = [
@@ -25,14 +26,15 @@ __all__ = [
 
 
 def value_plain(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    num = int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
 def value_latex(x: Fraction) -> str:
     if x.denominator == 1:
-        return str(x.numerator)
+        return int_str(x.numerator)
     sign = "-" if x < 0 else ""
-    return f"{sign}\\frac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+    return f"{sign}\\frac{{{int_str(abs(x.numerator))}}}{{{int_str(x.denominator)}}}"
 
 
 def poly_latex(p: PolyNu, var: str = "\\nu") -> str:

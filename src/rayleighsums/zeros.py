@@ -27,7 +27,15 @@ Each bracket [tlo, thi] of width W is then narrowed to a cell
 [a, b] = tlo + W [j, j + 1] / 2^d, where d is the first depth with
 W / 2^d <= precision, as bisection would. Newton's iteration on the even
 series, in exact rationals rounded to dyadic grids of doubling depth,
-picks j; it carries no trust. Two sign certificates make the cell an
+picks j; it carries no trust. From the fourth zero on it starts warm:
+by McMahon's expansion j_k ~ beta - (4 nu^2 - 1) / (8 beta) with
+beta = (k + nu/2 - 1/4) pi (Watson, Treatise 15.53), t_k = j_k^2 is a
+quadratic in k up to O(k^-2), so the quadratic through the three picks
+before zero k lands a small fraction of its bracket away, and about one
+evaluation of the series makes the pick. Combinations of J with its
+derivatives have zeros with the same asymptotics. The first three zeros,
+and any guess outside the bracket, start from the midpoint. Two sign
+certificates make the cell an
 enclosure: f(a) has the sign at tlo and f(b) does not (at a bracket end
 the scan has already certified the sign). A failed edge says on which
 side the zero lies, so the neighbouring cell is tried next, with one new
@@ -249,14 +257,29 @@ def _scan_window(
     return out
 
 
-def _approximate_zero(f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int) -> Fraction:
+def _approximate_zero(
+    f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int, guess: Union[Fraction, None]
+) -> Fraction:
     """Untrusted Newton estimate of the zero in [tlo, thi], for picking a
-    depth-d cell. Each step is rounded to the grid tlo + (thi - tlo) j / 2^D,
-    D doubling from 8 up to d + 6, and clamped to the bracket; a step there
-    that moves at most (thi - tlo) / 2^(d + 4), a step cap or N_w = 0 ends it.
+    depth-d cell.
+
+    With W = thi - tlo, the iteration starts from ``guess`` rounded to the
+    coarse grid tlo + W j / 2^16 when the guess lies in the bracket, and
+    from the midpoint otherwise. Each step evaluates the Newton ratio to
+    the precision of a grid twice as deep as the last, capped at depth
+    d + 6 (after the midpoint, the first is 2^8), and rounds its result to
+    that grid, clamped to the bracket: a step about doubles the correct
+    bits, and an evaluation costs more the more bits its point has. At
+    depth d + 6 a step s ends the iteration when s^2 / W, about the error
+    left after it, is at most W / 2^(d + 6), a 64th of a cell; a step cap
+    or N_w = 0 ends it too.
     """
     W = thi - tlo
-    t, D = tlo + W / 2, 4
+    if guess is not None and tlo <= guess <= thi:
+        D = 16
+        t = tlo + W * round((guess - tlo) * 2**D / W) / 2**D
+    else:
+        t, D = tlo + W / 2, 4
     for _ in range(48):
         D = min(2 * D, d + 6)
         # enough bits for a step error below a quarter of a grid cell
@@ -264,10 +287,9 @@ def _approximate_zero(f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int) -> F
         if not Nw:
             break
         u = min(max(t - t * N / Nw, tlo), thi)
-        u = tlo + W * round((u - tlo) * 2**D / W) / 2**D
-        if D == d + 6 and abs(u - t) * 2 ** (d + 4) <= W:
+        if D == d + 6 and (u - t) ** 2 * 2**D <= W * W:
             return u
-        t = u
+        t = tlo + W * round((u - tlo) * 2**D / W) / 2**D
     return t
 
 
@@ -385,6 +407,7 @@ def find_zeros(
             break
 
     out = []
+    picks: list[Fraction] = []  # the Newton picks of the zeros so far
     for idx, (zlo, zhi, slo) in enumerate(brackets[:count], start=1):
         tlo, thi = zlo * zlo, zhi * zhi
         # Bisection stops at the first depth d with W / 2^d <= precision, in
@@ -393,7 +416,10 @@ def find_zeros(
         d = (ceil(W / precision) - 1).bit_length()
         if d:
             n = 2**d
-            j = floor((_approximate_zero(f, tlo, thi, d) - tlo) * n / W)
+            # the quadratic through the last three picks (McMahon; see above)
+            guess = 3 * picks[-1] - 3 * picks[-2] + picks[-3] if len(picks) >= 3 else None
+            picks.append(_approximate_zero(f, tlo, thi, d, guess))
+            j = floor((picks[-1] - tlo) * n / W)
             j = _certified_cell(f, tlo, W, n, min(max(j, 0), n - 1), slo)
             if j is not None:
                 tlo, thi = tlo + W * j / n, tlo + W * (j + 1) / n

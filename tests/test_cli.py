@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from rayleighsums import PI_HI, PI_LO, decode_table, sigma_table, tau_table, derive_pqr
+from rayleighsums import cli
 from rayleighsums.cli import run
 from rayleighsums.rational import decimal_str, parse_rational
 
@@ -91,6 +92,51 @@ def test_zeros_json():
     lo = F(*map(int, rec["zeros"][0]["lo"].split("/")))
     hi = F(*map(int, rec["zeros"][0]["hi"].split("/")))
     assert lo <= PI_HI**2 and PI_LO**2 <= hi  # encloses pi^2
+
+
+@pytest.mark.parametrize(
+    "fmt, last",
+    [
+        ("plain", "zero 3: t in [121, 27225/196]"),
+        ("latex", "zero 3: t in [121, 27225/196]"),
+        ("csv", "3,121/1,27225/196"),
+    ],
+)
+def test_zeros_integer_endpoints_print_like_sums(fmt, last):
+    # plain and latex print integers bare, as sums and bounds do; JSON and
+    # CSV keep p/q
+    code, out, _ = invoke(["zeros", "--nu", "2", "--count", "3", "--precision", "100",
+                           "--format", fmt])
+    assert code == 0
+    assert out.splitlines()[-1] == last
+
+
+def test_zeros_json_keeps_explicit_denominators():
+    code, out, _ = invoke(["zeros", "--nu", "2", "--count", "3", "--precision", "100",
+                           "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["zeros"][2] == {"k": 3, "lo": "121/1", "hi": "27225/196"}
+
+
+def test_run_builds_its_parser_once(monkeypatch):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert invoke(["sums", "sigma", "--order", "2", "--nu", "1"])[0] == 0
+        assert invoke(["sums", "sigma", "--nu", "1"])[0] == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    # build_parser itself still returns a new parser on every call
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_bounds_json():

@@ -213,11 +213,13 @@ def test_refinement_needs_few_sign_certificates(monkeypatch):
 
 _APPROXIMATE = zeros._approximate_zero
 _WRONG_CELLS = {
-    "tlo": lambda f, tlo, thi, d: tlo,
-    "thi": lambda f, tlo, thi, d: thi,
-    "below": lambda f, tlo, thi, d: tlo - 1,
-    "above": lambda f, tlo, thi, d: 2 * thi,
-    "neighbour": lambda f, tlo, thi, d: _APPROXIMATE(f, tlo, thi, d) + (thi - tlo) / 2**d,
+    "tlo": lambda f, tlo, thi, d, guess: tlo,
+    "thi": lambda f, tlo, thi, d, guess: thi,
+    "below": lambda f, tlo, thi, d, guess: tlo - 1,
+    "above": lambda f, tlo, thi, d, guess: 2 * thi,
+    "neighbour": lambda f, tlo, thi, d, guess: (
+        _APPROXIMATE(f, tlo, thi, d, guess) + (thi - tlo) / 2**d
+    ),
 }
 
 
@@ -234,6 +236,77 @@ def test_wrong_cells_fall_back_to_bisection(monkeypatch, wrong, c):
     else:
         # a failed certificate is followed by about 20 bisection steps
         assert calls["after"] > 15 * 30
+
+
+def _count_newton_calls(monkeypatch):
+    calls = {"newton": 0}
+    newton_ratio = _EvenSeries.newton_ratio
+
+    def counted(self, t, bits):
+        calls["newton"] += 1
+        return newton_ratio(self, t, bits)
+
+    monkeypatch.setattr(_EvenSeries, "newton_ratio", counted)
+    return calls
+
+
+_BENCH_REQUESTS = [c for c in _GOLDEN if c[2] == F(1, 10**5)]
+
+
+@pytest.mark.parametrize(
+    "case", _BENCH_REQUESTS, ids=lambda c: "nu={} c={}".format(c[0], c[3])
+)
+def test_warm_start_needs_about_one_newton_step_per_zero(monkeypatch, case):
+    # Midpoint starts took 4 newton_ratio calls per zero (121 per request).
+    # From the fourth zero on, the extrapolated guess usually needs one.
+    newton = _count_newton_calls(monkeypatch)
+    calls = _count_refinement_calls(monkeypatch)
+    assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+    assert newton["newton"] <= 1.5 * 30
+    # 2 certificates per zero, and few neighbour cells
+    assert calls["after"] <= 66
+
+
+def _with_guess(wrong_guess):
+    """_approximate_zero with its guess replaced, on every zero."""
+
+    def approximate(f, tlo, thi, d, guess):
+        return _APPROXIMATE(f, tlo, thi, d, wrong_guess(f, tlo, thi, d))
+
+    return approximate
+
+
+_WRONG_GUESSES = {
+    "below": lambda f, tlo, thi, d: tlo - 1,
+    "above": lambda f, tlo, thi, d: 2 * thi,
+    "tlo": lambda f, tlo, thi, d: tlo,
+    "thi": lambda f, tlo, thi, d: thi,
+    "cell_off": lambda f, tlo, thi, d: (
+        _APPROXIMATE(f, tlo, thi, d, None) + (thi - tlo) / 2**d
+    ),
+}
+
+
+def _newton_calls_with_guess(monkeypatch, wrong_guess, case):
+    with monkeypatch.context() as m:
+        m.setattr(zeros, "_approximate_zero", _with_guess(wrong_guess))
+        newton = _count_newton_calls(m)
+        calls = _count_refinement_calls(m)
+        assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+    return newton["newton"], calls["after"]
+
+
+@pytest.mark.parametrize("c", [None, 2])
+@pytest.mark.parametrize("wrong", sorted(_WRONG_GUESSES))
+def test_wrong_guesses_keep_the_endpoints(monkeypatch, wrong, c):
+    # From an endpoint or one cell off, Newton still reaches the cell the
+    # certificates accept; outside the bracket the midpoint starts.
+    case = (F(0) if c is None else F(1), 30, F(1, 10**5), c)
+    newton, after = _newton_calls_with_guess(monkeypatch, _WRONG_GUESSES[wrong], case)
+    assert after <= 66
+    if wrong in ("below", "above"):
+        midpoint = lambda f, tlo, thi, d: None
+        assert newton == _newton_calls_with_guess(monkeypatch, midpoint, case)[0]
 
 
 def test_zero_derivative_ends_the_approximation(monkeypatch):
