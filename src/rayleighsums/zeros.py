@@ -12,11 +12,16 @@ partial sum of the even-part series and T bounds the dropped tail:
   has successive-term ratio below 1/2 from the truncation point on, so T
   is twice the first omitted majorant term.
 
-S is summed fraction-free. With nu = p/q and t = P/Q every partial sum
-is an exact integer over the common denominator L q^2 G_k Q^k (see
-_EvenSeries), the cutoff rule and T are scaled by the same positive
-factor, and each certificate is an integer comparison; no gcd is taken.
-The certificates are exactly those of the same sums in reduced rationals.
+S is summed in dyadic fixed point (see _EvenSeries): each term is an
+integer multiple of 2^-b, rounded down by one floor division, and a
+closed-form bound on the rounding error joins T in the certificate. The
+dyadic sum answers only where it certifies |f| above twice the refusal
+floor of the exact sum, so where it answers, the exact sum certifies the
+same sign. Where it cannot, the exact sum decides: with nu = p/q and
+t = P/Q every partial sum is an exact integer over the common
+denominator L q^2 G_k Q^k, and each certificate is an integer comparison,
+the same as for the sums in reduced rationals. Either way no gcd is
+taken, no float is used, and the sign is the exact sum's.
 
 Sign certificates from these enclosures drive a scan along a grid of
 spacing roughly pi/4 in z (a heuristic; the certificates are what make
@@ -26,18 +31,18 @@ between consecutive brackets longer than 1.5 pi at half step.
 Each bracket [tlo, thi] of width W is then narrowed to a cell
 [a, b] = tlo + W [j, j + 1] / 2^d, where d is the first depth with
 W / 2^d <= precision, as bisection would. Newton's iteration on the even
-series, in exact rationals rounded to dyadic grids of doubling depth,
-picks j; it carries no trust. From the fourth zero on it starts warm:
-by McMahon's expansion j_k ~ beta - (4 nu^2 - 1) / (8 beta) with
-beta = (k + nu/2 - 1/4) pi (Watson, Treatise 15.53), t_k = j_k^2 is a
-quadratic in k up to O(k^-2), so the quadratic through the three picks
-before zero k lands a small fraction of its bracket away, and about one
-evaluation of the series makes the pick. Combinations of J with its
-derivatives have zeros with the same asymptotics. The first three zeros,
-and any guess outside the bracket, start from the midpoint. Two sign
-certificates make the cell an
-enclosure: f(a) has the sign at tlo and f(b) does not (at a bracket end
-the scan has already certified the sign). A failed edge says on which
+series, its ratio f / (t f') from the dyadic sums and its steps rounded
+to dyadic grids of doubling depth, picks j; it carries no trust. From
+the fourth zero on it starts warm: by McMahon's expansion
+j_k ~ beta - (4 nu^2 - 1) / (8 beta) with beta = (k + nu/2 - 1/4) pi
+(Watson, Treatise 15.53), t_k = j_k^2 is a quadratic in k up to
+O(k^-2), so the quadratic through the three picks before zero k lands a
+small fraction of its bracket away, and about one evaluation of the
+series makes the pick. Combinations of J with its derivatives have zeros
+with the same asymptotics. The first three zeros, and any guess outside
+the bracket, start from the midpoint. Two sign certificates make the
+cell an enclosure: f(a) has the sign at tlo and f(b) does not (at a
+bracket end the scan has already certified the sign). A failed edge says on which
 side the zero lies, so the neighbouring cell is tried next, with one new
 certificate; if that fails too, bisection runs from the bracket as the
 fallback. When a bracket holds one sign change, the cell is exactly the
@@ -56,9 +61,10 @@ that later zeros exceed the last one found).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, isqrt, lcm
 from typing import Union
 
 from .bounds import nth_root_enclosure
@@ -87,6 +93,25 @@ PI_LO = Fraction(3141592653589793238462643383279, 10**30)
 PI_HI = Fraction(3141592653589793238462643383280, 10**30)
 
 _SIGN_FLOOR = Fraction(1, 10**150)
+
+
+def _power_str(x: Fraction) -> str:
+    """x as 10^-k when it is one, else as an exact rational."""
+    d = rational.int_str(x.denominator)
+    if x.numerator == 1 and d == "1" + "0" * (len(d) - 1):
+        return f"10^-{len(d) - 1}"
+    return rational.rational_str(x)
+
+
+def _fixed_point_bits(t: Fraction) -> int:
+    """Bits b of the dyadic sums at t.
+
+    The largest series term near t is about e^sqrt(t) < 2^(1.5 sqrt(t)),
+    which the rounding error scales with; 64 guard bits cover the term
+    count and the coefficients, and one more bit per bit of t's
+    denominator covers the smaller values at finer points.
+    """
+    return 3 * isqrt(t.numerator // t.denominator) // 2 + 64 + t.denominator.bit_length()
 
 
 @dataclass(frozen=True)
@@ -127,13 +152,34 @@ class _EvenSeries:
     M_n = 2nq + p, H_n = L q^2 h_n = A M_n (M_n - q) + B M_n q + C q^2 with
     (A, B, C) = L (a, b, c), and r_n = 4n(p + nq). Then g_n = (-1)^n q^n / G_n
     with G_n = r_1 ... r_n, and every quantity is an integer. At t = P/Q and
-    X = qP the partial sum through index k is N_k / (L q^2 G_k Q^k) with
+    X = qP, L q^2 f(t) = sum_n (-1)^n H_n u_n with u_n = X^n / (G_n Q^n), and
+    the tail past index k is at most w_{k+1} u_{k+1}.
+
+    The sums run in dyadic fixed point: U_0 = 2^b and
+    U_n = floor(U_{n-1} X / (r_n Q)), one floor division per term. Each
+    step adds below 1 to the error, so 0 <= 2^b u_n - U_n <= sum_{m<=n} u_n/u_m
+    <= n max(1, u_max): nu > -1 makes r_n increase, so the ratios
+    rho_n = X / (r_n Q) decrease, every u_m up to the peak is at least
+    u_0 = 1, and past the peak the products of rho are at most 1. With
+    K = k + 1 and U_max the largest U_n up to K, max(1, u_max) is at most
+    floor(U_max / (2^b - K)) + 1, so E = K (that + 1) bounds every error.
+    A = sum_{n<=k} (-1)^n H_n U_n then carries the sign of f when
+
+        |A| - E sum_{n<=k} |H_n| - w_{k+1} (U_{k+1} + E) > 2 L q^2 2^b floor,
+
+    where floor is the refusal floor of the exact sum: above twice the
+    floor, the exact sum provably certifies the same sign. The dyadic sum
+    deepens 8 terms at a time while the tail dominates the rounding; if
+    it still cannot certify, the exact sum decides.
+
+    The exact sum is fraction-free: the partial sum through index k is
+    N_k / (L q^2 G_k Q^k) with
 
         N_k = N_{k-1} r_k Q + (-1)^k H_k X^k,
 
-    so S +- T has the sign of N_k r_{k+1} Q +- w_{k+1} X^{k+1}, where w_n X^n
-    is the tail bound T scaled by the same positive factor. nu > -1 keeps
-    r_n and M_n - q positive for n >= 1, so no comparison changes direction.
+    so S +- T has the sign of N_k r_{k+1} Q +- w_{k+1} X^{k+1}. nu > -1
+    keeps r_n and M_n - q positive for n >= 1, so no comparison changes
+    direction.
     """
 
     def __init__(self, nu: Fraction, abc: tuple[Fraction, Fraction, Fraction]):
@@ -141,16 +187,22 @@ class _EvenSeries:
         L = lcm(*(x.denominator for x in abc))
         self.A, self.B, self.C = (x.numerator * (L // x.denominator) for x in abc)
         self.L = L
-        # (r_n, (-1)^n H_n, w_n, G_n) per index n, extended on demand.
-        self._terms: list[tuple[int, int, int, int]] = []
-        h0 = self._extend(0)[0][1]
+        # r_n, (-1)^n H_n, w_n, G_n and sum_{m<=n} |H_m| per index n, extended on demand
+        self._r: list[int] = []
+        self._h: list[int] = []
+        self._w: list[int] = []
+        self._G: list[int] = []
+        self._hsum: list[int] = []
+        # the cutoff thresholds (num_i, den_i), one per truncation index 4 * 2^i
+        self._thresholds: list[tuple[int, int]] = []
+        self._extend(0)
+        h0 = self._h[0]
         self.sign0 = (h0 > 0) - (h0 < 0)
 
-    def _extend(self, upto: int) -> list[tuple[int, int, int, int]]:
-        terms = self._terms
+    def _extend(self, upto: int) -> None:
         p, q, A, B, C = self.p, self.q, self.A, self.B, self.C
-        while len(terms) <= upto:
-            n = len(terms)
+        while len(self._r) <= upto:
+            n = len(self._r)
             m = 2 * n * q + p
             h = A * m * (m - q) + B * m * q + C * q * q
             if not A and not B:
@@ -160,77 +212,135 @@ class _EvenSeries:
                 # |h_n| <= |a| u2_n + |b| u1_n + |c|; geometric majorant with ratio <= 1/2
                 w = 2 * (abs(A) * m * (m - q) + abs(B) * m * q + abs(C) * q * q)
             r = 4 * n * (p + n * q) if n else 1
-            terms.append((r, -h if n % 2 else h, w, terms[-1][3] * r if n else 1))
-        return terms
-
-    def _ratio2_above_half(self, n: int, X: int, Q: int) -> bool:
-        """Whether the decreasing bound on every majorant term ratio at
-        index n, t (m+2)(m+1) / (4 (n+1)(nu+n+1) m (m-1)) with m = 2n + nu,
-        exceeds 1/2."""
-        q = self.q
-        m = 2 * n * q + self.p
-        r1 = self._extend(n + 1)[n + 1][0]
-        return 2 * X * (m + 2 * q) * (m + q) > Q * r1 * m * (m - q)
+            self._r.append(r)
+            self._h.append(-h if n % 2 else h)
+            self._w.append(w)
+            self._G.append(self._G[-1] * r if n else 1)
+            self._hsum.append(self._hsum[-1] + abs(h) if n else abs(h))
 
     def _cutoff(self, X: int, Q: int) -> int:
-        """First truncation index 4 * 2^i past which the majorant ratio is <= 1/2."""
-        k = 4
-        while self._ratio2_above_half(k + 1, X, Q):
-            k *= 2
-        return k
+        """First truncation index k = 4 * 2^i past which the majorant ratio is <= 1/2.
+
+        At n = k + 1 and m = 2n + nu, the decreasing bound on every
+        majorant term ratio, t (m+2)(m+1) / (4 (n+1)(nu+n+1) m (m-1)), is at
+        most 1/2 exactly when X / Q = q t <= num_i / den_i; the integer
+        thresholds are cached per series.
+        """
+        p, q, th = self.p, self.q, self._thresholds
+        i = 0
+        while True:
+            if i == len(th):
+                n = (4 << i) + 1
+                m = 2 * n * q + p
+                r1 = 4 * (n + 1) * (p + (n + 1) * q)
+                th.append((r1 * m * (m - q), 2 * (m + 2 * q) * (m + q)))
+            num, den = th[i]
+            if X * den <= Q * num:
+                return 4 << i
+            i += 1
+
+    def _fixed_point_sums(self, X: int, Q: int, k: int, run):
+        """Advance the dyadic sums (see the class docstring) through index k.
+
+        ``run`` = (n, U_n, A, A_w, U_max) holds the sums A of (-1)^m H_m U_m
+        and A_w of m (-1)^m H_m U_m over m < n, and the largest U_m for
+        m <= n; it starts as (0, 2^b, 0, 0, 2^b), or with A_w = None when
+        the weighted twin is not wanted. Returns the run at n = k + 1.
+        """
+        n, U, A, Aw, top = run
+        self._extend(k + 1)
+        hs, rs = self._h[n : k + 1], self._r[n + 1 : k + 2]
+        if Aw is None:
+            for h, r in zip(hs, rs):
+                A += h * U
+                U = U * X // (r * Q)
+                if U > top:
+                    top = U
+        else:
+            for m, h, r in zip(range(n, k + 1), hs, rs):
+                hU = h * U
+                A += hU
+                Aw += m * hU
+                U = U * X // (r * Q)
+                if U > top:
+                    top = U
+        return k + 1, U, A, Aw, top
+
+    def _fixed_point_sign(self, t: Fraction) -> int:
+        """Sign of f(t) from the dyadic sums, when their rounding bound
+        certifies it and |f(t)| exceeds twice the refusal floor; 0 otherwise."""
+        X, Q = self.q * t.numerator, t.denominator
+        k = self._cutoff(X, Q)
+        bits = _fixed_point_bits(t)
+        one = 1 << bits
+        guard = (2 * _SIGN_FLOOR.numerator * self.L * self.q * self.q) << bits
+        run = 0, one, 0, None, one
+        while True:
+            run = K, U, A, _, top = self._fixed_point_sums(X, Q, k, run)
+            if one <= K:
+                return 0
+            E = K * (top // (one - K) + 1)
+            rounding = E * self._hsum[k]
+            tail = self._w[K] * U
+            if (abs(A) - rounding - tail - self._w[K] * E) * _SIGN_FLOOR.denominator > guard:
+                return 1 if A > 0 else -1
+            if tail <= rounding:
+                return 0
+            k += 8
 
     def newton_ratio(self, t: Fraction, bits: int) -> tuple[int, int]:
         """(N, N_w) with N / N_w close to f(t) / (t f'(t)), uncertified.
 
-        N is sign_at's numerator and N_w = N_w r_n Q + n (-1)^n H_n X^n its
-        twin for t f'(t) over the same denominator. Terms are added 8 at a
-        time until the tail bound is below 2^-bits of |N_w|, or a term cap
-        is reached; N_w may be 0.
+        N and N_w are the dyadic sums A and A_w (the twin with weights n,
+        which sums t f'(t)), on _fixed_point_bits(t) + bits bits. Terms are
+        added 8 at a time until the tail bound is below 2^-bits of |N_w|,
+        or a term cap is reached; the rounding is not bounded. N_w may be 0.
         """
         X, Q = self.q * t.numerator, t.denominator
         k = self._cutoff(X, Q)
         cap = 2 * (k + bits)
-        N = Nw = n = 0
-        Xn = 1
+        one = 1 << (_fixed_point_bits(t) + bits)
+        run = 0, one, 0, 0, one
         while True:
-            terms = self._extend(k + 1)
-            for r, h, _, _ in terms[n : k + 1]:
-                rQ, hX = r * Q, h * Xn
-                N, Nw = N * rQ + hX, Nw * rQ + n * hX
-                Xn *= X
-                n += 1
-            r, _, w, _ = terms[n]
-            if (w * Xn) << bits <= abs(Nw * r * Q) or k >= cap:
+            run = n, U, N, Nw, _ = self._fixed_point_sums(X, Q, k, run)
+            if (self._w[n] * U) << bits <= abs(Nw) or k >= cap:
                 # keeping bits + 8 bits of N_w spares the caller a huge gcd
                 s = max(Nw.bit_length() - bits - 8, 0)
                 return N >> s, Nw >> s
             k += 8
 
     def sign_at(self, t: Fraction) -> int:
-        """Sign of f(t), certified by [S - T, S + T] excluding 0; the sum
-        deepens 8 terms at a time until it does."""
+        """Sign of f(t), certified by [S - T, S + T] excluding 0.
+
+        The dyadic sums answer when their bound certifies the sign; otherwise
+        the exact sum does, deepening 8 terms at a time, and raises
+        PrecisionError once T is below the refusal floor.
+        """
         if t < 0:
             raise InvalidParameterError("even-part series evaluated at negative t")
-        X, Q = self.q * t.numerator, t.denominator
-        if not X:
+        if not t:
             return 1 if self.sign0 > 0 else -1
+        return self._fixed_point_sign(t) or self._exact_sign(t)
+
+    def _exact_sign(self, t: Fraction) -> int:
+        """Sign of f(t) from the exact sum N_k."""
+        X, Q = self.q * t.numerator, t.denominator
         k = self._cutoff(X, Q)
         N, Xn, n = 0, 1, 0
         while True:
-            terms = self._extend(k + 1)
-            for r, h, _, _ in terms[n : k + 1]:
+            self._extend(k + 1)
+            for r, h in zip(self._r[n : k + 1], self._h[n : k + 1]):
                 N = N * r * Q + h * Xn
                 Xn *= X
             n = k + 1
-            r, _, w, G = terms[n]
-            s, tail = N * r * Q, w * Xn
+            s, tail = N * self._r[n] * Q, self._w[n] * Xn
             if s > tail:
                 return 1
             if s < -tail:
                 return -1
             # T = tail / (L q^2 G_{k+1} Q^{k+1}) below _SIGN_FLOOR
             if tail * _SIGN_FLOOR.denominator < (
-                _SIGN_FLOOR.numerator * self.L * self.q**2 * G * Q**n
+                _SIGN_FLOOR.numerator * self.L * self.q**2 * self._G[n] * Q**n
             ):
                 raise PrecisionError(
                     f"cannot certify the sign at t = {t}: |value| < {_SIGN_FLOOR}"
@@ -424,12 +534,18 @@ def find_zeros(
             if j is not None:
                 tlo, thi = tlo + W * j / n, tlo + W * (j + 1) / n
         # Fallback bisection; after a certified cell it has nothing left to do.
-        while thi - tlo > precision:
-            mid = (tlo + thi) / 2
-            if f.sign_at(mid) == slo:
-                tlo = mid
-            else:
-                thi = mid
+        try:
+            while thi - tlo > precision:
+                mid = (tlo + thi) / 2
+                if f.sign_at(mid) == slo:
+                    tlo = mid
+                else:
+                    thi = mid
+        except PrecisionError as exc:
+            raise PrecisionError(
+                f"cannot enclose zero {idx} of {fid} to precision {_power_str(precision)}: "
+                f"the sign certificates stop at |value| < {_power_str(_SIGN_FLOOR)}"
+            ) from exc
         out.append(ZeroEnclosure(lo=tlo, hi=thi, function_id=fid, index=idx))
     return out
 

@@ -184,6 +184,18 @@ def test_degenerate_exits_3():
     assert "constant term" in err
 
 
+def test_zeros_past_the_certificate_floor_names_the_cause():
+    # the sign certificates stop at |value| < 10^-150, which a cell of
+    # width 10^-200 around a zero reaches; the error used to print only the
+    # 300-digit point of the failed certificate
+    code, out, err = invoke(["zeros", "--nu", "0", "--count", "2", "--precision", "1/1" + "0" * 200])
+    assert code == 3 and out == ""
+    assert err == (
+        "error: cannot enclose zero 1 of bessel(nu=0) to precision 10^-200: "
+        "the sign certificates stop at |value| < 10^-150\n"
+    )
+
+
 def test_parameter_errors_exit_2():
     code, _, err = invoke(["sums", "tau", "--order", "3"])  # missing a, b, c
     assert code == 2 and "missing" in err

@@ -159,7 +159,9 @@ def _search(nu, count, precision, c=None):
 
 
 # Enclosures from plain bisection, before the cell locator replaced it:
-# every zeros request a benchmark seed can make, and two high precisions.
+# every zeros request a benchmark seed can make, and three high precisions
+# (the 64 zeros at 1/10^60 from the exact-sum certificates, before the
+# dyadic ones).
 _GOLDEN = {
     (F(0), 30, F(1, 10**5), None): "41853970ed82aebd981378ef2521f2eedd97d382ce820b3971fda2b5d2713a48",
     (F(1, 2), 30, F(1, 10**5), None): "af334f6dd432e7f5f69576924e89eba7662a76b5b935fda69214632b01e56d4b",
@@ -173,6 +175,7 @@ _GOLDEN = {
     (F(1), 30, F(1, 10**5), 2): "938f5b849ae94da6e6048c2d58a44023c51fdde32e392d3bd8cfd2fa2ec7e41e",
     (F(0), 30, F(1, 10**30), None): "83f844717fb8fed5f899be439757b36b26eb2292f61e2e2d6f40a1775c9333aa",
     (F(1), 30, F(1, 10**20), 2): "594ea4da8844eff5159dc2780e2357922ccdbadff3adbf29fb0f9e2dded06397",
+    (F(0), 64, F(1, 10**60), None): "0c8a5f77bc8406f1a58f35210391ba9df0ea95dd4dcf9def1740f32c8d6df0ae",
 }
 
 
@@ -202,13 +205,17 @@ def _count_refinement_calls(monkeypatch):
     return calls
 
 
-def test_refinement_needs_few_sign_certificates(monkeypatch):
-    # Bisection needs about 106 sign_at calls per zero here; a certified
-    # Newton cell needs 2.
+@pytest.mark.parametrize(
+    "case, most",
+    [((F(0), 30, F(1, 10**30), None), 6 * 30), ((F(0), 64, F(1, 10**60), None), 2 * 64)],
+    ids=["30 zeros at 1/10^30", "64 zeros at 1/10^60"],
+)
+def test_refinement_needs_few_sign_certificates(monkeypatch, case, most):
+    # Bisection needs about 106 sign_at calls per zero at 1/10^30; a
+    # certified Newton cell needs 2.
     calls = _count_refinement_calls(monkeypatch)
-    case = (F(0), 30, F(1, 10**30), None)
     assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
-    assert calls["after"] <= 6 * 30
+    assert calls["after"] <= most
 
 
 _APPROXIMATE = zeros._approximate_zero
@@ -250,6 +257,18 @@ def _count_newton_calls(monkeypatch):
     return calls
 
 
+def _count_exact_sums(monkeypatch):
+    calls = {"exact": 0}
+    exact_sign = _EvenSeries._exact_sign
+
+    def counted(self, t):
+        calls["exact"] += 1
+        return exact_sign(self, t)
+
+    monkeypatch.setattr(_EvenSeries, "_exact_sign", counted)
+    return calls
+
+
 _BENCH_REQUESTS = [c for c in _GOLDEN if c[2] == F(1, 10**5)]
 
 
@@ -261,10 +280,14 @@ def test_warm_start_needs_about_one_newton_step_per_zero(monkeypatch, case):
     # From the fourth zero on, the extrapolated guess usually needs one.
     newton = _count_newton_calls(monkeypatch)
     calls = _count_refinement_calls(monkeypatch)
+    exact = _count_exact_sums(monkeypatch)
     assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
     assert newton["newton"] <= 1.5 * 30
     # 2 certificates per zero, and few neighbour cells
     assert calls["after"] <= 66
+    # every certificate from the dyadic sums: a bit width too small for
+    # them would double the cost through the exact fallback
+    assert exact["exact"] == 0
 
 
 def _with_guess(wrong_guess):
@@ -405,6 +428,105 @@ def test_integer_sign_matches_fraction_reference(point):
             _EvenSeries(nu, abc).sign_at(t)
         return
     assert _EvenSeries(nu, abc).sign_at(t) == want
+
+
+# Series whose dyadic sums are checked at a bit width too small for
+# them: nu near -1 makes r_1 small, and the Mercer case has a = 0, b = 1.
+_LOW_BITS_CASES = [
+    (F(0), (F(0), F(0), F(1))),
+    (F(5, 2), (F(0), F(0), F(1))),
+    (F(-99, 100), (F(0), F(0), F(1))),
+    (F(-1, 3), (F(0), F(1), F(1))),
+]
+
+
+@lru_cache(maxsize=None)
+def _fine_zeros(case):
+    nu, (a, b, c) = _LOW_BITS_CASES[case]
+    params = None if not b else derive_pqr(a, b, c, nu)
+    return find_zeros(nu, 12, F(1, 10**10), params=params, assert_real_zeros=True)
+
+
+@st.composite
+def _low_bits_points(draw):
+    case = draw(st.integers(0, len(_LOW_BITS_CASES) - 1))
+    if not draw(st.integers(0, 3)):
+        # up to the search's default z_max = 250
+        den = draw(st.integers(1, 10**6))
+        t = F(draw(st.integers(1, 250**2 * den)), den)
+    else:
+        # next to a zero, where the rounding binds first
+        enc = draw(st.sampled_from(_fine_zeros(case)))
+        t = draw(st.sampled_from([enc.lo, enc.hi]))
+    if draw(st.booleans()):
+        bits = draw(st.integers(4, 48))
+    else:
+        bits = max(zeros._fixed_point_bits(t) - draw(st.integers(0, 96)), 4)
+    return case, t, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_low_bits_points())
+def test_dyadic_sign_is_undecided_or_right_at_low_bit_widths(point):
+    # Below the usual width the rounding error, not the tail, bounds most
+    # sums, and the certificate must say undecided; without the rounding
+    # term about 4 % of the answers at 4 to 48 bits are wrong.
+    case, t, bits = point
+    nu, abc = _LOW_BITS_CASES[case]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(zeros, "_fixed_point_bits", lambda t: bits)
+        got = _EvenSeries(nu, abc)._fixed_point_sign(t)
+    assert got in (-1, 0, 1)
+    if got:
+        assert got == _reference_sign(nu, abc, t)
+
+
+def test_coarse_floor_refusals_still_raise(monkeypatch):
+    # Above twice the floor both sums certify the same sign; below it the
+    # dyadic sums must leave the point to the exact sum and its refusal.
+    points = [
+        (_EvenSeries(*_LOW_BITS_CASES[case]), t)
+        for case in range(len(_LOW_BITS_CASES))
+        for enc in _fine_zeros(case)
+        for scale in (1, 10**3, 10**5, 10**7)
+        for t in (enc.lo - enc.width * scale, enc.hi + enc.width * scale)
+    ]
+    monkeypatch.setattr(zeros, "_SIGN_FLOOR", F(1, 10**6))
+    refused = 0
+    for f, t in points:
+        try:
+            want = f._exact_sign(t)
+        except PrecisionError:
+            refused += 1
+            with pytest.raises(PrecisionError):
+                f.sign_at(t)
+        else:
+            assert f.sign_at(t) == want
+    assert 50 <= refused <= len(points) - 50
+
+
+def _doubling_cutoff(f, X, Q):
+    """The cutoff search that the cached thresholds replaced."""
+    p, q = f.p, f.q
+    k = 4
+    while True:
+        m = 2 * (k + 1) * q + p
+        r1 = 4 * (k + 2) * (p + (k + 2) * q)
+        if 2 * X * (m + 2 * q) * (m + q) <= Q * r1 * m * (m - q):
+            return k
+        k *= 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.fractions(min_value=F(-99, 100), max_value=F(40), max_denominator=100),
+    st.lists(st.fractions(min_value=0, max_value=10**6, max_denominator=10**6), min_size=1),
+)
+def test_cached_cutoff_matches_the_doubling_search(nu, ts):
+    f = _EvenSeries(nu, (F(0), F(1), F(1)))
+    for t in ts:
+        X, Q = f.q * t.numerator, t.denominator
+        assert f._cutoff(X, Q) == _doubling_cutoff(f, X, Q)
 
 
 @pytest.mark.parametrize("bad", INEXACT + [1.0, F(1)], ids=repr)
