@@ -44,7 +44,7 @@ from .oracle import (
     mercer_t_series,
 )
 from .poly import PolyNu
-from .ratfunc import RatFuncNu, eval_at, normalize
+from .ratfunc import RatFuncNu
 from .rational import BigRat, decimal_str, parse_rational, rational_str
 from .serialize import decode_table, encode_table, table_csv
 from .series import FormalSeries, series_divide
@@ -64,8 +64,6 @@ __all__ = [
     "BigRat",
     "PolyNu",
     "RatFuncNu",
-    "normalize",
-    "eval_at",
     "FormalSeries",
     "series_divide",
     "SigmaTable",

@@ -118,6 +118,10 @@ class MercerParams:
 def derive_pqr(a, b, c, nu: NuMode = "symbolic") -> MercerParams:
     """Build MercerParams with p, q, r exactly as derived from (a, b, c)."""
     a, b, c = exact(a, "a"), exact(b, "b"), exact(c, "c")
+    if not (a or b or c):
+        raise DegenerateParametersError(
+            "a, b and c are all zero: a*z^2*J'' + b*z*J' + c*J vanishes identically"
+        )
     p_poly = PolyNu([2 * a * c + a * a - b * b, 0, 2 * a * a])
     q_poly = PolyNu([c * c, 0, 2 * a * c - (a - b) ** 2, 0, a * a])
     r_poly = PolyNu([c * (a + b), 0, a * (3 * a - b)])

@@ -19,11 +19,14 @@ That split is unique, so ``==`` and ``hash`` compare the pair and
   integers and makes one content pass.
 - ``exact_div`` divides the primitive parts by integer long division and
   the contents as rationals; ``gcd`` runs the primitive PRS on the
-  primitive parts, or a single evaluation when one of them is linear;
-  evaluation is integer Horner over a power of the denominator.
+  primitive parts; evaluation is integer Horner over a power of the
+  denominator.
 
 The rational coefficients (``coeffs``, ``coeff``, ``leading``) are
 materialized only on demand, for rendering and serialization.
+
+The tables take ``PolyNu`` only as input and output; the operators, with
+``exact_div`` and ``gcd``, are the reference arithmetic under ``RatFuncNu``.
 
 The fraction-free tables work on bare integer coefficient tuples with the
 helpers below. ``_isumprod`` is their one sum-of-products kernel: it
@@ -68,18 +71,6 @@ def _iprimitive(v: list[int]) -> list[int]:
     if v[-1] < 0:
         g = -g
     return [c // g for c in v] if g != 1 else v
-
-
-def _ipoly_gcd(u, v):
-    """Primitive gcd of primitive integer polynomials via the primitive PRS."""
-    if len(u) < len(v):
-        u, v = v, u
-    while v:
-        # pseudo-remainder: lv^m * u = q*v + r with m = deg u - deg v + 1
-        r = [v[-1] ** (len(u) - len(v) + 1) * c for c in u]
-        _ilongdiv(r, v)
-        u, v = v, _iprimitive(r)
-    return u
 
 
 def _iconv(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
@@ -238,10 +229,6 @@ class PolyNu:
             self._k, self._p = _F0, ()
         return self
 
-    @classmethod
-    def constant(cls, value: Scalar) -> "PolyNu":
-        return cls([value])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         k = self._k
@@ -362,43 +349,12 @@ class PolyNu:
         d = x.denominator
         return self._k * Fraction(_ihorner(self._p, x.numerator, d), d ** (len(self._p) - 1))
 
-    def derivative(self) -> "PolyNu":
-        k = self._k
-        w = [i * c for i, c in enumerate(self._p)][1:]
-        return PolyNu._make(*_split(k.numerator, k.denominator, w))
-
     def primitive(self) -> tuple[Fraction, "PolyNu"]:
         """Split into ``content * primitive`` with an integer, positive-leading
         primitive part; the zero polynomial yields content 0."""
         if not self._p:
             return _F0, PolyNu.ZERO
         return self._k, PolyNu._make(_F1, self._p)
-
-    def __divmod__(self, other: "PolyNu") -> tuple["PolyNu", "PolyNu"]:
-        if not isinstance(other, PolyNu):
-            return NotImplemented
-        v = other._p
-        if not v:
-            raise ZeroDivisionError("polynomial division by zero")
-        u = self._p
-        if len(u) < len(v):
-            return PolyNu.ZERO, self
-        # lv^m * u = q*v + r over the integers, m = deg u - deg v + 1.
-        scale = v[-1] ** (len(u) - len(v) + 1)
-        r = [scale * c for c in u]
-        q = _ilongdiv(r, v)
-        k = self._k
-        kq = k / other._k
-        return (
-            PolyNu._make(*_split(kq.numerator, kq.denominator * scale, q)),
-            PolyNu._make(*_split(k.numerator, k.denominator * scale, r)),
-        )
-
-    def __floordiv__(self, other: "PolyNu") -> "PolyNu":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "PolyNu") -> "PolyNu":
-        return divmod(self, other)[1]
 
     def exact_div(self, other: "PolyNu") -> "PolyNu":
         """self / other, raising ArithmeticError unless other divides self.
@@ -424,28 +380,17 @@ class PolyNu:
 
     @staticmethod
     def gcd(a: "PolyNu", b: "PolyNu") -> "PolyNu":
-        """Primitive gcd with positive leading coefficient; gcd(0, 0) = 0."""
-        if not a:
-            return b.primitive()[1]
-        if not b:
-            return a.primitive()[1]
+        """Primitive gcd with positive leading coefficient, by the primitive
+        PRS; gcd(0, 0) = 0."""
         u, v = a._p, b._p
-        # Common power of nu is split off cheaply first.
-        shift = min(next(i for i, c in enumerate(u) if c), next(i for i, c in enumerate(v) if c))
-        if shift:
-            u, v = u[shift:], v[shift:]
-        if len(u) == 1 or len(v) == 1:
-            w = [1]
-        elif len(u) == 2 or len(v) == 2:
-            # A linear primitive factor c0 + c1*nu divides the other operand
-            # iff that one vanishes at -c0/c1, which Horner decides in
-            # integers with no pseudo-remainder sequence.
-            if len(u) == 2:
-                u, v = v, u
-            w = v if not _ihorner(u, -v[0], v[1]) else [1]
-        else:
-            w = _ipoly_gcd(u, v)
-        return PolyNu._make(_F1, (0,) * shift + tuple(w))
+        if len(u) < len(v):
+            u, v = v, u
+        while v:
+            # pseudo-remainder: lv^m * u = q*v + r with m = deg u - deg v + 1
+            r = [v[-1] ** (len(u) - len(v) + 1) * c for c in u]
+            _ilongdiv(r, v)
+            u, v = v, _iprimitive(r)
+        return PolyNu._make(_F1, tuple(u)) if u else PolyNu.ZERO
 
     @staticmethod
     def _coerce(other: object):

@@ -20,9 +20,10 @@ factored denominators (multiply by the new factors, divide exactly by
 the old ones) instead of rebuilding each from its exponent map; every
 step checks the scale and the exponents, so a wrong a-priori denominator
 still fails loudly. ``factor_quadratic`` splits the quadratic d_0 they
-share into such factors. The remaining symbolic arithmetic
-(``FormalSeries`` products and ``series_divide`` on bare symbolic series)
-uses the operators here.
+share into such factors. No table reaches ``RatFuncNu(num, den)``, which
+reduces by a PRS gcd, or the operators: they are the reference the
+integer routes are tested against, and symbolic ``FormalSeries``
+arithmetic runs on them.
 
 ``PolyNu`` stores content and primitive part apart, so the
 ``primitive()`` splits done here are free and the scalar rescalings touch
@@ -41,7 +42,7 @@ from .rational import exact
 
 Scalar = Union[int, Fraction]
 
-__all__ = ["RatFuncNu", "FactorPowers", "factor_quadratic", "normalize", "eval_at"]
+__all__ = ["RatFuncNu", "FactorPowers", "factor_quadratic"]
 
 
 class RatFuncNu:
@@ -433,12 +434,3 @@ def factor_quadratic(p):
             return scale, ({f1: 2} if f1 == f2 else {f1: 1, f2: 1})
     return scale, ({tuple(prim): 1} if len(prim) > 1 else {})
 
-
-def normalize(num: PolyNu, den: PolyNu) -> RatFuncNu:
-    """Unique reduced form of num/den; raises on an identically zero den."""
-    return RatFuncNu(num, den)
-
-
-def eval_at(r: RatFuncNu, nu0: Scalar) -> Fraction:
-    """Exact value r(nu0); raises PoleError when the denominator vanishes."""
-    return r(nu0)

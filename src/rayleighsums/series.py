@@ -12,7 +12,9 @@ each operand is kept on nested running-lcm denominators
 are added with ``RatFuncNu`` operators, whose Henrici addition reduces
 each partial sum against the gcd of the two denominators only. The
 symbolic tables, oracle and ODE residual do not come here; they run on
-integer polynomials over a-priori denominators.
+integer polynomials over a-priori denominators, so the symbolic ``mul``,
+``poly_mul`` and ``series_divide`` serve as the reference they are
+tested against.
 """
 
 from __future__ import annotations
@@ -98,29 +100,11 @@ class FormalSeries:
             return FormalSeries(self._var, [self._c[0] * 0])
         return FormalSeries(self._var, [n * c for n, c in enumerate(self._c)][1:])
 
-    def times_var(self) -> "FormalSeries":
-        zero = self._c[0] * 0
-        return FormalSeries(self._var, (zero,) + self._c)
-
-    def scale(self, factor) -> "FormalSeries":
-        return FormalSeries(self._var, [c * factor for c in self._c])
-
-    def __neg__(self) -> "FormalSeries":
-        return FormalSeries(self._var, [-c for c in self._c])
-
     def _check_compatible(self, other: "FormalSeries") -> None:
         if not isinstance(other, FormalSeries):
             raise TypeError("expected a FormalSeries")
         if self._var != other._var:
             raise ValueError(f"variable mismatch: {self._var} vs {other._var}")
-
-    def __add__(self, other: "FormalSeries") -> "FormalSeries":
-        self._check_compatible(other)
-        n = min(self.order, other.order)
-        return FormalSeries(self._var, [self._c[k] + other._c[k] for k in range(n + 1)])
-
-    def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        return self + (-other)
 
     def mul(self, other: "FormalSeries") -> "FormalSeries":
         """True-series product, truncated to the shorter operand's order."""

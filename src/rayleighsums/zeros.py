@@ -94,6 +94,11 @@ PI_HI = Fraction(3141592653589793238462643383280, 10**30)
 
 _SIGN_FLOOR = Fraction(1, 10**150)
 
+# The scan: grid step and range in z, and the most zeros one search returns.
+_GRID_STEP = Fraction(11, 14)
+_Z_MAX = Fraction(250)
+_MAX_COUNT = 64
+
 
 def _power_str(x: Fraction) -> str:
     """x as 10^-k when it is one, else as an exact rational."""
@@ -434,9 +439,6 @@ def find_zeros(
     *,
     params: Union[MercerParams, None] = None,
     assert_real_zeros: bool = False,
-    z_max=Fraction(250),
-    grid_step=Fraction(11, 14),
-    max_count: int = 64,
 ) -> list[ZeroEnclosure]:
     """Disjoint enclosures for the first ``count`` positive zeros in t = z^2.
 
@@ -448,15 +450,11 @@ def find_zeros(
     nu0 = exact(nu, "nu")
     if nu0 <= -1:
         raise InvalidParameterError("zero search requires nu > -1")
-    if rational.count(count, "count", 1) > max_count:
-        raise InvalidParameterError(f"count must be in 1..{max_count}")
+    if rational.count(count, "count", 1) > _MAX_COUNT:
+        raise InvalidParameterError(f"count must be in 1..{_MAX_COUNT}")
     precision = exact(precision, "precision")
     if precision <= 0:
         raise InvalidParameterError("precision must be positive")
-    z_max = exact(z_max, "z_max")
-    grid_step = exact(grid_step, "grid_step")
-    if grid_step <= 0:
-        raise InvalidParameterError("grid_step must be positive")
     if params is None:
         abc = (Fraction(0), Fraction(0), Fraction(1))
         fid = f"bessel(nu={nu0})"
@@ -480,24 +478,24 @@ def find_zeros(
     s0 = f.sign0
     brackets: list[tuple[Fraction, Fraction, int]] = []
     zp, sp = Fraction(0), s0
-    z = grid_step
+    z = _GRID_STEP
     while len(brackets) < count:
-        if z > z_max:
+        if z > _Z_MAX:
             raise BracketingError(
-                f"found {len(brackets)} sign changes of {fid} for z in (0, {z_max}]; "
+                f"found {len(brackets)} sign changes of {fid} for z in (0, {_Z_MAX}]; "
                 f"wanted {count}"
             )
         s = f.sign_at(z * z)
         if s != sp:
             brackets.append((zp, z, sp))
         zp, sp = z, s
-        z += grid_step
+        z += _GRID_STEP
 
     # Missed-zero guard: any stretch between consecutive brackets longer
     # than 1.5 pi in z is rescanned at half step (to a depth cap). Missed
     # zeros show up in pairs, so only same-sign stretches need rescanning.
     gap_cap = Fraction(3, 2) * PI_HI
-    step = grid_step
+    step = _GRID_STEP
     for _ in range(3):
         step = step / 2
         inserted = False
@@ -565,13 +563,25 @@ def partial_sum_enclosure(
         sum_{j>=0} (beta + j*pi)^(-2n) <= beta^(-2n)
                                           + integral_0^inf (beta+pi x)^(-2n) dx
 
-    gives tail <= beta^(-2n) + 1 / (pi (2n-1) beta^(2n-1)).
+    gives tail <= beta^(-2n) + 1 / (pi (2n-1) beta^(2n-1)). That holds
+    only past the first M zeros of one function, so the enclosures must
+    carry the indices 1..M in order and one ``function_id``.
     """
     n = rational.count(n, "n", 1)  # the tail bound diverges at n = 0
     if not zeros:
         raise InvalidParameterError("need at least one zero enclosure")
+    fid = zeros[0].function_id
     prev_hi = Fraction(0)
-    for enc in zeros:
+    for k, enc in enumerate(zeros, start=1):
+        if enc.index != k:
+            raise InvalidParameterError(
+                f"enclosures must be zeros 1..{len(zeros)} in order; "
+                f"index {enc.index} is at position {k}"
+            )
+        if enc.function_id != fid:
+            raise InvalidParameterError(
+                f"enclosures mix functions: {enc.function_id} after {fid}"
+            )
         if not (0 < enc.lo < enc.hi):
             raise InvalidParameterError(f"bad enclosure at index {enc.index}")
         if enc.lo < prev_hi:
@@ -592,7 +602,7 @@ def partial_sum_enclosure(
     return SumEnclosure(
         lower=lower,
         upper=upper_main + tail,
-        function_id=zeros[0].function_id,
+        function_id=fid,
         n=n,
         count=len(zeros),
         beta=beta,

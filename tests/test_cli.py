@@ -184,6 +184,29 @@ def test_degenerate_exits_3():
     assert "constant term" in err
 
 
+_ALL_ZERO = ["--a", "0", "--b", "0", "--c", "0"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # used to say "constant term vanishes; t = 0 is a zero"
+        ["zeros", "--family", "mercer", *_ALL_ZERO, "--nu", "1", "--count", "2", "--assert-real-zeros"],
+        # used to say the constant term vanishes
+        ["sums", "tau", *_ALL_ZERO, "--order", "2"],
+        # used to say the normalized series does not exist
+        ["ode-check", *_ALL_ZERO, "--order", "4"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_all_zero_weights_name_the_cause(args):
+    code, out, err = invoke(args)
+    assert code == 3 and out == ""
+    assert err == (
+        "error: a, b and c are all zero: a*z^2*J'' + b*z*J' + c*J vanishes identically\n"
+    )
+
+
 def test_zeros_past_the_certificate_floor_names_the_cause():
     # the sign certificates stop at |value| < 10^-150, which a cell of
     # width 10^-200 around a zero reaches; the error used to print only the

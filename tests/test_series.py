@@ -79,10 +79,9 @@ def test_mixed_mode_promotes_to_symbolic():
     assert s.coeff(1) == RatFuncNu.ONE
 
 
-def test_derivative_and_shift():
+def test_derivative():
     s = FormalSeries("t", [F(5), F(1), F(2)])
     assert s.derivative().coeffs == (F(1), F(4))
-    assert s.times_var().coeffs == (F(0), F(5), F(1), F(2))
 
 
 def test_poly_mul_promotes_a_mixed_factor():

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -106,6 +107,36 @@ def test_partial_sum_validation():
         partial_sum_enclosure(bad, 1)
 
 
+def test_partial_sum_refuses_a_list_that_is_not_the_first_zeros():
+    zs = find_zeros(0, 10, F(1, 10**6))
+    # zeros 6..10 alone used to give upper ~ 0.0208 < sigma_1(0) = 1/4
+    with pytest.raises(InvalidParameterError, match="1..5 in order"):
+        partial_sum_enclosure(zs[5:], 1)
+    with pytest.raises(InvalidParameterError, match="in order"):
+        partial_sum_enclosure(zs[:3] + zs[4:6], 1)
+    half = find_zeros(F(1, 2), 2, F(1, 10**6))
+    with pytest.raises(InvalidParameterError, match="mix functions"):
+        partial_sum_enclosure([zs[0], half[1]], 1)
+
+
+def test_partial_sum_accepts_the_bench_check_shape():
+    # The benchmark's zeros check rebuilds each enclosure from the CLI's
+    # JSON as ZeroEnclosure(lo, hi, record["function"], k) for k = 1..30.
+    found = find_zeros(F(1), 30, F(1, 10**5))
+    rebuilt = [ZeroEnclosure(e.lo, e.hi, "bessel(nu=1)", k) for k, e in enumerate(found, start=1)]
+    table = sigma_table(2, F(1))
+    for n in (1, 2):
+        s = partial_sum_enclosure(rebuilt, n)
+        assert s.lower <= table.entry(n) <= s.upper and s.count == 30
+
+
+def test_find_zeros_takes_no_search_knobs():
+    params = list(inspect.signature(find_zeros).parameters)
+    assert params == ["nu", "count", "precision", "params", "assert_real_zeros"]
+    with pytest.raises(InvalidParameterError, match="1..64"):
+        find_zeros(0, 65)
+
+
 def test_enclosure_metadata():
     zs = find_zeros(F(0), 1, F(1, 100))
     enc = partial_sum_enclosure(zs, 1)
@@ -116,25 +147,19 @@ def test_enclosure_metadata():
 
 
 def test_exact_arguments_accept_int_and_fraction():
-    assert find_zeros(0, 2, F(1, 10**4), z_max=250, grid_step=1) == find_zeros(
-        F(0), 2, F(1, 10**4), z_max=F(250), grid_step=F(1)
-    )
-    with pytest.raises(InvalidParameterError):
-        find_zeros(0, 1, grid_step=0)
+    assert find_zeros(0, 2, F(1, 10**4)) == find_zeros(F(0), 2, F(1, 10**4))
 
 
 @pytest.mark.parametrize("bad", INEXACT, ids=repr)
-@pytest.mark.parametrize("name", ["nu", "precision", "z_max", "grid_step", "root_width"])
+@pytest.mark.parametrize("name", ["nu", "precision", "root_width"])
 def test_inexact_arguments_rejected(name, bad):
     with pytest.raises(InvalidParameterError, match=name):
         if name == "nu":
             find_zeros(bad, 1)
         elif name == "precision":
             find_zeros(0, 1, bad)
-        elif name == "root_width":
-            partial_sum_enclosure([ZeroEnclosure(F(5), F(6), "x", 1)], 1, bad)
         else:
-            find_zeros(0, 1, **{name: bad})
+            partial_sum_enclosure([ZeroEnclosure(F(5), F(6), "x", 1)], 1, bad)
 
 
 def _endpoint_digest(zs):
@@ -451,7 +476,7 @@ def _fine_zeros(case):
 def _low_bits_points(draw):
     case = draw(st.integers(0, len(_LOW_BITS_CASES) - 1))
     if not draw(st.integers(0, 3)):
-        # up to the search's default z_max = 250
+        # anywhere in the search's range z <= 250
         den = draw(st.integers(1, 10**6))
         t = F(draw(st.integers(1, 250**2 * den)), den)
     else:
