@@ -14,12 +14,11 @@ families; those tables are refused unless the caller asserts the regime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from math import floor
 
 from .errors import InvalidParameterError, RegimeError
-from .rational import count, exact
+from .rational import Record, count, exact
 
 __all__ = ["EulerRayleighBracket", "nth_root_enclosure", "euler_rayleigh"]
 
@@ -63,39 +62,39 @@ def nth_root_enclosure(x, n: int, width) -> tuple[Fraction, Fraction]:
     if exact_n and exact_d:
         r = Fraction(rn, rd)
         return r, r
-    # One integer root a = floor((x * 2^(K*n))^(1/n)) gives
-    # A = a/2^K <= x^(1/n) < (a+1)/2^K = B with 2^-K at most width/8. A
-    # midpoint outside (A, B) is then decided by one comparison; only a
-    # midpoint inside it needs the exact test mid**n <= x, so the
-    # bisection takes the same steps as with that test alone.
+    # The result is the cell that bisecting (1, x) or (x, 1) with the test
+    # mid**n <= x stops in: cell j of the 2^d equal cells, d the first
+    # depth at which a cell is at most width wide, and j the index of the
+    # cell holding the root. One integer root a = floor((x * 2^(K*n))^(1/n))
+    # gives A = a/2^K <= x^(1/n) < (a+1)/2^K = B with 2^-K at most width/8,
+    # less than a cell, so the root lies in A's cell or the next one; only
+    # an edge inside (A, B) needs the exact test.
+    lo, hi = (Fraction(1), x) if x >= 1 else (x, Fraction(1))
+    ratio = (hi - lo) / width
+    d = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    if not d:
+        return lo, hi
     k = max(width.denominator.bit_length() - width.numerator.bit_length() + 4, 0)
     a, _ = _int_nth_root((x.numerator << (k * n)) // x.denominator, n)
-    a_lo, a_hi = Fraction(a, 1 << k), Fraction(a + 1, 1 << k)
-    lo, hi = (Fraction(1), x) if x >= 1 else (x, Fraction(1))
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        if mid <= a_lo or (mid < a_hi and mid**n <= x):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    cell = (hi - lo) / (1 << d)
+    j = max(floor((Fraction(a, 1 << k) - lo) / cell), 0)
+    edge = lo + (j + 1) * cell
+    if edge < Fraction(a + 1, 1 << k) and edge**n <= x:
+        j += 1
+    return lo + j * cell, lo + (j + 1) * cell
 
 
-@dataclass(frozen=True)
-class EulerRayleighBracket:
+class EulerRayleighBracket(Record):
     """One bracket around the smallest squared zero.
 
-    ``lower`` encloses the irrational s_n^(-1/n); ``exact_upper`` is the
-    rational s_n / s_{n+1}. The bracket for the squared zero itself is
-    (lower[0], exact_upper), widened by the enclosure so containment tests
-    use <=.
+    ``lower`` is a pair (lo, hi) enclosing the irrational s_n^(-1/n);
+    ``exact_upper`` is the rational s_n / s_{n+1}; ``nu`` is the table's
+    fixed nu, or None for the Kummer family. The bracket for the squared
+    zero itself is (lower[0], exact_upper), widened by the enclosure so
+    containment tests use <=.
     """
 
-    n: int
-    lower: tuple[Fraction, Fraction]
-    exact_upper: Fraction
-    family: str
-    nu: Union[Fraction, None]
+    __slots__ = ("n", "lower", "exact_upper", "family", "nu")
 
 
 def euler_rayleigh(
@@ -137,10 +136,12 @@ def euler_rayleigh(
             )
     sn = table.entry(n)
     lower = nth_root_enclosure(1 / sn, n, root_width)
+    upper = sn / table.entry(n + 1)
+    if lower[0] > upper:
+        raise RegimeError(
+            f"empty bracket: s_{n}^(-1/{n}) >= {lower[0]} > s_{n}/s_{n + 1} = {upper}, "
+            "so the zeros are not all real and positive"
+        )
     return EulerRayleighBracket(
-        n=n,
-        lower=lower,
-        exact_upper=sn / table.entry(n + 1),
-        family=family,
-        nu=getattr(table, "nu", None),
+        n=n, lower=lower, exact_upper=upper, family=family, nu=getattr(table, "nu", None)
     )

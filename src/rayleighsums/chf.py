@@ -21,47 +21,38 @@ one integer over that row's denominator and reduced once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import ClassVar
 
 from ._accumulate import Nested, self_row
 from .errors import InvalidParameterError
-from .rational import count, exact
+from .rational import Record, count, exact
 
 __all__ = ["ChfParams", "STable", "s_table"]
 
 
-@dataclass(frozen=True)
-class ChfParams:
-    """Kummer parameters; b must not be zero or a negative integer."""
+class ChfParams(Record):
+    """Kummer parameters a, b as Fractions; b must not be zero or a
+    negative integer."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        a = exact(self.a, "a")
-        b = exact(self.b, "b")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+    def __init__(self, a, b):
+        a, b = exact(a, "a"), exact(b, "b")
         if b.denominator == 1 and b <= 0:
             raise InvalidParameterError(
                 f"b = {b} is zero or a negative integer; 1F1(a; b; z) is undefined"
             )
+        super().__init__(a, b)
 
 
-@dataclass(frozen=True)
-class STable:
+class STable(Record):
     """Entries S_2 .. S_order (index 2 is the first convergent sum)."""
 
-    params: ChfParams
-    order: int
-    entries: tuple
-    provenance: str
+    __slots__ = ("params", "order", "entries", "provenance")
 
-    family: ClassVar[str] = "chf"
-    start: ClassVar[int] = 2
+    family = "chf"
+    start = 2
 
     def entry(self, p: int) -> Fraction:
         if not 2 <= p <= self.order:

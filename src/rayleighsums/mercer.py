@@ -67,19 +67,15 @@ to some nu+j merges with it), with no polynomial gcd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import ClassVar, Union
 
 from ._accumulate import Nested, self_row
 from .errors import ConsistencyError, DegenerateParametersError, PoleError
 from .poly import PolyNu, _ilongdiv, _isumprod
 from .ratfunc import FactorPowers, factor_quadratic
 from .sigma import _convolution_row
-from .rational import count, exact
-
-NuMode = Union[str, Fraction]
+from .rational import Record, count, exact
 
 __all__ = [
     "MercerParams",
@@ -94,28 +90,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MercerParams:
+class MercerParams(Record):
     """Combination weights (a, b, c) and the derived coefficients p, q, r.
 
-    In symbolic mode p, q, r are polynomials in nu; in fixed mode they are
-    their exact values at nu0.
+    ``nu`` is "symbolic" or a Fraction nu0. In symbolic mode p, q, r are
+    polynomials in nu; in fixed mode they are their exact values at nu0.
     """
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    nu: NuMode
-    p: Union[PolyNu, Fraction]
-    q: Union[PolyNu, Fraction]
-    r: Union[PolyNu, Fraction]
+    __slots__ = ("a", "b", "c", "nu", "p", "q", "r")
 
     @property
     def symbolic(self) -> bool:
         return self.nu == "symbolic"
 
 
-def derive_pqr(a, b, c, nu: NuMode = "symbolic") -> MercerParams:
+def derive_pqr(a, b, c, nu: str | Fraction = "symbolic") -> MercerParams:
     """Build MercerParams with p, q, r exactly as derived from (a, b, c)."""
     a, b, c = exact(a, "a"), exact(b, "b"), exact(c, "c")
     if not (a or b or c):
@@ -141,20 +130,16 @@ def leading_constant(params: MercerParams) -> PolyNu:
     return PolyNu([params.c, params.b - params.a, params.a])
 
 
-@dataclass(frozen=True)
-class TauTable:
+class TauTable(Record):
     """Entries tau_1 .. tau_order for one parameter set."""
 
-    params: MercerParams
-    order: int
-    entries: tuple
-    provenance: str
+    __slots__ = ("params", "order", "entries", "provenance")
 
-    family: ClassVar[str] = "tau"
-    start: ClassVar[int] = 1
+    family = "tau"
+    start = 1
 
     @property
-    def nu(self) -> NuMode:
+    def nu(self) -> str | Fraction:
         return self.params.nu
 
     @property
@@ -169,7 +154,7 @@ class TauTable:
         return self.entries[n - 1]
 
 
-def _check_divisor(value, shift: int, nu: NuMode, what: str):
+def _check_divisor(value, shift: int, nu: str | Fraction, what: str):
     if not value:
         raise PoleError(
             f"{what} divides by (nu + {shift}), which vanishes at nu = {nu}",
@@ -349,8 +334,7 @@ def _symbolic_entries(params: MercerParams, order: int) -> list:
     return powers.peel_table(scaled, den, steps)
 
 
-@dataclass(frozen=True)
-class OdeCoefficients:
+class OdeCoefficients(Record):
     """The rational ODE coefficients, cleared of their shared denominator.
 
     In the variable t = z^2: denominator D = a^2 t^2 - p t + q, the
@@ -359,9 +343,7 @@ class OdeCoefficients:
     which is Bessel's equation. Tuples are ascending in t.
     """
 
-    denominator: tuple
-    a_numerator: tuple
-    b_numerator: tuple
+    __slots__ = ("denominator", "a_numerator", "b_numerator")
 
 
 def ode_coefficients(params: MercerParams) -> OdeCoefficients:
@@ -380,14 +362,11 @@ def ode_coefficients(params: MercerParams) -> OdeCoefficients:
     )
 
 
-@dataclass(frozen=True)
-class OdeResidualReport:
-    """Residual coefficients of the cleared ODE applied to the series."""
+class OdeResidualReport(Record):
+    """Residual coefficients of the cleared ODE applied to the series;
+    ``first_nonzero`` is the index of the first nonzero one, or None."""
 
-    order: int
-    coefficients: tuple
-    ok: bool
-    first_nonzero: Union[int, None]
+    __slots__ = ("order", "coefficients", "ok", "first_nonzero")
 
 
 def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = None) -> OdeResidualReport:

@@ -63,21 +63,17 @@ Fixed-nu series, the Kummer series and bare ``FormalSeries`` go through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Union
 
 from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
 from .poly import _isumprod
 from .ratfunc import CofactorWalk, FactorPowers, factor_quadratic
-from .rational import count, exact
+from .rational import Record, count, exact
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable
-
-NuMode = Union[str, Fraction]
 
 __all__ = [
     "OracleSeries",
@@ -89,15 +85,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleSeries:
-    """A truncated exact series plus the identity of what it expands."""
+class OracleSeries(Record):
+    """A truncated exact series plus the identity of what it expands:
+    ``family`` is "bessel", "mercer" or "chf"; ``nu`` is "symbolic", a
+    Fraction or None; ``params`` is a MercerParams, a ChfParams or None."""
 
-    family: str  # "bessel" | "mercer" | "chf"
-    nu: Union[NuMode, None]
-    params: Union[MercerParams, ChfParams, None]
-    series: FormalSeries
-    note: str = ""
+    __slots__ = ("family", "nu", "params", "series", "note")
+
+    def __init__(self, family, nu, params, series, note=""):
+        super().__init__(family, nu, params, series, note)
 
 
 def _symbolic_coeffs(nums, scale: int) -> list:
@@ -109,7 +105,7 @@ def _symbolic_coeffs(nums, scale: int) -> list:
     return [powers.peel(nums[0], den[0])] + powers.peel_table(nums, den, powers.steps(den))
 
 
-def _bessel_coeffs(nu: NuMode, order: int) -> list:
+def _bessel_coeffs(nu: str | Fraction, order: int) -> list:
     """g_n = (-1)^n / (4^n n! (nu+1)(nu+2)...(nu+n)), exactly."""
     if nu == "symbolic":
         return _symbolic_coeffs([((-1) ** n,) for n in range(order + 1)], 1)
@@ -126,7 +122,7 @@ def _bessel_coeffs(nu: NuMode, order: int) -> list:
     return g
 
 
-def bessel_t_series(nu: NuMode, order: int) -> OracleSeries:
+def bessel_t_series(nu: str | Fraction, order: int) -> OracleSeries:
     """Even-part series of the Bessel function, normalized to constant term 1.
 
     The coefficient of t^n is (-1)^n / (4^n n! (nu+1)_n); the zeros of the
@@ -182,7 +178,7 @@ def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
     )
 
 
-def genus0_sums_from_series(src: Union[OracleSeries, FormalSeries], order: int):
+def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
     """Power sums of reciprocal zeros read off t y'/y = -sum s_n t^n.
 
     Given an OracleSeries this returns the matching table (SigmaTable for

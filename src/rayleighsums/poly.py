@@ -39,14 +39,12 @@ multiplied and added as ints, and the sum is unpacked once.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
-from typing import Iterable, Union
 
 from .rational import exact
-
-Scalar = Union[int, Fraction]
 
 __all__ = ["PolyNu"]
 
@@ -213,7 +211,7 @@ class PolyNu:
 
     __slots__ = ("_k", "_p")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int | Fraction] = ()):
         c = [exact(x, "coefficient") for x in coeffs]
         den = _int_lcm(*(x.denominator for x in c))
         ints = [x.numerator * (den // x.denominator) for x in c]
@@ -342,7 +340,7 @@ class PolyNu:
             p = _iconv(p, p)
         return PolyNu._make(k, result)
 
-    def __call__(self, x: Scalar) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         x = exact(x, "x")
         if not self._p:
             return _F0

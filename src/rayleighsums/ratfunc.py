@@ -34,13 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Union
 
 from .errors import ConsistencyError, PoleError, ZeroDenominatorError
 from .poly import PolyNu, _iconv, _ilongdiv, _iprimitive, _split
 from .rational import exact
-
-Scalar = Union[int, Fraction]
 
 __all__ = ["RatFuncNu", "FactorPowers", "factor_quadratic"]
 
@@ -91,7 +88,7 @@ class RatFuncNu:
         raise TypeError(f"cannot build a polynomial from {type(x).__name__}")
 
     @classmethod
-    def from_rational(cls, q: Scalar) -> "RatFuncNu":
+    def from_rational(cls, q: int | Fraction) -> "RatFuncNu":
         return cls._from_coprime(PolyNu([q]), PolyNu.ONE)
 
     @property
@@ -203,7 +200,7 @@ class RatFuncNu:
             return hash(self._num.coeff(0))
         return hash((self._num, self._den))
 
-    def __call__(self, nu0: Scalar) -> Fraction:
+    def __call__(self, nu0: int | Fraction) -> Fraction:
         nu0 = exact(nu0, "nu0")
         d = self._den(nu0)
         if not d:

@@ -1,5 +1,5 @@
 """Exact rational scalars: input coercion, parsing, serialization strings,
-decimal rendering.
+decimal rendering, and the immutable record base the result types share.
 
 Arbitrary-precision rationals are ``fractions.Fraction`` throughout the
 package (reduced, positive denominator, zero is 0/1, which is exactly the
@@ -16,11 +16,63 @@ from .errors import InvalidParameterError
 
 BigRat = Fraction
 
-__all__ = ["BigRat", "exact", "count", "parse_rational", "int_str", "rational_str", "decimal_str"]
+__all__ = ["BigRat", "Record", "exact", "count", "parse_rational", "int_str", "rational_str", "decimal_str"]
 
 # Decimal-point or exponent syntax, as float() would read it. Matched only
 # on the error path, so importing the module compiles nothing.
 _FLOAT_LITERAL = r"[+-]?((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)"
+
+
+class Record:
+    """Base of the package's immutable records: the fields are the
+    subclass's ``__slots__``, in order.
+
+    Construction is by position or keyword; equality is per class and the
+    hash and the ``Name(field=value, ...)`` repr follow the field tuple.
+    Assignment and deletion raise ``AttributeError``. ``__reduce__`` rebuilds
+    through the constructor, so copy, deepcopy and pickle round-trip.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} fields, not {len(args)}")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in values:
+                raise TypeError(f"{type(self).__name__}: unexpected or repeated field {name!r}")
+            values[name] = value
+        if len(values) < len(names):
+            missing = [name for name in names if name not in values]
+            raise TypeError(f"{type(self).__name__}: missing fields {missing}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable record")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def exact(x, name: str = "value") -> Fraction:

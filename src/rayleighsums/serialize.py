@@ -16,7 +16,6 @@ polynomial coefficient arrays are ascending (index = power of nu).
 
 from __future__ import annotations
 
-import csv
 import io
 
 from .chf import ChfParams, STable
@@ -130,6 +129,8 @@ def decode_table(record: dict):
 
 def table_csv(table) -> str:
     """One row per entry; exact num/den strings throughout."""
+    import csv  # only CSV output needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     first = table.entry(table.start)

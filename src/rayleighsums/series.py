@@ -19,14 +19,12 @@ tested against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence, Union
 
 from ._accumulate import Nested, row
 from .errors import NonInvertibleError
 from .ratfunc import RatFuncNu
-
-Coeff = Union[Fraction, RatFuncNu]
 
 __all__ = ["FormalSeries", "series_divide"]
 

@@ -36,38 +36,30 @@ along the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Union
 
 from ._accumulate import Nested, self_row
 from .errors import PoleError
 from .poly import _isumprod
 from .ratfunc import CofactorWalk, FactorPowers
-from .rational import count, exact
-
-NuMode = Union[str, Fraction]
+from .rational import Record, count, exact
 
 __all__ = ["SigmaTable", "sigma_table"]
 
 
-@dataclass(frozen=True)
-class SigmaTable:
+class SigmaTable(Record):
     """Entries sigma_1 .. sigma_order, plus how they were produced.
 
     ``real_zero_regime`` is False when the table was evaluated at nu <= -1,
     where the recurrence is still a rational identity but the zeros are not
-    guaranteed real, so the entries are formal.
+    guaranteed real, so the entries are formal. ``nu`` is "symbolic" or a
+    Fraction.
     """
 
-    order: int
-    entries: tuple
-    nu: NuMode
-    provenance: str
-    real_zero_regime: bool
+    __slots__ = ("order", "entries", "nu", "provenance", "real_zero_regime")
 
-    family: ClassVar[str] = "sigma"
-    start: ClassVar[int] = 1
+    family = "sigma"
+    start = 1
 
     def entry(self, n: int):
         if not 1 <= n <= self.order:
@@ -103,7 +95,7 @@ def _symbolic_entries(order: int) -> list:
     return powers.peel_table(scaled, den, steps)
 
 
-def sigma_table(order: int, nu: NuMode = "symbolic") -> SigmaTable:
+def sigma_table(order: int, nu: str | Fraction = "symbolic") -> SigmaTable:
     """Table of sigma_1 .. sigma_order, symbolic in nu or at a fixed rational.
 
     In fixed mode nu0 must avoid {-1, -2, ..., -order}; each such point is a

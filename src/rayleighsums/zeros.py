@@ -62,10 +62,8 @@ that later zeros exceed the last one found).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, isqrt, lcm
-from typing import Union
 
 from .bounds import nth_root_enclosure
 from .errors import (
@@ -77,7 +75,7 @@ from .errors import (
 )
 from .mercer import MercerParams, derive_pqr
 from . import rational
-from .rational import exact
+from .rational import Record, exact
 
 __all__ = [
     "PI_LO",
@@ -119,31 +117,20 @@ def _fixed_point_bits(t: Fraction) -> int:
     return 3 * isqrt(t.numerator // t.denominator) // 2 + 64 + t.denominator.bit_length()
 
 
-@dataclass(frozen=True)
-class ZeroEnclosure:
+class ZeroEnclosure(Record):
     """Open interval (lo, hi) in t = z^2 certified to contain one real zero."""
 
-    lo: Fraction
-    hi: Fraction
-    function_id: str
-    index: int
+    __slots__ = ("lo", "hi", "function_id", "index")
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
 
-@dataclass(frozen=True)
-class SumEnclosure:
+class SumEnclosure(Record):
     """Rational bracket [lower, upper] around an infinite power sum."""
 
-    lower: Fraction
-    upper: Fraction
-    function_id: str
-    n: int
-    count: int
-    beta: Fraction
-    tail_bound: Fraction
+    __slots__ = ("lower", "upper", "function_id", "n", "count", "beta", "tail_bound")
 
     @property
     def width(self) -> Fraction:
@@ -373,7 +360,7 @@ def _scan_window(
 
 
 def _approximate_zero(
-    f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int, guess: Union[Fraction, None]
+    f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int, guess: Fraction | None
 ) -> Fraction:
     """Untrusted Newton estimate of the zero in [tlo, thi], for picking a
     depth-d cell.
@@ -437,7 +424,7 @@ def find_zeros(
     count: int,
     precision=Fraction(1, 10**6),
     *,
-    params: Union[MercerParams, None] = None,
+    params: MercerParams | None = None,
     assert_real_zeros: bool = False,
 ) -> list[ZeroEnclosure]:
     """Disjoint enclosures for the first ``count`` positive zeros in t = z^2.

@@ -144,6 +144,30 @@ def test_nth_root_matches_plain_bisection(p, q, n, near_power, width):
     assert (lo, hi) == _bisection_reference(x, n, width)
 
 
+@settings(deadline=None, max_examples=300)
+@given(
+    above=st.booleans(),
+    gap=st.builds(F, st.integers(1, 10**12), st.integers(1, 10**12)),
+    n=st.integers(2, 60),
+    scale=st.builds(F, st.integers(1, 2**20), st.integers(1, 2**40)),
+    root=st.one_of(st.none(), st.builds(F, st.integers(1, 50), st.integers(1, 50))),
+)
+def test_nth_root_cell_matches_bisection_around_one(above, gap, n, scale, root):
+    # x on either side of 1, width from 2^-40 to 2^20 times |x - 1|, or x
+    # the n-th power of a rational.
+    x = 1 + gap if above else 1 / (1 + gap)
+    if root is not None:
+        x = root**n
+    width = abs(x - 1) * scale or scale
+    lo, hi = nth_root_enclosure(x, n, width)
+    if root is not None:
+        assert lo == hi == root
+    elif lo == hi:  # gap made x an n-th power itself
+        assert lo**n == x
+    else:
+        assert (lo, hi) == _bisection_reference(x, n, width)
+
+
 @pytest.mark.parametrize("bad", INEXACT, ids=repr)
 @pytest.mark.parametrize("name", ["x", "width"])
 def test_nth_root_arguments_must_be_exact(name, bad):

@@ -297,6 +297,16 @@ def test_bounds_tau_and_chf_name_the_real_zeros_flag(family_args):
     assert code == 0 and out.startswith("n = 2: lower root bound in [")
 
 
+def test_bounds_refuses_an_empty_bracket():
+    # tau at (a, b, c) = (-1, 2, 1), nu = 1: s_1^(-1) = 24 lies above
+    # s_1 / s_2 = 24/19, so the zeros cannot all be real and positive
+    args = ["bounds", "--family", "tau", "--a", "-1", "--b", "2", "--c", "1", "--nu", "1",
+            "--order", "1", "--assert-real-zeros"]
+    code, out, err = invoke(args)
+    assert code == 2 and not out
+    assert "s_1^(-1/1) >= 24 > s_1/s_2 = 24/19" in err and "not all real and positive" in err
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("computed before --decimal was checked")
 

@@ -1,0 +1,42 @@
+"""The package's import footprint.
+
+Set-up is what a CLI user pays on every invocation, so importing the
+package and building the parser must not load ``dataclasses`` (which
+pulls in ``inspect``), ``typing`` or ``csv``. The subprocess runs with
+``python -S``, because some installs preload ``typing`` through a
+``site`` hook.
+"""
+
+import ast
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import rayleighsums
+
+_SRC = Path(rayleighsums.__file__).resolve().parents[1]
+_BANNED = ("dataclasses", "inspect", "typing", "csv")
+
+
+def test_cli_setup_loads_no_heavy_stdlib_module():
+    script = (
+        f"import json, sys; sys.path.insert(0, {str(_SRC)!r}); "
+        "import rayleighsums; from rayleighsums import cli; cli.build_parser(); "
+        f"print(json.dumps([m for m in {_BANNED!r} if m in sys.modules]))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == []
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    for path in sorted((_SRC / "rayleighsums").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("dataclasses", "typing"), f"{path.name}: {name}"
