@@ -105,22 +105,20 @@ def euler_rayleigh(
 ) -> EulerRayleighBracket:
     """Bracket index n from a fixed-nu table holding entries through n + 1.
 
-    The Bessel family is accepted on its own real-zero flag (nu > -1);
-    the combined and Kummer families need ``assert_real_zeros=True``.
+    A table is accepted on its own ``real_zero_regime`` (the Bessel family
+    at nu > -1) or on ``assert_real_zeros=True``, which the combined and
+    Kummer families always need.
     """
     n = count(n, "bracket index", 1)
     root_width = exact(root_width, "root_width")
-    if getattr(table, "nu", None) == "symbolic":
+    if table.nu == "symbolic":
         raise InvalidParameterError("bounds need a fixed-nu table, not a symbolic one")
     family = table.family
-    if family == "sigma":
-        if not (table.real_zero_regime or assert_real_zeros):
-            raise RegimeError(
-                "table was computed at nu <= -1 where zeros are not guaranteed real"
-            )
-    elif not assert_real_zeros:
+    if not (table.real_zero_regime or assert_real_zeros):
         raise RegimeError(
-            f"the {family} family does not certify real positive zeros; "
+            "table was computed at nu <= -1 where zeros are not guaranteed real"
+            if family == "sigma"
+            else f"the {family} family does not certify real positive zeros; "
             "pass assert_real_zeros=True to proceed"
         )
     first = table.start
@@ -143,5 +141,5 @@ def euler_rayleigh(
             "so the zeros are not all real and positive"
         )
     return EulerRayleighBracket(
-        n=n, lower=lower, exact_upper=upper, family=family, nu=getattr(table, "nu", None)
+        n=n, lower=lower, exact_upper=upper, family=family, nu=table.nu
     )

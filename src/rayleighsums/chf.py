@@ -26,7 +26,7 @@ from math import lcm
 
 from ._accumulate import Nested, self_row
 from .errors import InvalidParameterError
-from .rational import Record, count, exact
+from .rational import Record, Table, count, exact
 
 __all__ = ["ChfParams", "STable", "s_table"]
 
@@ -46,18 +46,15 @@ class ChfParams(Record):
         super().__init__(a, b)
 
 
-class STable(Record):
-    """Entries S_2 .. S_order (index 2 is the first convergent sum)."""
+class STable(Table):
+    """Entries S_2 .. S_order (index 2 is the first convergent sum). The
+    Kummer family has no order parameter, so ``nu`` is None."""
 
     __slots__ = ("params", "order", "entries", "provenance")
 
     family = "chf"
+    symbol = "S"
     start = 2
-
-    def entry(self, p: int) -> Fraction:
-        if not 2 <= p <= self.order:
-            raise IndexError(f"S_{p} not in table reaching S_{self.order}")
-        return self.entries[p - 2]
 
 
 def s_table(params: ChfParams, order: int) -> STable:

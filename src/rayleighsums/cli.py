@@ -20,7 +20,6 @@ from .errors import InvalidParameterError, RayleighError, RegimeError
 from .mercer import derive_pqr, tau_table, verify_ode
 from .oracle import bessel_t_series, chf_sums_from_series, genus0_sums_from_series, mercer_t_series
 from .rational import count, decimal_str, parse_rational, rational_str
-from .ratfunc import RatFuncNu
 from .render import ratfunc_latex, ratfunc_plain, value_latex, value_plain
 from .serialize import encode_table, table_csv
 from .sigma import sigma_table
@@ -116,11 +115,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _require(ns, names):
+# The weight flags each family takes; the others are refused.
+_WEIGHTS = {
+    "sigma": (), "bessel": (), "tau": ("a", "b", "c"), "mercer": ("a", "b", "c"), "chf": ("a", "b")
+}
+
+
+def _weights(ns):
+    """Require the family's weight flags, then refuse the ones it does not
+    take rather than ignore them."""
+    names = _WEIGHTS[ns.family]
     missing = [f"--{n}" for n in names if getattr(ns, n) is None]
     if missing:
+        raise InvalidParameterError(f"{ns.command} {ns.family}: missing {', '.join(missing)}")
+    extra = [f"--{n}" for n in ("a", "b", "c") if n not in names and getattr(ns, n) is not None]
+    if extra:
+        takes = " and ".join(f"--{n}" for n in names)
         raise InvalidParameterError(
-            f"{ns.command} {getattr(ns, 'family', '')}: missing {', '.join(missing)}"
+            f"the {ns.family} family takes {'only ' + takes if takes else 'no weights'}; "
+            f"drop {', '.join(extra)}"
         )
 
 
@@ -174,8 +187,7 @@ def _check_decimal(ns, symbolic: bool = False) -> None:
 def _make_table(ns, order: int):
     family = ns.family
     nu = _family_nu(ns)
-    if family != "sigma":
-        _require(ns, ("a", "b", "c") if family == "tau" else ("a", "b"))
+    _weights(ns)
     _check_decimal(ns, nu == "symbolic")
     if family == "sigma":
         return sigma_table(order, nu)
@@ -187,7 +199,7 @@ def _make_table(ns, order: int):
 def _cmd_sums(ns, out) -> int:
     table = _make_table(ns, ns.order)
     indices = range(table.start, table.order + 1)
-    symbolic = isinstance(table.entry(table.start), RatFuncNu)
+    symbolic = table.nu == "symbolic"
     latex = ns.format == "latex"
     if symbolic:
         num = ratfunc_latex if latex else ratfunc_plain
@@ -240,8 +252,7 @@ def _cmd_bounds(ns, out) -> int:
 
 
 def _cmd_zeros(ns, out) -> int:
-    if ns.family == "mercer":
-        _require(ns, ("a", "b", "c"))
+    _weights(ns)
     if ns.nu == "symbolic":
         raise InvalidParameterError("zeros need a fixed rational --nu")
     params = None if ns.family == "bessel" else derive_pqr(ns.a, ns.b, ns.c, ns.nu)

@@ -75,7 +75,7 @@ from .errors import ConsistencyError, DegenerateParametersError, PoleError
 from .poly import PolyNu, _ilongdiv, _isumprod
 from .ratfunc import FactorPowers, factor_quadratic
 from .sigma import _convolution_row
-from .rational import Record, count, exact
+from .rational import Record, Table, count, exact
 
 __all__ = [
     "MercerParams",
@@ -104,6 +104,15 @@ class MercerParams(Record):
         return self.nu == "symbolic"
 
 
+def _pqr_coeffs(a, b, c) -> tuple[list, list, list]:
+    """The ascending coefficient lists in nu of p, q and r."""
+    return (
+        [2 * a * c + a * a - b * b, 0, 2 * a * a],
+        [c * c, 0, 2 * a * c - (a - b) ** 2, 0, a * a],
+        [c * (a + b), 0, a * (3 * a - b)],
+    )
+
+
 def derive_pqr(a, b, c, nu: str | Fraction = "symbolic") -> MercerParams:
     """Build MercerParams with p, q, r exactly as derived from (a, b, c)."""
     a, b, c = exact(a, "a"), exact(b, "b"), exact(c, "c")
@@ -111,9 +120,7 @@ def derive_pqr(a, b, c, nu: str | Fraction = "symbolic") -> MercerParams:
         raise DegenerateParametersError(
             "a, b and c are all zero: a*z^2*J'' + b*z*J' + c*J vanishes identically"
         )
-    p_poly = PolyNu([2 * a * c + a * a - b * b, 0, 2 * a * a])
-    q_poly = PolyNu([c * c, 0, 2 * a * c - (a - b) ** 2, 0, a * a])
-    r_poly = PolyNu([c * (a + b), 0, a * (3 * a - b)])
+    p_poly, q_poly, r_poly = map(PolyNu, _pqr_coeffs(a, b, c))
     if nu == "symbolic":
         return MercerParams(a, b, c, "symbolic", p_poly, q_poly, r_poly)
     nu0 = exact(nu, "nu")
@@ -130,28 +137,23 @@ def leading_constant(params: MercerParams) -> PolyNu:
     return PolyNu([params.c, params.b - params.a, params.a])
 
 
-class TauTable(Record):
-    """Entries tau_1 .. tau_order for one parameter set."""
+class TauTable(Table):
+    """Entries tau_1 .. tau_order for one parameter set.
+
+    ``nu`` is the parameters' nu. ``real_zero_regime`` stays False: the
+    reality of the zeros is not established for general (a, b, c), so
+    consumers requiring it must assert the regime explicitly.
+    """
 
     __slots__ = ("params", "order", "entries", "provenance")
 
     family = "tau"
+    symbol = "tau"
     start = 1
 
     @property
     def nu(self) -> str | Fraction:
         return self.params.nu
-
-    @property
-    def real_zero_regime(self) -> bool:
-        # Reality of the zeros is not established for general (a, b, c);
-        # consumers requiring it must assert the regime explicitly.
-        return False
-
-    def entry(self, n: int):
-        if not 1 <= n <= self.order:
-            raise IndexError(f"tau_{n} not in table of order {self.order}")
-        return self.entries[n - 1]
 
 
 def _check_divisor(value, shift: int, nu: str | Fraction, what: str):
@@ -278,9 +280,7 @@ def _tau_denominator(n: int, d0):
 def _symbolic_entries(params: MercerParams, order: int) -> list:
     a, b, c = _integer_weights(params)
     a2 = a * a
-    p = _trim((2 * a * c + a2 - b * b, 0, 2 * a2))
-    q = _trim((c * c, 0, 2 * a * c - (a - b) ** 2, 0, a2))
-    r = _trim((c * (a + b), 0, a * (3 * a - b)))
+    p, q, r = map(_trim, _pqr_coeffs(a, b, c))
     d0_minus = _trim((c, a - b, a))
     d0 = factor_quadratic(_trim((c, b - a, a)))
     powers = FactorPowers()

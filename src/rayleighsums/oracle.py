@@ -202,14 +202,7 @@ def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
     if not isinstance(src, OracleSeries):
         return entries
     if src.family == "bessel":
-        real = src.nu == "symbolic" or Fraction(src.nu) > -1
-        return SigmaTable(
-            order=order,
-            entries=entries,
-            nu=src.nu,
-            provenance="series-oracle",
-            real_zero_regime=real,
-        )
+        return SigmaTable(order=order, entries=entries, nu=src.nu, provenance="series-oracle")
     if src.family == "mercer":
         return TauTable(
             params=src.params, order=order, entries=entries, provenance="series-oracle"

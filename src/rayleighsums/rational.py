@@ -1,5 +1,5 @@
 """Exact rational scalars: input coercion, parsing, serialization strings,
-decimal rendering, and the immutable record base the result types share.
+decimal rendering, and the immutable record bases the result types share.
 
 Arbitrary-precision rationals are ``fractions.Fraction`` throughout the
 package (reduced, positive denominator, zero is 0/1, which is exactly the
@@ -16,7 +16,9 @@ from .errors import InvalidParameterError
 
 BigRat = Fraction
 
-__all__ = ["BigRat", "Record", "exact", "count", "parse_rational", "int_str", "rational_str", "decimal_str"]
+__all__ = [
+    "BigRat", "Record", "Table", "exact", "count", "parse_rational", "int_str", "rational_str", "decimal_str"
+]
 
 # Decimal-point or exponent syntax, as float() would read it. Matched only
 # on the error path, so importing the module compiles nothing.
@@ -73,6 +75,30 @@ class Record:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+
+class Table(Record):
+    """Base of the three power-sum tables: entries ``symbol``_start ..
+    ``symbol``_order of one ``family``, in ``entries``.
+
+    ``nu`` is "symbolic", a Fraction, or None where the family has no
+    order parameter; ``params`` is the family's weight record or None;
+    ``real_zero_regime`` is True only where the table's own parameters
+    certify that every zero is real and positive. The defaults here are
+    the answers of a table that certifies nothing.
+    """
+
+    __slots__ = ()
+
+    nu = None
+    params = None
+    real_zero_regime = False
+
+    def entry(self, n: int):
+        if not self.start <= n <= self.order:
+            s = self.symbol
+            raise IndexError(f"{s}_{n} not in table of {s}_{self.start} .. {s}_{self.order}")
+        return self.entries[n - self.start]
 
 
 def exact(x, name: str = "value") -> Fraction:

@@ -16,8 +16,6 @@ polynomial coefficient arrays are ascending (index = power of nu).
 
 from __future__ import annotations
 
-import io
-
 from .chf import ChfParams, STable
 from .errors import InvalidParameterError
 from .mercer import TauTable, derive_pqr
@@ -53,39 +51,21 @@ def _decode_entry(d: dict):
     return RatFuncNu(_poly_from_strs(d["num_coeffs"]), _poly_from_strs(d["den_coeffs"]))
 
 
+# The weight names each family's "params" record holds, in order.
+_PARAMS = {"sigma": (), "tau": ("a", "b", "c"), "chf": ("a", "b")}
+
+
 def _nu_str(nu):
-    return "symbolic" if nu == "symbolic" else rational_str(nu)
+    return nu if nu is None or nu == "symbolic" else rational_str(nu)
 
 
 def encode_table(table) -> dict:
-    if isinstance(table, SigmaTable):
-        params = {}
-        nu = _nu_str(table.nu)
-    elif isinstance(table, TauTable):
-        params = {
-            "a": rational_str(table.params.a),
-            "b": rational_str(table.params.b),
-            "c": rational_str(table.params.c),
-        }
-        nu = _nu_str(table.params.nu)
-    elif isinstance(table, STable):
-        params = {
-            "a": rational_str(table.params.a),
-            "b": rational_str(table.params.b),
-        }
-        nu = None
-    else:
-        raise InvalidParameterError(f"cannot encode {type(table).__name__}")
-    entries = [
-        _encode_entry(n, table.entry(n))
-        for n in range(table.start, table.order + 1)
-    ]
     return {
         "family": table.family,
-        "params": params,
-        "nu": nu,
+        "params": {k: rational_str(getattr(table.params, k)) for k in _PARAMS[table.family]},
+        "nu": _nu_str(table.nu),
         "order": table.order,
-        "entries": entries,
+        "entries": [_encode_entry(n, table.entry(n)) for n in range(table.start, table.order + 1)],
         "provenance": table.provenance,
     }
 
@@ -96,53 +76,30 @@ def _nu_from_str(s):
 
 def decode_table(record: dict):
     family = record["family"]
-    order = record["order"]
-    provenance = record["provenance"]
-    entries = tuple(_decode_entry(d) for d in record["entries"])
+    fields = {
+        "order": record["order"],
+        "entries": tuple(_decode_entry(d) for d in record["entries"]),
+        "provenance": record["provenance"],
+    }
+    if family not in _PARAMS:
+        raise InvalidParameterError(f"unknown table family {family!r}")
+    weights = [parse_rational(record["params"][k]) for k in _PARAMS[family]]
     if family == "sigma":
-        nu = _nu_from_str(record["nu"])
-        real = nu == "symbolic" or nu > -1
-        return SigmaTable(
-            order=order,
-            entries=entries,
-            nu=nu,
-            provenance=provenance,
-            real_zero_regime=real,
-        )
+        return SigmaTable(nu=_nu_from_str(record["nu"]), **fields)
     if family == "tau":
-        nu = _nu_from_str(record["nu"])
-        params = derive_pqr(
-            parse_rational(record["params"]["a"]),
-            parse_rational(record["params"]["b"]),
-            parse_rational(record["params"]["c"]),
-            nu,
-        )
-        return TauTable(params=params, order=order, entries=entries, provenance=provenance)
-    if family == "chf":
-        params = ChfParams(
-            parse_rational(record["params"]["a"]),
-            parse_rational(record["params"]["b"]),
-        )
-        return STable(params=params, order=order, entries=entries, provenance=provenance)
-    raise InvalidParameterError(f"unknown table family {family!r}")
+        return TauTable(params=derive_pqr(*weights, _nu_from_str(record["nu"])), **fields)
+    return STable(params=ChfParams(*weights), **fields)
+
+
+def _ratfunc_cells(value) -> str:
+    return f"{' '.join(_poly_strs(value.num))},{' '.join(_poly_strs(value.den))}"
 
 
 def table_csv(table) -> str:
-    """One row per entry; exact num/den strings throughout."""
-    import csv  # only CSV output needs it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    first = table.entry(table.start)
-    if isinstance(first, RatFuncNu):
-        writer.writerow(["n", "num_coeffs", "den_coeffs"])
-        for n in range(table.start, table.order + 1):
-            e = table.entry(n)
-            writer.writerow(
-                [n, " ".join(_poly_strs(e.num)), " ".join(_poly_strs(e.den))]
-            )
-    else:
-        writer.writerow(["n", "value"])
-        for n in range(table.start, table.order + 1):
-            writer.writerow([n, rational_str(table.entry(n))])
-    return buf.getvalue()
+    """One row per entry; exact num/den strings throughout. No field holds
+    a comma, a quote or a newline, so none needs quoting."""
+    symbolic = table.nu == "symbolic"
+    cells = _ratfunc_cells if symbolic else rational_str
+    lines = ["n,num_coeffs,den_coeffs" if symbolic else "n,value"]
+    lines += [f"{n},{cells(table.entry(n))}" for n in range(table.start, table.order + 1)]
+    return "\n".join(lines) + "\n"

@@ -42,29 +42,29 @@ from ._accumulate import Nested, self_row
 from .errors import PoleError
 from .poly import _isumprod
 from .ratfunc import CofactorWalk, FactorPowers
-from .rational import Record, count, exact
+from .rational import Table, count, exact
 
 __all__ = ["SigmaTable", "sigma_table"]
 
 
-class SigmaTable(Record):
+class SigmaTable(Table):
     """Entries sigma_1 .. sigma_order, plus how they were produced.
 
-    ``real_zero_regime`` is False when the table was evaluated at nu <= -1,
-    where the recurrence is still a rational identity but the zeros are not
-    guaranteed real, so the entries are formal. ``nu`` is "symbolic" or a
-    Fraction.
+    ``nu`` is "symbolic" or a Fraction. ``real_zero_regime`` follows from
+    it: False at nu <= -1, where the recurrence is still a rational
+    identity but the zeros are not guaranteed real, so the entries are
+    formal.
     """
 
-    __slots__ = ("order", "entries", "nu", "provenance", "real_zero_regime")
+    __slots__ = ("order", "entries", "nu", "provenance")
 
     family = "sigma"
+    symbol = "sigma"
     start = 1
 
-    def entry(self, n: int):
-        if not 1 <= n <= self.order:
-            raise IndexError(f"sigma_{n} not in table of order {self.order}")
-        return self.entries[n - 1]
+    @property
+    def real_zero_regime(self) -> bool:
+        return self.nu == "symbolic" or self.nu > -1
 
 
 def _denominator(n: int):
@@ -108,7 +108,6 @@ def sigma_table(order: int, nu: str | Fraction = "symbolic") -> SigmaTable:
             entries=tuple(_symbolic_entries(order)),
             nu=nu,
             provenance="recurrence",
-            real_zero_regime=True,
         )
     x = exact(nu, "nu")
     d1 = 4 * (x + 1)
@@ -128,10 +127,4 @@ def sigma_table(order: int, nu: str | Fraction = "symbolic") -> SigmaTable:
             )
         acc, den = self_row(seq, n)
         seq.append(Fraction(acc * q, den * div))
-    return SigmaTable(
-        order=order,
-        entries=tuple(seq.values),
-        nu=x,
-        provenance="recurrence",
-        real_zero_regime=x > -1,
-    )
+    return SigmaTable(order=order, entries=tuple(seq.values), nu=x, provenance="recurrence")

@@ -264,6 +264,40 @@ def test_kummer_family_refuses_nu():
     assert code == 0 and json.loads(out)["nu"] == "symbolic"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sums", "sigma", "--order", "2", "--a", "1"], "the sigma family takes no weights; drop --a"),
+        (
+            ["verify", "--family", "sigma", "--nu", "1/2", "--order", "2", "--a", "3"],
+            "the sigma family takes no weights; drop --a",
+        ),
+        (
+            ["bounds", "--family", "sigma", "--nu", "1/2", "--order", "2", "--a", "5"],
+            "the sigma family takes no weights; drop --a",
+        ),
+        (["zeros", "--nu", "1/2", "--count", "2", "--a", "1"], "the bessel family takes no weights; drop --a"),
+        (
+            ["sums", "sigma", "--order", "2", "--b", "1", "--c", "2"],
+            "the sigma family takes no weights; drop --b, --c",
+        ),
+        (
+            ["sums", "chf", "--a", "-2", "--b", "1", "--order", "3", "--c", "1"],
+            "the chf family takes only --a and --b; drop --c",
+        ),
+    ],
+)
+def test_unused_weights_are_refused(args, message):
+    # these weights used to be ignored silently
+    code, out, err = invoke(args)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_missing_weights_are_named_before_unused_ones():
+    code, _, err = invoke(["sums", "chf", "--a", "-2", "--order", "3", "--c", "1"])
+    assert code == 2 and err == "error: sums chf: missing --b\n"
+
+
 def test_rational_literals_reject_underscores(capsys):
     # The grammar is an integer or p/q in plain digits; int() alone would
     # read 1_000 as 1000.

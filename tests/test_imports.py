@@ -2,9 +2,9 @@
 
 Set-up is what a CLI user pays on every invocation, so importing the
 package and building the parser must not load ``dataclasses`` (which
-pulls in ``inspect``), ``typing`` or ``csv``. The subprocess runs with
-``python -S``, because some installs preload ``typing`` through a
-``site`` hook.
+pulls in ``inspect``), ``typing`` or ``csv``, and writing a CSV table
+must not load ``csv`` either. The subprocesses run with ``python -S``,
+because some installs preload ``typing`` through a ``site`` hook.
 """
 
 import ast
@@ -27,6 +27,19 @@ def test_cli_setup_loads_no_heavy_stdlib_module():
     )
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == []
+
+
+def test_csv_output_loads_no_csv_module():
+    script = (
+        f"import io, json, sys; sys.path.insert(0, {str(_SRC)!r}); "
+        "from rayleighsums import cli; out = io.StringIO(); "
+        "codes = [cli.run(['sums', *args, '--format', 'csv'], stdout=out) for args in "
+        "(['sigma', '--order', '2'], ['sigma', '--order', '2', '--nu', '1/2'], "
+        "['chf', '--order', '3', '--a', '1', '--b', '2'])]; "
+        "print(json.dumps([codes, out.getvalue().count(chr(10)), 'csv' in sys.modules]))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[0, 0, 0], 9, False]
 
 
 def test_no_module_imports_dataclasses_or_typing():

@@ -32,7 +32,7 @@ from rayleighsums import (
 )
 
 _RECORDS = [
-    (sigma_table(3, F(1, 3)), ("order", "entries", "nu", "provenance", "real_zero_regime")),
+    (sigma_table(3, F(1, 3)), ("order", "entries", "nu", "provenance")),
     (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), ("params", "order", "entries", "provenance")),
     (derive_pqr(1, 2, 3), ("a", "b", "c", "nu", "p", "q", "r")),
     (ode_coefficients(derive_pqr(1, 2, 3)), ("denominator", "a_numerator", "b_numerator")),
