@@ -50,7 +50,7 @@ class STable(Table):
     """Entries S_2 .. S_order (index 2 is the first convergent sum). The
     Kummer family has no order parameter, so ``nu`` is None."""
 
-    __slots__ = ("params", "order", "entries", "provenance")
+    __slots__ = ("params", "entries", "provenance")
 
     family = "chf"
     symbol = "S"
@@ -78,4 +78,4 @@ def s_table(params: ChfParams, order: int) -> STable:
         acc, den = self_row(seq, k - 1)
         rhs = U * (den // dens[k - 3]) * nums[k - 2] + V * steps[k - 2] * acc
         seq.append(Fraction(rhs * bd * bd, den * steps[k - 2] * L * bn * (k * bd + bn)))
-    return STable(params=params, order=order, entries=tuple(seq.values), provenance="riccati")
+    return STable(params=params, entries=tuple(seq.values), provenance="riccati")

@@ -33,7 +33,8 @@ Symbolic nu runs on integer polynomials. tau is unchanged by (a, b, c) ->
 lambda (a, b, c), so (a, b, c) is first scaled to coprime integers; then
 p, q, r and d_0 = a nu^2 + (b-a) nu + c have integer coefficients, and
 q = d_0 d_0^- with d_0^-(nu) = d_0(-nu). With D_n = prod_{j<=n}
-(nu+j)^floor(n/j), the denominator is E_n = 4^n D_n d_0^n and the scaled
+(nu+j)^floor(n/j), the denominator is E_n = 4^n D_n d_0^n (built by
+``sigma._denominator``, which gives sigma's at d_0 = 1) and the scaled
 entry T_n = E_n tau_n. Write conv(s) = sum_{m=1}^{s-1} tau_m tau_{s-m}
 and C_s = E_s conv(s) / (nu+s) = sum_m T_m T_{s-m} D_s / ((nu+s) D_m
 D_{s-m}), summed over m <= s/2 with the off-centre terms weighted 2; its
@@ -74,7 +75,7 @@ from ._accumulate import Nested, self_row
 from .errors import ConsistencyError, DegenerateParametersError, PoleError
 from .poly import PolyNu, _ilongdiv, _isumprod
 from .ratfunc import FactorPowers, factor_quadratic
-from .sigma import _convolution_row
+from .sigma import _convolution_row, _denominator as _tau_denominator
 from .rational import Record, Table, count, exact
 
 __all__ = [
@@ -91,17 +92,42 @@ __all__ = [
 
 
 class MercerParams(Record):
-    """Combination weights (a, b, c) and the derived coefficients p, q, r.
+    """Combination weights (a, b, c) as Fractions, not all zero, and ``nu``,
+    "symbolic" or a Fraction nu0.
 
-    ``nu`` is "symbolic" or a Fraction nu0. In symbolic mode p, q, r are
-    polynomials in nu; in fixed mode they are their exact values at nu0.
+    The coefficients p, q, r are derived from them: polynomials in nu in
+    symbolic mode, their exact values at nu0 in fixed mode.
     """
 
-    __slots__ = ("a", "b", "c", "nu", "p", "q", "r")
+    __slots__ = ("a", "b", "c", "nu")
+
+    def __init__(self, a, b, c, nu="symbolic"):
+        a, b, c = exact(a, "a"), exact(b, "b"), exact(c, "c")
+        if not (a or b or c):
+            raise DegenerateParametersError(
+                "a, b and c are all zero: a*z^2*J'' + b*z*J' + c*J vanishes identically"
+            )
+        super().__init__(a, b, c, nu if nu == "symbolic" else exact(nu, "nu"))
 
     @property
     def symbolic(self) -> bool:
         return self.nu == "symbolic"
+
+    def _derived(self, i: int):
+        poly = PolyNu(_pqr_coeffs(self.a, self.b, self.c)[i])
+        return poly if self.symbolic else poly(self.nu)
+
+    @property
+    def p(self):
+        return self._derived(0)
+
+    @property
+    def q(self):
+        return self._derived(1)
+
+    @property
+    def r(self):
+        return self._derived(2)
 
 
 def _pqr_coeffs(a, b, c) -> tuple[list, list, list]:
@@ -113,18 +139,9 @@ def _pqr_coeffs(a, b, c) -> tuple[list, list, list]:
     )
 
 
-def derive_pqr(a, b, c, nu: str | Fraction = "symbolic") -> MercerParams:
-    """Build MercerParams with p, q, r exactly as derived from (a, b, c)."""
-    a, b, c = exact(a, "a"), exact(b, "b"), exact(c, "c")
-    if not (a or b or c):
-        raise DegenerateParametersError(
-            "a, b and c are all zero: a*z^2*J'' + b*z*J' + c*J vanishes identically"
-        )
-    p_poly, q_poly, r_poly = map(PolyNu, _pqr_coeffs(a, b, c))
-    if nu == "symbolic":
-        return MercerParams(a, b, c, "symbolic", p_poly, q_poly, r_poly)
-    nu0 = exact(nu, "nu")
-    return MercerParams(a, b, c, nu0, p_poly(nu0), q_poly(nu0), r_poly(nu0))
+# The public name of the constructor: MercerParams with p, q, r exactly as
+# derived from (a, b, c).
+derive_pqr = MercerParams
 
 
 def leading_constant(params: MercerParams) -> PolyNu:
@@ -145,7 +162,7 @@ class TauTable(Table):
     consumers requiring it must assert the regime explicitly.
     """
 
-    __slots__ = ("params", "order", "entries", "provenance")
+    __slots__ = ("params", "entries", "provenance")
 
     family = "tau"
     symbol = "tau"
@@ -185,9 +202,7 @@ def tau_table(params: MercerParams, order: int) -> TauTable:
             + ("" if params.symbolic else f" at nu = {params.nu}")
         )
     build = _symbolic_entries if params.symbolic else _fixed_entries
-    return TauTable(
-        params=params, order=order, entries=tuple(build(params, order)), provenance="riccati"
-    )
+    return TauTable(params=params, entries=tuple(build(params, order)), provenance="riccati")
 
 
 def _fixed_entries(params: MercerParams, order: int) -> list:
@@ -266,15 +281,6 @@ def _trim(v) -> tuple[int, ...]:
     while v and not v[-1]:
         v.pop()
     return tuple(v)
-
-
-def _tau_denominator(n: int, d0):
-    """4^n D_n d_0^n, factored: the a-priori denominator of tau_n."""
-    scale, factors = d0
-    exps = {(j, 1): n // j for j in range(1, n + 1)}
-    for f, m in factors.items():
-        exps[f] = exps.get(f, 0) + m * n
-    return (4 * scale) ** n, exps
 
 
 def _symbolic_entries(params: MercerParams, order: int) -> list:
@@ -363,10 +369,23 @@ def ode_coefficients(params: MercerParams) -> OdeCoefficients:
 
 
 class OdeResidualReport(Record):
-    """Residual coefficients of the cleared ODE applied to the series;
-    ``first_nonzero`` is the index of the first nonzero one, or None."""
+    """Residual coefficients of the cleared ODE applied to the series, of
+    t^0 .. t^order; ``first_nonzero`` is the index of the first nonzero
+    one, or None, and ``ok`` says that there is none."""
 
-    __slots__ = ("order", "coefficients", "ok", "first_nonzero")
+    __slots__ = ("coefficients",)
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
+
+    @property
+    def first_nonzero(self) -> int | None:
+        return next((n for n, c in enumerate(self.coefficients) if c), None)
+
+    @property
+    def ok(self) -> bool:
+        return self.first_nonzero is None
 
 
 def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = None) -> OdeResidualReport:
@@ -440,8 +459,4 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
             scale = lcm(*(k.denominator for k, _ in terms))
             h = _isumprod([(k.numerator * (scale // k.denominator), fs) for k, fs in terms])
             coeffs.append(powers.peel(h, (scale * g[n][0], g[n][1])))
-    coeffs = tuple(coeffs)
-    first = next((n for n, cval in enumerate(coeffs) if cval), None)
-    return OdeResidualReport(
-        order=order, coefficients=coeffs, ok=first is None, first_nonzero=first
-    )
+    return OdeResidualReport(coefficients=tuple(coeffs))

@@ -90,10 +90,7 @@ class OracleSeries(Record):
     ``family`` is "bessel", "mercer" or "chf"; ``nu`` is "symbolic", a
     Fraction or None; ``params`` is a MercerParams, a ChfParams or None."""
 
-    __slots__ = ("family", "nu", "params", "series", "note")
-
-    def __init__(self, family, nu, params, series, note=""):
-        super().__init__(family, nu, params, series, note)
+    __slots__ = ("family", "nu", "params", "series")
 
 
 def _symbolic_coeffs(nums, scale: int) -> list:
@@ -123,7 +120,8 @@ def _bessel_coeffs(nu: str | Fraction, order: int) -> list:
 
 
 def bessel_t_series(nu: str | Fraction, order: int) -> OracleSeries:
-    """Even-part series of the Bessel function, normalized to constant term 1.
+    """Even-part series of the Bessel function, normalized to constant term 1:
+    z^(-nu) J_nu(z) times 2^nu Gamma(nu+1), in t = z^2.
 
     The coefficient of t^n is (-1)^n / (4^n n! (nu+1)_n); the zeros of the
     series in t are the squared positive zeros of J_nu.
@@ -132,17 +130,12 @@ def bessel_t_series(nu: str | Fraction, order: int) -> OracleSeries:
     if nu != "symbolic":
         nu = exact(nu, "nu")
     coeffs = _bessel_coeffs(nu, order)
-    return OracleSeries(
-        family="bessel",
-        nu=nu,
-        params=None,
-        series=FormalSeries("t", coeffs),
-        note="z^(-nu) J_nu(z) times 2^nu Gamma(nu+1), in t = z^2",
-    )
+    return OracleSeries(family="bessel", nu=nu, params=None, series=FormalSeries("t", coeffs))
 
 
 def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
-    """Even-part series of z^(-nu) (a z^2 J'' + b z J' + c J), same scaling.
+    """Even-part series of z^(-nu) (a z^2 J'' + b z J' + c J), same scaling:
+    z^(-nu) N(z) times 2^nu Gamma(nu+1), in t = z^2.
 
     Termwise differentiation of the Bessel series gives coefficient
     d_n = [a (2n+nu)(2n+nu-1) + b (2n+nu) + c] * g_n; the constant term
@@ -169,13 +162,7 @@ def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
             "constant term a*nu^2 + (b-a)*nu + c vanishes; "
             "the normalized series does not exist"
         )
-    return OracleSeries(
-        family="mercer",
-        nu=params.nu,
-        params=params,
-        series=FormalSeries("t", coeffs),
-        note="z^(-nu) N(z) times 2^nu Gamma(nu+1), in t = z^2",
-    )
+    return OracleSeries(family="mercer", nu=params.nu, params=params, series=FormalSeries("t", coeffs))
 
 
 def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
@@ -202,11 +189,9 @@ def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
     if not isinstance(src, OracleSeries):
         return entries
     if src.family == "bessel":
-        return SigmaTable(order=order, entries=entries, nu=src.nu, provenance="series-oracle")
+        return SigmaTable(entries=entries, nu=src.nu, provenance="series-oracle")
     if src.family == "mercer":
-        return TauTable(
-            params=src.params, order=order, entries=entries, provenance="series-oracle"
-        )
+        return TauTable(params=src.params, entries=entries, provenance="series-oracle")
     raise InvalidParameterError(
         "genus-0 sums apply to the t-series families; use chf_sums_from_series"
     )
@@ -262,9 +247,7 @@ def chf_series(params: ChfParams, order: int) -> OracleSeries:
     w = [Fraction(1)]
     for n in range(1, order + 1):
         w.append(w[-1] * (a + n - 1) / ((b + n - 1) * n))
-    return OracleSeries(
-        family="chf", nu=None, params=params, series=FormalSeries("z", w)
-    )
+    return OracleSeries(family="chf", nu=None, params=params, series=FormalSeries("z", w))
 
 
 def chf_sums_from_series(params: ChfParams, order: int) -> STable:
@@ -282,4 +265,4 @@ def chf_sums_from_series(params: ChfParams, order: int) -> STable:
             "logarithmic-derivative constant differs from a/b; arithmetic bug"
         )
     entries = tuple(-quot.coeff(k) for k in range(1, order))
-    return STable(params=params, order=order, entries=entries, provenance="series-oracle")
+    return STable(params=params, entries=entries, provenance="series-oracle")

@@ -79,7 +79,8 @@ class Record:
 
 class Table(Record):
     """Base of the three power-sum tables: entries ``symbol``_start ..
-    ``symbol``_order of one ``family``, in ``entries``.
+    ``symbol``_order of one ``family``, in ``entries``; ``order`` follows
+    from ``start`` and the number of entries.
 
     ``nu`` is "symbolic", a Fraction, or None where the family has no
     order parameter; ``params`` is the family's weight record or None;
@@ -93,6 +94,10 @@ class Table(Record):
     nu = None
     params = None
     real_zero_regime = False
+
+    @property
+    def order(self) -> int:
+        return self.start + len(self.entries) - 1
 
     def entry(self, n: int):
         if not self.start <= n <= self.order:

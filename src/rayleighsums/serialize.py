@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .chf import ChfParams, STable
 from .errors import InvalidParameterError
-from .mercer import TauTable, derive_pqr
+from .mercer import MercerParams, TauTable
 from .poly import PolyNu
 from .ratfunc import RatFuncNu
 from .rational import parse_rational, rational_str
@@ -74,20 +74,38 @@ def _nu_from_str(s):
     return "symbolic" if s == "symbolic" else parse_rational(s)
 
 
+def _check_index(name: str, value, implied: int) -> None:
+    if type(value) is not int or value != implied:
+        raise InvalidParameterError(f"{name} = {value!r} where the record implies {implied}")
+
+
 def decode_table(record: dict):
+    """The table an ``encode_table`` record describes. A record that
+    contradicts its family is refused: ``params`` keys other than the
+    family's own, a non-null ``nu`` on "chf", an entry whose ``n`` is not
+    its position counted from the family's first index, or an ``order``
+    other than the last entry's index."""
     family = record["family"]
+    if family not in _PARAMS:
+        raise InvalidParameterError(f"unknown table family {family!r}")
+    names, params, nu = _PARAMS[family], record["params"], record["nu"]
+    if not isinstance(params, dict) or sorted(params) != sorted(names):
+        raise InvalidParameterError(f"params of a {family} table are {list(names)}, not {params!r}")
+    if family == "chf" and nu is not None:
+        raise InvalidParameterError(f"nu of a chf table must be null, not {nu!r}")
+    cls = {"sigma": SigmaTable, "tau": TauTable, "chf": STable}[family]
+    for n, d in enumerate(record["entries"], cls.start):
+        _check_index("entry n", d["n"], n)
+    _check_index("order", record["order"], cls.start + len(record["entries"]) - 1)
+    weights = [parse_rational(params[k]) for k in names]
     fields = {
-        "order": record["order"],
         "entries": tuple(_decode_entry(d) for d in record["entries"]),
         "provenance": record["provenance"],
     }
-    if family not in _PARAMS:
-        raise InvalidParameterError(f"unknown table family {family!r}")
-    weights = [parse_rational(record["params"][k]) for k in _PARAMS[family]]
     if family == "sigma":
-        return SigmaTable(nu=_nu_from_str(record["nu"]), **fields)
+        return SigmaTable(nu=_nu_from_str(nu), **fields)
     if family == "tau":
-        return TauTable(params=derive_pqr(*weights, _nu_from_str(record["nu"])), **fields)
+        return TauTable(params=MercerParams(*weights, _nu_from_str(nu)), **fields)
     return STable(params=ChfParams(*weights), **fields)
 
 

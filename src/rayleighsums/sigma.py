@@ -56,7 +56,7 @@ class SigmaTable(Table):
     formal.
     """
 
-    __slots__ = ("order", "entries", "nu", "provenance")
+    __slots__ = ("entries", "nu", "provenance")
 
     family = "sigma"
     symbol = "sigma"
@@ -67,9 +67,14 @@ class SigmaTable(Table):
         return self.nu == "symbolic" or self.nu > -1
 
 
-def _denominator(n: int):
-    """4^n D_n as a factored value: the a-priori denominator of sigma_n."""
-    return 4**n, {(j, 1): n // j for j in range(1, n + 1)}
+def _denominator(n: int, d0=(1, {})):
+    """4^n D_n d_0^n as a factored value, for a factored d_0: the a-priori
+    denominator of tau_n, and at the default d_0 = 1 that of sigma_n."""
+    scale, factors = d0
+    exps = {(j, 1): n // j for j in range(1, n + 1)}
+    for f, m in factors.items():
+        exps[f] = exps.get(f, 0) + m * n
+    return (4 * scale) ** n, exps
 
 
 def _convolution_row(powers, den, steps, scaled, n: int) -> tuple[int, ...]:
@@ -103,12 +108,7 @@ def sigma_table(order: int, nu: str | Fraction = "symbolic") -> SigmaTable:
     """
     order = count(order, "table order", 1)
     if nu == "symbolic":
-        return SigmaTable(
-            order=order,
-            entries=tuple(_symbolic_entries(order)),
-            nu=nu,
-            provenance="recurrence",
-        )
+        return SigmaTable(entries=tuple(_symbolic_entries(order)), nu=nu, provenance="recurrence")
     x = exact(nu, "nu")
     d1 = 4 * (x + 1)
     if not d1:
@@ -127,4 +127,4 @@ def sigma_table(order: int, nu: str | Fraction = "symbolic") -> SigmaTable:
             )
         acc, den = self_row(seq, n)
         seq.append(Fraction(acc * q, den * div))
-    return SigmaTable(order=order, entries=tuple(seq.values), nu=x, provenance="recurrence")
+    return SigmaTable(entries=tuple(seq.values), nu=x, provenance="recurrence")

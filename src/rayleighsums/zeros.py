@@ -73,7 +73,6 @@ from .errors import (
     PrecisionError,
     RegimeError,
 )
-from .mercer import MercerParams, derive_pqr
 from . import rational
 from .rational import Record, exact
 
@@ -451,9 +450,7 @@ def find_zeros(
                 "combined-function zeros are not guaranteed real; "
                 "pass assert_real_zeros=True to proceed"
             )
-        if params.symbolic:
-            params = derive_pqr(params.a, params.b, params.c, nu0)
-        elif Fraction(params.nu) != nu0:
+        if not params.symbolic and params.nu != nu0:
             raise InvalidParameterError("params were derived at a different nu")
         abc = (params.a, params.b, params.c)
         fid = f"mercer(a={params.a},b={params.b},c={params.c};nu={nu0})"

@@ -8,7 +8,9 @@ from rayleighsums import (
     ConsistencyError,
     DegenerateParametersError,
     InvalidParameterError,
+    MercerParams,
     OdeCoefficients,
+    OdeResidualReport,
     PoleError,
     PolyNu,
     RatFuncNu,
@@ -278,3 +280,47 @@ def test_symbolic_ode_residual_specializes_to_fixed(first):
         fixed = verify_ode(derive_pqr(1, 2, 3, nu0), 10, ode=_at(perturbed, nu0))
         assert [r(nu0) for r in sym.coefficients] == list(fixed.coefficients)
         assert fixed.first_nonzero == first
+
+
+def test_mercer_params_store_only_their_inputs():
+    sym = derive_pqr(1, 2, 3)
+    with pytest.raises(TypeError):
+        MercerParams(1, 2, 3, "symbolic", sym.p, sym.q, sym.r)
+    assert MercerParams(1, 2, 3) == sym
+    assert MercerParams(c=3, b=2, a=1, nu=F(1, 2)) == derive_pqr(1, 2, 3, F(1, 2))
+
+
+@pytest.mark.parametrize("abc", [(1, 2, 3), (0, 1, 0), (F(1, 2), F(-1, 3), F(2, 5)), (2, 0, -1)], ids=str)
+@pytest.mark.parametrize("nu0", [F(0), F(1, 2), F(-7, 3), F(5)], ids=str)
+def test_fixed_pqr_are_the_symbolic_ones_at_nu(abc, nu0):
+    sym, fixed = MercerParams(*abc), MercerParams(*abc, nu0)
+    assert (fixed.p, fixed.q, fixed.r) == (sym.p(nu0), sym.q(nu0), sym.r(nu0))
+    assert all(type(v) is F for v in (fixed.p, fixed.q, fixed.r))
+    assert all(isinstance(v, PolyNu) for v in (sym.p, sym.q, sym.r))
+
+
+def test_mercer_params_validate_like_derive_pqr():
+    with pytest.raises(DegenerateParametersError, match="all zero"):
+        MercerParams(0, 0, 0)
+    with pytest.raises(InvalidParameterError, match="a must be"):
+        MercerParams(0.5, 1, 1)
+    with pytest.raises(InvalidParameterError, match="nu must be"):
+        MercerParams(1, 2, 3, "1/2")
+    assert type(MercerParams(1, 2, 3, 1).nu) is F
+
+
+def test_ode_report_derives_its_verdict():
+    report = OdeResidualReport((F(0), F(0), F(3), F(0), F(-1)))
+    assert (report.order, report.ok, report.first_nonzero) == (4, False, 2)
+    assert OdeResidualReport((F(0),) * 5).ok
+    base = ode_coefficients(derive_pqr(1, 2, 3))
+    perturbed = OdeCoefficients(
+        base.denominator,
+        base.a_numerator,
+        (base.b_numerator[0], base.b_numerator[1], base.b_numerator[2] + PolyNu([1])),
+    )
+    report = verify_ode(derive_pqr(1, 2, 3), 6, ode=perturbed)
+    first = next(n for n, c in enumerate(report.coefficients) if c)
+    assert report == OdeResidualReport(report.coefficients)
+    assert (report.order, report.ok, report.first_nonzero) == (6, False, first)
+    assert first > 0

@@ -32,14 +32,14 @@ from rayleighsums import (
 )
 
 _RECORDS = [
-    (sigma_table(3, F(1, 3)), ("order", "entries", "nu", "provenance")),
-    (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), ("params", "order", "entries", "provenance")),
-    (derive_pqr(1, 2, 3), ("a", "b", "c", "nu", "p", "q", "r")),
+    (sigma_table(3, F(1, 3)), ("entries", "nu", "provenance")),
+    (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), ("params", "entries", "provenance")),
+    (derive_pqr(1, 2, 3), ("a", "b", "c", "nu")),
     (ode_coefficients(derive_pqr(1, 2, 3)), ("denominator", "a_numerator", "b_numerator")),
-    (verify_ode(derive_pqr(1, 2, 3), 4), ("order", "coefficients", "ok", "first_nonzero")),
+    (verify_ode(derive_pqr(1, 2, 3), 4), ("coefficients",)),
     (ChfParams(-2, F(5, 3)), ("a", "b")),
-    (s_table(ChfParams(-2, F(5, 3)), 4), ("params", "order", "entries", "provenance")),
-    (bessel_t_series(F(1, 2), 3), ("family", "nu", "params", "series", "note")),
+    (s_table(ChfParams(-2, F(5, 3)), 4), ("params", "entries", "provenance")),
+    (bessel_t_series(F(1, 2), 3), ("family", "nu", "params", "series")),
     (find_zeros(F(1, 2), 2, F(1, 1000))[1], ("lo", "hi", "function_id", "index")),
     (
         partial_sum_enclosure(find_zeros(0, 3, F(1, 1000)), 1),
@@ -74,9 +74,8 @@ def test_record_contract(record, names):
 
 def test_record_defaults_class_attributes_and_normalisation():
     series = bessel_t_series(F(1, 2), 3).series
-    assert OracleSeries("bessel", F(1, 2), None, series).note == ""
     assert OracleSeries("bessel", F(1, 2), None, series) == OracleSeries(
-        family="bessel", nu=F(1, 2), params=None, series=series, note=""
+        family="bessel", nu=F(1, 2), params=None, series=series
     )
     assert (SigmaTable.family, SigmaTable.start) == ("sigma", 1)
     assert (TauTable.family, TauTable.start) == ("tau", 1)

@@ -85,6 +85,43 @@ def test_decode_rejects_unknown_family():
         decode_table(rec)
 
 
+def _broken(table, edit):
+    rec = json.loads(json.dumps(encode_table(table)))
+    edit(rec)
+    return rec
+
+
+@pytest.mark.parametrize(
+    "table, edit, field",
+    [
+        (sigma_table(3, F(1, 2)), lambda r: r["entries"][1].update(n=3), "entry n = 3 "),
+        (s_table(ChfParams(-2, F(5, 3)), 4), lambda r: r["entries"][0].update(n=1), "entry n = 1 "),
+        (sigma_table(3, F(1, 2)), lambda r: r["entries"][0].update(n=True), "entry n = True "),
+        (sigma_table(3, F(1, 2)), lambda r: r.update(order=7), "order = 7 "),
+        (s_table(ChfParams(-2, F(5, 3)), 4), lambda r: r.update(order=3), "order = 3 "),
+        (sigma_table(3, F(1, 2)), lambda r: r["params"].update(a="1/1"), "params"),
+        (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), lambda r: r["params"].pop("c"), "params"),
+        (s_table(ChfParams(-2, F(5, 3)), 4), lambda r: r["params"].update(c="3/1"), "params"),
+        (s_table(ChfParams(-2, F(5, 3)), 4), lambda r: r.update(nu="1/2"), "nu of a chf"),
+    ],
+    ids=[
+        "sigma-n-skips",
+        "chf-n-from-1",
+        "sigma-n-bool",
+        "sigma-order-past-entries",
+        "chf-order-short",
+        "sigma-extra-param",
+        "tau-missing-param",
+        "chf-extra-param",
+        "chf-nu",
+    ],
+)
+def test_decode_refuses_a_record_that_contradicts_its_family(table, edit, field):
+    assert decode_table(_broken(table, lambda r: None)) == table
+    with pytest.raises(InvalidParameterError, match=field):
+        decode_table(_broken(table, edit))
+
+
 def _json_digest(table):
     text = json.dumps(encode_table(table), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()

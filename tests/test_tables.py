@@ -61,6 +61,15 @@ def test_table_interface(table, nu, params, regime, symbol):
 def test_sigma_regime_is_derived_not_stored():
     entries = sigma_table(2, F(1, 2)).entries
     with pytest.raises(TypeError):
-        SigmaTable(order=2, entries=entries, nu=F(1, 2), provenance="recurrence", real_zero_regime=False)
-    assert not SigmaTable(2, entries, F(-1), "recurrence").real_zero_regime
-    assert SigmaTable(2, entries, F(-1, 2), "recurrence").real_zero_regime
+        SigmaTable(entries=entries, nu=F(1, 2), provenance="recurrence", real_zero_regime=False)
+    assert not SigmaTable(entries, F(-1), "recurrence").real_zero_regime
+    assert SigmaTable(entries, F(-1, 2), "recurrence").real_zero_regime
+
+
+def test_order_is_derived_not_stored():
+    table = sigma_table(3, F(1, 2))
+    with pytest.raises(TypeError):
+        SigmaTable(order=3, entries=table.entries, nu=F(1, 2), provenance="recurrence")
+    assert SigmaTable(table.entries[:2], F(1, 2), "recurrence").order == 2
+    for table, *_ in _CASES:
+        assert table.order == table.start + len(table.entries) - 1

@@ -1,6 +1,7 @@
 """Count library code lines: non-blank lines outside comments and
 module, class and function docstrings, per module under
-``src/rayleighsums`` and in total.
+``src/rayleighsums`` and in total. Then count the stored record fields:
+the ``__slots__`` names of every ``Record`` or ``Table`` subclass there.
 
 Usage: python tools/loc.py [SRC_DIR]
 """
@@ -34,14 +35,39 @@ def code_lines(path: Path) -> int:
     )
 
 
+def record_fields(trees) -> int:
+    """The number of ``__slots__`` names over the classes that derive,
+    by base-class name, from ``Record`` (``Table`` is one of them)."""
+    classes = {node.name: node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+    def is_record(name: str) -> bool:
+        node = classes.get(name)
+        return name == "Record" or (
+            node is not None and any(isinstance(b, ast.Name) and is_record(b.id) for b in node.bases)
+        )
+
+    total = 0
+    for name, node in classes.items():
+        if not is_record(name):
+            continue
+        for stmt in node.body:
+            targets = getattr(stmt, "targets", ())
+            if any(isinstance(t, ast.Name) and t.id == "__slots__" for t in targets):
+                total += len(ast.literal_eval(stmt.value))
+    return total
+
+
 def main(argv) -> None:
     src = Path(argv[0]) if argv else _DEFAULT
     total = 0
+    trees = []
     for path in sorted(src.glob("*.py")):
         n = code_lines(path)
         total += n
+        trees.append(ast.parse(path.read_text()))
         print(f"{path.name:20} {n:5}")
     print(f"{'total':20} {total:5}")
+    print(f"{'record fields':20} {record_fields(trees):5}")
 
 
 if __name__ == "__main__":
