@@ -73,7 +73,7 @@ from math import gcd, lcm
 
 from ._accumulate import Nested, self_row
 from .errors import ConsistencyError, DegenerateParametersError, PoleError
-from .poly import PolyNu, _ilongdiv, _isumprod
+from .poly import PolyNu, _ilongdiv, _isumprod, _trim
 from .ratfunc import FactorPowers, factor_quadratic
 from .sigma import _convolution_row, _denominator as _tau_denominator
 from .rational import Record, Table, count, exact
@@ -276,13 +276,6 @@ def _integer_weights(params: MercerParams) -> tuple[int, int, int]:
     return tuple(v // g for v in ints)
 
 
-def _trim(v) -> tuple[int, ...]:
-    v = list(v)
-    while v and not v[-1]:
-        v.pop()
-    return tuple(v)
-
-
 def _symbolic_entries(params: MercerParams, order: int) -> list:
     a, b, c = _integer_weights(params)
     a2 = a * a
@@ -406,19 +399,21 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
 
     in both modes. At fixed nu each r_n is a plain ``Fraction`` sum. At
     symbolic nu, D_j, A_j and E_j are first written as integer tuples over
-    one common denominator L, so each L c_j(m) is an integer tuple built
-    without ``PolyNu`` arithmetic. w_m = N_m / G_m with G_m = 4^m m!
-    (nu+1)_m, so G_n r_n = sum_j c_j(m) N_m 4^j (n!/m!) prod_{i=m+1..n}
-    (nu+i) is a polynomial; after one lcm of the rational contents it is
-    an integer one, summed by the packed kernel, and each r_n is reduced
-    by peeling the (nu+i). The residual through order ``order`` in t is
-    reported; a nonzero residual is a report outcome, not an error, so
-    perturbed coefficients can be checked as negative controls.
+    one common denominator C, so each C c_j(m) is an integer tuple built
+    without ``PolyNu`` arithmetic. The oracle's numerators give w_m =
+    N_m / (L G_m) with integer polynomials N_m, an integer L and G_m =
+    4^m m! (nu+1)_m, so C L G_n r_n = sum_j C c_j(m) N_m 4^j (n!/m!)
+    prod_{i=m+1..n} (nu+i) is an integer polynomial, summed by the packed
+    kernel, and each r_n is reduced by peeling the (nu+i). The residual
+    through order ``order`` in t is reported; a nonzero residual is a
+    report outcome, not an error, so perturbed coefficients can be checked
+    as negative controls.
     """
     order = count(order, "verify_ode order", 4)
-    from .oracle import _coefficient_den, mercer_t_series  # deferred: oracle imports this module
+    # deferred: oracle imports this module
+    from .oracle import _coefficient_den, _numerators, mercer_t_series
 
-    w = mercer_t_series(params, order).series.coeffs
+    src = mercer_t_series(params, order)
     if ode is None:
         ode = ode_coefficients(params)
     x = PolyNu.NU if params.symbolic else Fraction(params.nu)
@@ -429,6 +424,7 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
 
     coeffs = []
     if not params.symbolic:
+        w = src.series.coeffs
         for n in range(order + 1):
             r = Fraction(0)
             for m in range(n, max(n - 4, -1), -1):
@@ -437,26 +433,20 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
                 r += (dc[j] * s * (s - 1) + ac[j] * s + ec[j]) * w[m]
             coeffs.append(r)
     else:
-        # D_j, A_j and E_j as integer tuples over one common denominator L.
+        # D_j, A_j and E_j as integer tuples over one common denominator C.
         polys = [[PolyNu._coerce(v) for v in part] for part in (dc, ac, ec)]
         common = lcm(*(v._k.denominator for part in polys for v in part))
         dc, ac, ec = ([tuple(int(v._k * common) * c for c in v._p) for v in part] for part in polys)
+        nums, scale = _numerators(params, order)
         powers = FactorPowers()
         g = [_coefficient_den(m) for m in range(order + 1)]
-        cleared = [powers.clear(wm, gm) for wm, gm in zip(w, g)]
-        if None in cleared:
-            raise ConsistencyError("a series coefficient w_m is not cleared by G_m")
         for n in range(order + 1):
             terms = []
             for m in range(n, max(n - 4, -1), -1):
                 j = n - m
-                # L c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j
+                # C c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j
                 lin, quad = (2 * m, 1), (2 * m * (2 * m - 1), 4 * m - 1, 1)
                 cj = _isumprod([(1, (dc[j], quad)), (1, (ac[j], lin)), (1, (ec[j],))])
-                k, wm = cleared[m]
-                if cj and wm:
-                    terms.append((k / common, (cj, wm, powers.cofactor(g[n], g[m]))))
-            scale = lcm(*(k.denominator for k, _ in terms))
-            h = _isumprod([(k.numerator * (scale // k.denominator), fs) for k, fs in terms])
-            coeffs.append(powers.peel(h, (scale * g[n][0], g[n][1])))
+                terms.append((1, (cj, nums[m], powers.cofactor(g[n], g[m]))))
+            coeffs.append(powers.peel(_isumprod(terms), (scale * common * g[n][0], g[n][1])))
     return OdeResidualReport(coefficients=tuple(coeffs))

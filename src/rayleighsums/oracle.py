@@ -14,14 +14,17 @@ and the z^k coefficient is -S_{k+1}. Everything here is exact rational
 arithmetic; there is no floating point in this module.
 
 Symbolic Bessel and Mercer series are divided on integer polynomials.
-Their coefficients are d_k = N_k / G_k with G_k = 4^k k! (nu+1)_k and a
-polynomial N_k: N_k = (-1)^k for Bessel, N_k = (-1)^k [a (2k+nu)(2k+nu-1)
-+ b (2k+nu) + c] for Mercer, so d_0 = N_0 = a nu^2 + (b-a) nu + c. The
-series builders write each d_k in canonical form with no gcd, by peeling
-the factors (nu+j) of G_k off N_k (N_k(-j) = d_0(2k-j), so a factor
-cancels only where d_0 has a root at a positive integer). The divider
-reads the numerators off the given series and brings them to one
-integer scale (which leaves the quotient y'/y unchanged).
+Their coefficients are d_k = N_k / (L G_k) with G_k = 4^k k! (nu+1)_k.
+``_numerators`` builds the integer polynomials N_k and the integer L from
+the series definition alone: N_k = (-1)^k with L = 1 for Bessel, and
+N_k = (-1)^k [a (2k+nu)(2k+nu-1) + b (2k+nu) + c] for Mercer, with
+(a, b, c) scaled to integers by L. They are the one stored form of the
+coefficients. The divider reads them as the coefficients N_k / G_k of
+L y, which has the same quotient y'/y; below, d_0 stands for N_0 =
+a nu^2 + (b-a) nu + c. The ``series`` view writes each d_k in canonical
+form with no gcd, by peeling the factors (nu+j) of G_k off N_k (N_k(-j)
+= d_0(2k-j), so a factor cancels only where d_0 has a root at a positive
+integer).
 
 *Denominator.* Expanding 1/y in powers of (y - d_0)/d_0, the quotient
 h = -t y'/y has h_n = sum over compositions k_1 + ... + k_r = n (r <= n)
@@ -69,7 +72,7 @@ from math import factorial, lcm
 from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
-from .poly import _isumprod
+from .poly import _isumprod, _trim
 from .ratfunc import CofactorWalk, FactorPowers, factor_quadratic
 from .rational import Record, count, exact
 from .series import FormalSeries, series_divide
@@ -85,12 +88,80 @@ __all__ = [
 ]
 
 
-class OracleSeries(Record):
-    """A truncated exact series plus the identity of what it expands:
-    ``family`` is "bessel", "mercer" or "chf"; ``nu`` is "symbolic", a
-    Fraction or None; ``params`` is a MercerParams, a ChfParams or None."""
+# The params record each family's series takes.
+_PARAMS = {"bessel": type(None), "mercer": MercerParams, "chf": ChfParams}
 
-    __slots__ = ("family", "nu", "params", "series")
+
+class OracleSeries(Record):
+    """The truncated exact series, through ``order``, of one function:
+    ``family`` is "bessel", "mercer" or "chf"; ``nu`` is "symbolic", a
+    Fraction or None (for "chf"); ``params`` is None, a MercerParams with
+    the same ``nu``, or a ChfParams, by family.
+
+    ``series`` is built from these fields each time it is read. A record
+    whose series does not exist is refused: a pole (nu + n) = 0 for some
+    1 <= n <= order, or a vanishing constant term at a fixed nu.
+    """
+
+    __slots__ = ("family", "nu", "params", "order")
+
+    def __init__(self, family, nu, params, order):
+        order = count(order, "order", 0)
+        if not isinstance(params, _PARAMS.get(family, ())):
+            raise InvalidParameterError(f"a {family!r} series does not take params {params!r}")
+        if family == "chf" and nu is not None:
+            raise InvalidParameterError(f"nu of a chf series must be None, not {nu!r}")
+        if family != "chf" and nu != "symbolic":
+            nu = exact(nu, "nu")
+            if nu.denominator == 1 and 1 <= -nu <= order:
+                n = -nu.numerator
+                raise PoleError(
+                    f"series coefficient {n} divides by (nu + {n}) = 0 at nu = {nu}", at=nu, index=n
+                )
+        if family == "mercer" and nu != params.nu:
+            raise InvalidParameterError(f"nu = {nu} of a mercer series is not its params' nu = {params.nu}")
+        if family == "mercer" and nu != "symbolic" and not ((params.a * (nu - 1) + params.b) * nu + params.c):
+            raise DegenerateParametersError(
+                "constant term a*nu^2 + (b-a)*nu + c vanishes; "
+                "the normalized series does not exist"
+            )
+        super().__init__(family, nu, params, order)
+
+    @property
+    def series(self) -> FormalSeries:
+        if self.family == "chf":
+            a, b = self.params.a, self.params.b
+            w = [Fraction(1)]
+            for n in range(1, self.order + 1):
+                w.append(w[-1] * (a + n - 1) / ((b + n - 1) * n))
+            return FormalSeries("z", w)
+        if self.nu == "symbolic":
+            return FormalSeries("t", _symbolic_coeffs(*_numerators(self.params, self.order)))
+        # g_n = (-1)^n / (4^n n! (nu+1)(nu+2)...(nu+n)); Mercer's d_n =
+        # [a (2n+nu)(2n+nu-1) + b (2n+nu) + c] g_n by termwise differentiation.
+        x, g = self.nu, [Fraction(1)]
+        for n in range(1, self.order + 1):
+            g.append(-g[-1] / (4 * n * (x + n)))
+        if self.params is not None:
+            a, b, c = self.params.a, self.params.b, self.params.c
+            for n, gn in enumerate(g):
+                m = 2 * n + x
+                g[n] = (a * m * (m - 1) + b * m + c) * gn
+        return FormalSeries("t", g)
+
+
+def _numerators(params: MercerParams | None, order: int) -> tuple[list, int]:
+    """(N, L) with d_n = N[n] / (L G_n) for n <= order: the integer
+    numerators of the Bessel series (params None) or of the Mercer series
+    (see the module docstring)."""
+    if params is None:
+        return [((-1) ** n,) for n in range(order + 1)], 1
+    scale = lcm(*(v.denominator for v in (params.a, params.b, params.c)))
+    a, b, c = (int(v * scale) for v in (params.a, params.b, params.c))
+    return [
+        _trim((-1) ** n * v for v in (2 * n * (a * (2 * n - 1) + b) + c, a * (4 * n - 1) + b, a))
+        for n in range(order + 1)
+    ], scale
 
 
 def _symbolic_coeffs(nums, scale: int) -> list:
@@ -102,23 +173,6 @@ def _symbolic_coeffs(nums, scale: int) -> list:
     return [powers.peel(nums[0], den[0])] + powers.peel_table(nums, den, powers.steps(den))
 
 
-def _bessel_coeffs(nu: str | Fraction, order: int) -> list:
-    """g_n = (-1)^n / (4^n n! (nu+1)(nu+2)...(nu+n)), exactly."""
-    if nu == "symbolic":
-        return _symbolic_coeffs([((-1) ** n,) for n in range(order + 1)], 1)
-    g = [Fraction(1)]
-    for n in range(1, order + 1):
-        shifted = nu + n
-        if not shifted:
-            raise PoleError(
-                f"series coefficient {n} divides by (nu + {n}) = 0 at nu = {nu}",
-                at=nu,
-                index=n,
-            )
-        g.append(-g[-1] / (4 * n * shifted))
-    return g
-
-
 def bessel_t_series(nu: str | Fraction, order: int) -> OracleSeries:
     """Even-part series of the Bessel function, normalized to constant term 1:
     z^(-nu) J_nu(z) times 2^nu Gamma(nu+1), in t = z^2.
@@ -126,11 +180,7 @@ def bessel_t_series(nu: str | Fraction, order: int) -> OracleSeries:
     The coefficient of t^n is (-1)^n / (4^n n! (nu+1)_n); the zeros of the
     series in t are the squared positive zeros of J_nu.
     """
-    order = count(order, "order", 0)
-    if nu != "symbolic":
-        nu = exact(nu, "nu")
-    coeffs = _bessel_coeffs(nu, order)
-    return OracleSeries(family="bessel", nu=nu, params=None, series=FormalSeries("t", coeffs))
+    return OracleSeries("bessel", nu, None, order)
 
 
 def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
@@ -141,28 +191,7 @@ def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
     d_n = [a (2n+nu)(2n+nu-1) + b (2n+nu) + c] * g_n; the constant term
     d_0 = a nu^2 + (b-a) nu + c must not vanish.
     """
-    order = count(order, "order", 0)
-    if params.symbolic:
-        # (-1)^n L N_n, with (a, b, c) scaled to integers by L.
-        scale = lcm(*(v.denominator for v in (params.a, params.b, params.c)))
-        a, b, c = (int(v * scale) for v in (params.a, params.b, params.c))
-        nums = [
-            tuple((-1) ** n * v for v in (2 * n * (a * (2 * n - 1) + b) + c, a * (4 * n - 1) + b, a))
-            for n in range(order + 1)
-        ]
-        coeffs = _symbolic_coeffs(nums, scale)
-    else:
-        x, a, b, c = Fraction(params.nu), params.a, params.b, params.c
-        coeffs = []
-        for n, gn in enumerate(_bessel_coeffs(params.nu, order)):
-            m = 2 * n + x
-            coeffs.append((a * m * (m - 1) + b * m + c) * gn)
-    if not coeffs[0]:
-        raise DegenerateParametersError(
-            "constant term a*nu^2 + (b-a)*nu + c vanishes; "
-            "the normalized series does not exist"
-        )
-    return OracleSeries(family="mercer", nu=params.nu, params=params, series=FormalSeries("t", coeffs))
+    return OracleSeries("mercer", params.nu, params, order)
 
 
 def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
@@ -171,30 +200,29 @@ def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
     Given an OracleSeries this returns the matching table (SigmaTable for
     the Bessel family, TauTable for the combined one) with provenance
     "series-oracle"; given a bare FormalSeries it returns the tuple
-    (s_1, ..., s_order).
+    (s_1, ..., s_order). A symbolic OracleSeries is divided on its
+    integer numerators; every other series by ``series_divide``.
     """
-    series = src.series if isinstance(src, OracleSeries) else src
     order = count(order, "order", 0)
-    if series.order < order:
-        raise InvalidParameterError("series truncated below the requested order")
-    entries = None
-    if isinstance(src, OracleSeries) and series.symbolic:
-        entries = _integer_sums(series.coeffs[: order + 1])
-    if entries is None:
-        minus_t_dy = FormalSeries(
-            series.var, [-n * c for n, c in enumerate(series.coeffs)]
+    oracle = isinstance(src, OracleSeries)
+    if oracle and src.family == "chf":
+        raise InvalidParameterError(
+            "genus-0 sums apply to the t-series families; use chf_sums_from_series"
         )
+    if src.order < order:
+        raise InvalidParameterError("series truncated below the requested order")
+    if oracle and src.nu == "symbolic":
+        entries = _integer_sums(_numerators(src.params, order)[0])
+    else:
+        series = src.series if oracle else src
+        minus_t_dy = FormalSeries(series.var, [-n * c for n, c in enumerate(series.coeffs)])
         quot = series_divide(minus_t_dy, series, order)
         entries = tuple(quot.coeff(n) for n in range(1, order + 1))
-    if not isinstance(src, OracleSeries):
+    if not oracle:
         return entries
     if src.family == "bessel":
         return SigmaTable(entries=entries, nu=src.nu, provenance="series-oracle")
-    if src.family == "mercer":
-        return TauTable(params=src.params, entries=entries, provenance="series-oracle")
-    raise InvalidParameterError(
-        "genus-0 sums apply to the t-series families; use chf_sums_from_series"
-    )
+    return TauTable(params=src.params, entries=entries, provenance="series-oracle")
 
 
 def _coefficient_den(k: int):
@@ -211,20 +239,13 @@ def _oracle_den(n: int, d0):
     return 4**n * factorial(n) * scale**n, exps
 
 
-def _integer_sums(coeffs):
-    """h_1 .. h_order of h = -t y'/y on integer polynomials, for symbolic
-    coefficients d_k = N_k / G_k; None when the series has another shape."""
-    order = len(coeffs) - 1
+def _integer_sums(num):
+    """h_1 .. h_order of h = -t y'/y on integer polynomials, for the
+    numerators num[k] = N_k of the symbolic coefficients d_k = N_k / (L G_k)."""
+    order = len(num) - 1
     powers = FactorPowers()
     g = [_coefficient_den(k) for k in range(order + 1)]
-    cleared = [powers.clear(d, gk) for d, gk in zip(coeffs, g)]
-    if None in cleared:
-        return None
-    scale = lcm(*(c.denominator for c, _ in cleared))
-    num = [tuple(c.numerator * (scale // c.denominator) * x for x in p) for c, p in cleared]
     d0 = factor_quadratic(num[0])
-    if d0 is None:
-        return None
     den = [_oracle_den(n, d0) for n in range(order + 1)]
     den_steps, g_steps = powers.steps(den), powers.steps(g)
     scaled = [None]
@@ -242,12 +263,7 @@ def _integer_sums(coeffs):
 
 def chf_series(params: ChfParams, order: int) -> OracleSeries:
     """Kummer series sum_n (a)_n / ((b)_n n!) z^n, exact rationals."""
-    order = count(order, "order", 0)
-    a, b = params.a, params.b
-    w = [Fraction(1)]
-    for n in range(1, order + 1):
-        w.append(w[-1] * (a + n - 1) / ((b + n - 1) * n))
-    return OracleSeries(family="chf", nu=None, params=params, series=FormalSeries("z", w))
+    return OracleSeries("chf", None, params, order)
 
 
 def chf_sums_from_series(params: ChfParams, order: int) -> STable:
@@ -258,8 +274,7 @@ def chf_sums_from_series(params: ChfParams, order: int) -> STable:
     """
     order = count(order, "order (the first convergent sum is S_2)", 2)
     w = chf_series(params, order).series
-    wprime = w.derivative()
-    quot = series_divide(wprime, w.truncate(order - 1), order - 1)
+    quot = series_divide(w.derivative(), w.truncate(order - 1), order - 1)
     if quot.coeff(0) != params.a / params.b:
         raise ConsistencyError(
             "logarithmic-derivative constant differs from a/b; arithmetic bug"

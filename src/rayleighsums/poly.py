@@ -61,6 +61,14 @@ def _int_content(v) -> int:
     return g
 
 
+def _trim(v) -> tuple[int, ...]:
+    """An integer coefficient sequence as a tuple without trailing zeros."""
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return tuple(v)
+
+
 def _iprimitive(v: list[int]) -> list[int]:
     """Divide out the content; make the leading coefficient positive."""
     if not v:

@@ -234,7 +234,6 @@ class FactorPowers:
       polynomial and refuses one that is not; ``CofactorWalk`` does the
       same for the first cofactor of a table row and steps it along the
       row;
-    - ``clear`` multiplies a ``RatFuncNu`` by a factored value;
     - ``peel`` divides an integer numerator by a factored value into
       canonical form with no gcd, and ``peel_table`` does so for a whole
       table over denominator products stepped along it.
@@ -286,17 +285,6 @@ class FactorPowers:
                 exps[f] = exps.get(f, 0) - e
             out.append((Fraction(a[0], b[0]), {f: e for f, e in exps.items() if e}))
         return out
-
-    def clear(self, r: "RatFuncNu", den):
-        """``r * den`` as ``(content, integer tuple)``, or None when r's
-        denominator does not divide the factored ``den``."""
-        if not r:
-            return Fraction(0), ()
-        rem = list(self.product(den[1]))
-        quo = _ilongdiv(rem, r.den._p)
-        if quo is None or rem:
-            return None
-        return r.num._k * den[0], _iconv(r.num._p, tuple(quo))
 
     def peel(self, h, den, full=None) -> "RatFuncNu":
         """Canonical ``h / den`` for an integer coefficient sequence h.

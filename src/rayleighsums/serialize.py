@@ -31,8 +31,16 @@ def _poly_strs(p: PolyNu) -> list[str]:
     return [rational_str(c) for c in p.coeffs]
 
 
-def _poly_from_strs(strs) -> PolyNu:
-    return PolyNu([parse_rational(s) for s in strs])
+def _rational(text, field: str):
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"{field} must be a p/q string, not {text!r}")
+    return parse_rational(text)
+
+
+def _poly_from_strs(strs, field: str) -> PolyNu:
+    if not isinstance(strs, list):
+        raise InvalidParameterError(f"{field} must be a list of p/q strings, not {strs!r}")
+    return PolyNu([_rational(s, field) for s in strs])
 
 
 def _encode_entry(n: int, value) -> dict:
@@ -47,8 +55,8 @@ def _encode_entry(n: int, value) -> dict:
 
 def _decode_entry(d: dict):
     if "value" in d:
-        return parse_rational(d["value"])
-    return RatFuncNu(_poly_from_strs(d["num_coeffs"]), _poly_from_strs(d["den_coeffs"]))
+        return _rational(d["value"], "entry value")
+    return RatFuncNu(*(_poly_from_strs(d[k], k) for k in ("num_coeffs", "den_coeffs")))
 
 
 # The weight names each family's "params" record holds, in order.
@@ -70,10 +78,6 @@ def encode_table(table) -> dict:
     }
 
 
-def _nu_from_str(s):
-    return "symbolic" if s == "symbolic" else parse_rational(s)
-
-
 def _check_index(name: str, value, implied: int) -> None:
     if type(value) is not int or value != implied:
         raise InvalidParameterError(f"{name} = {value!r} where the record implies {implied}")
@@ -83,8 +87,10 @@ def decode_table(record: dict):
     """The table an ``encode_table`` record describes. A record that
     contradicts its family is refused: ``params`` keys other than the
     family's own, a non-null ``nu`` on "chf", an entry whose ``n`` is not
-    its position counted from the family's first index, or an ``order``
-    other than the last entry's index."""
+    its position counted from the family's first index, an ``order``
+    other than the last entry's index, or entries of the other mode than
+    ``nu`` (``value`` at a fixed nu, ``num_coeffs`` and ``den_coeffs`` at
+    symbolic nu). A field of the wrong type is refused too, by name."""
     family = record["family"]
     if family not in _PARAMS:
         raise InvalidParameterError(f"unknown table family {family!r}")
@@ -93,19 +99,21 @@ def decode_table(record: dict):
         raise InvalidParameterError(f"params of a {family} table are {list(names)}, not {params!r}")
     if family == "chf" and nu is not None:
         raise InvalidParameterError(f"nu of a chf table must be null, not {nu!r}")
+    if family != "chf" and nu != "symbolic":
+        nu = _rational(nu, f"nu of a {family} table")
     cls = {"sigma": SigmaTable, "tau": TauTable, "chf": STable}[family]
+    keys = ["den_coeffs", "n", "num_coeffs"] if nu == "symbolic" else ["n", "value"]
     for n, d in enumerate(record["entries"], cls.start):
         _check_index("entry n", d["n"], n)
+        if sorted(d) != keys:
+            raise InvalidParameterError(f"entry {n} has fields {sorted(d)}, not {keys}, at nu = {nu!r}")
     _check_index("order", record["order"], cls.start + len(record["entries"]) - 1)
-    weights = [parse_rational(params[k]) for k in names]
-    fields = {
-        "entries": tuple(_decode_entry(d) for d in record["entries"]),
-        "provenance": record["provenance"],
-    }
+    weights = [_rational(params[k], f"params {k}") for k in names]
+    fields = {"entries": tuple(map(_decode_entry, record["entries"])), "provenance": record["provenance"]}
     if family == "sigma":
-        return SigmaTable(nu=_nu_from_str(nu), **fields)
+        return SigmaTable(nu=nu, **fields)
     if family == "tau":
-        return TauTable(params=MercerParams(*weights, _nu_from_str(nu)), **fields)
+        return TauTable(params=MercerParams(*weights, nu), **fields)
     return STable(params=ChfParams(*weights), **fields)
 
 

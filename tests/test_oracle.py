@@ -10,6 +10,7 @@ from rayleighsums import (
     DegenerateParametersError,
     FormalSeries,
     InvalidParameterError,
+    OracleSeries,
     PoleError,
     PolyNu,
     RatFuncNu,
@@ -21,6 +22,7 @@ from rayleighsums import (
     mercer_t_series,
     oracle,
     sigma_table,
+    verify_ode,
 )
 from rayleighsums.ratfunc import factor_quadratic
 
@@ -201,21 +203,57 @@ def test_symbolic_oracle_series_skip_series_division(monkeypatch):
     genus0_sums_from_series(mercer_t_series(derive_pqr(1, 2, 3), 8), 8)
 
 
-def test_other_series_shapes_fall_back_to_series_division():
-    nu = RatFuncNu.NU
-    cases = [
-        # a zero coefficient keeps the shape d_k = N_k / G_k
-        (True, [RatFuncNu.ONE, RatFuncNu.ZERO, 1 / (32 * (nu + 1) * (nu + 2)), -nu / (nu + 3)]),
-        # 1/(nu+5) at t^1 is not N_1 / (4 (nu+1))
-        (False, [RatFuncNu.ONE, 1 / (nu + 5), nu, 1 + nu]),
-        # a cubic d_0 is not split
-        (False, [nu**3 + 1, nu, nu / (nu + 1), RatFuncNu.ONE]),
-    ]
-    for integer, coeffs in cases:
-        series = FormalSeries("t", coeffs)
-        assert (oracle._integer_sums(series.coeffs) is not None) == integer
-        src = oracle.OracleSeries("bessel", "symbolic", None, series)
-        assert genus0_sums_from_series(src, 3).entries == genus0_sums_from_series(series, 3)
+def test_symbolic_sums_and_residual_read_the_numerators_not_the_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("series view built")
+
+    monkeypatch.setattr(oracle, "_symbolic_coeffs", refuse)
+    genus0_sums_from_series(bessel_t_series("symbolic", 8), 8)
+    genus0_sums_from_series(mercer_t_series(derive_pqr(1, 2, 3), 8), 8)
+    assert verify_ode(derive_pqr(1, 2, 3), 8).ok
+    with pytest.raises(AssertionError, match="series view"):
+        bessel_t_series("symbolic", 2).series
+
+
+def test_numerators_drop_trailing_zeros():
+    # a = 0: N_n = (-1)^n (2 n b + c + b nu), no nu^2 term
+    assert oracle._numerators(derive_pqr(0, 1, 2), 2) == ([(2, 1), (-4, -1), (6, 1)], 1)
+    assert oracle._numerators(derive_pqr(0, 0, F(1, 3)), 1) == ([(1,), (-1,)], 3)
+    assert oracle._numerators(None, 2) == ([(1,), (-1,), (1,)], 1)
+
+
+@pytest.mark.parametrize(
+    "build, error, match",
+    [
+        (lambda: OracleSeries("bessel", F(-3), None, 5), PoleError, "coefficient 3 divides"),
+        (lambda: OracleSeries("mercer", F(-2), derive_pqr(1, 2, 3, F(-2)), 2), PoleError, "coefficient 2"),
+        (lambda: OracleSeries("mercer", F(0), derive_pqr(0, 1, 0, F(0)), 2), DegenerateParametersError, "vanishes"),
+        (lambda: OracleSeries("chf", F(1, 2), ChfParams(1, 2), 3), InvalidParameterError, "nu of a chf"),
+        (lambda: OracleSeries("mercer", F(1, 2), derive_pqr(1, 2, 3), 3), InvalidParameterError, "params' nu"),
+        (lambda: OracleSeries("mercer", "symbolic", derive_pqr(1, 2, 3, 1), 3), InvalidParameterError, "params' nu"),
+        (lambda: OracleSeries("bessel", F(1), derive_pqr(1, 2, 3, 1), 3), InvalidParameterError, "params"),
+        (lambda: OracleSeries("mercer", "symbolic", None, 3), InvalidParameterError, "params"),
+        (lambda: OracleSeries("kummer", None, ChfParams(1, 2), 3), InvalidParameterError, "params"),
+        (lambda: OracleSeries("bessel", "1/2", None, 3), InvalidParameterError, "nu must be"),
+    ],
+    ids=["bessel-pole", "mercer-pole", "d0-vanishes", "chf-nu", "mercer-nu", "mercer-symbolic-nu",
+         "bessel-params", "mercer-no-params", "unknown-family", "string-nu"],
+)
+def test_oracle_series_refuses_a_record_without_a_series(build, error, match):
+    with pytest.raises(error, match=match) as info:
+        build()
+    if error is PoleError:
+        assert info.value.index == -info.value.at
+
+
+@pytest.mark.parametrize("abc", [None, (0, 1, 2), (0, 0, 1), (1, 0, -4), (1, 2, 3), (F(1, 2), F(-1, 3), 2)], ids=str)
+def test_symbolic_series_at_a_fixed_nu_is_the_fixed_series(abc):
+    for nu in (F(0), F(1, 2), F(3), F(-5, 2), F(7, 3)):
+        if abc is None:
+            symbolic, fixed = bessel_t_series("symbolic", 8), bessel_t_series(nu, 8)
+        else:
+            symbolic, fixed = mercer_t_series(derive_pqr(*abc), 8), mercer_t_series(derive_pqr(*abc, nu), 8)
+        assert tuple(c(nu) for c in symbolic.series.coeffs) == fixed.series.coeffs
 
 
 def test_a_denominator_too_small_fails_loudly(monkeypatch):

@@ -172,14 +172,10 @@ def test_factor_powers_peel_matches_canonical_constructor(h, common, den, scale)
     assert got == RatFuncNu(num, _poly(exps, scale))
 
 
-def test_factor_powers_cofactor_and_clear():
+def test_factor_powers_cofactor():
     powers = FactorPowers()
     top = (24, {(1, 1): 3, (2, 1): 1})
     assert powers.cofactor(top, (4, {(1, 1): 1}), (3, {(2, 1): 1})) == (2, 4, 2)
-    r = RatFuncNu(PolyNu([F(1, 3)]), PolyNu([1, 1]))
-    assert powers.clear(r, top) == (F(8), (2, 5, 4, 1))  # 24/3 (nu+1)^2 (nu+2)
-    assert powers.clear(r, (24, {(2, 1): 1})) is None
-    assert powers.clear(RatFuncNu.ZERO, top) == (F(0), ())
 
 
 def test_factor_powers_refuse_a_non_integer_cofactor():

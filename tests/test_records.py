@@ -39,7 +39,7 @@ _RECORDS = [
     (verify_ode(derive_pqr(1, 2, 3), 4), ("coefficients",)),
     (ChfParams(-2, F(5, 3)), ("a", "b")),
     (s_table(ChfParams(-2, F(5, 3)), 4), ("params", "entries", "provenance")),
-    (bessel_t_series(F(1, 2), 3), ("family", "nu", "params", "series")),
+    (bessel_t_series(F(1, 2), 3), ("family", "nu", "params", "order")),
     (find_zeros(F(1, 2), 2, F(1, 1000))[1], ("lo", "hi", "function_id", "index")),
     (
         partial_sum_enclosure(find_zeros(0, 3, F(1, 1000)), 1),
@@ -73,10 +73,9 @@ def test_record_contract(record, names):
 
 
 def test_record_defaults_class_attributes_and_normalisation():
-    series = bessel_t_series(F(1, 2), 3).series
-    assert OracleSeries("bessel", F(1, 2), None, series) == OracleSeries(
-        family="bessel", nu=F(1, 2), params=None, series=series
-    )
+    assert OracleSeries("bessel", 1, None, 3) == OracleSeries(
+        family="bessel", nu=F(1), params=None, order=3
+    ) == bessel_t_series(F(1), 3)
     assert (SigmaTable.family, SigmaTable.start) == ("sigma", 1)
     assert (TauTable.family, TauTable.start) == ("tau", 1)
     assert (STable.family, STable.start) == ("chf", 2)

@@ -122,6 +122,26 @@ def test_decode_refuses_a_record_that_contradicts_its_family(table, edit, field)
         decode_table(_broken(table, edit))
 
 
+@pytest.mark.parametrize(
+    "table, edit, field",
+    [
+        (sigma_table(3, F(1, 2)), lambda r: r.update(nu=None), "nu of a sigma table"),
+        (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), lambda r: r.update(nu=None), "nu of a tau table"),
+        (sigma_table(3, F(1, 2)), lambda r: r["entries"][0].update(value=1), "entry value"),
+        (sigma_table(3), lambda r: r["entries"][1]["num_coeffs"].__setitem__(0, 1), "num_coeffs"),
+        (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), lambda r: r["params"].update(a=1), "params a"),
+        (sigma_table(3, F(1, 2)), lambda r: r.update(nu="symbolic"), "'value'"),
+        (sigma_table(3), lambda r: r.update(nu="1/2"), "'num_coeffs'"),
+    ],
+    ids=["sigma-nu-null", "tau-nu-null", "int-value", "int-coefficient", "int-weight",
+         "symbolic-nu-over-values", "fixed-nu-over-coefficients"],
+)
+def test_decode_refuses_wrongly_typed_or_mixed_fields(table, edit, field):
+    assert decode_table(_broken(table, lambda r: None)) == table
+    with pytest.raises(InvalidParameterError, match=field):
+        decode_table(_broken(table, edit))
+
+
 def _json_digest(table):
     text = json.dumps(encode_table(table), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
