@@ -1,7 +1,8 @@
 """The one exact kernel behind every fixed-nu convolution sum.
 
-The fixed-nu table recurrences (sigma, tau, Kummer S), fixed-nu series
-products and ``series_divide`` all sum rows
+The fixed-nu Riccati engine behind every table (sigma, tau, Kummer S;
+``mercer._riccati``), fixed-nu series products and ``series_divide`` all
+sum rows
 
     sum_t w_t x_{i+t} y_{j-t}
 

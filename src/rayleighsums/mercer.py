@@ -1,81 +1,105 @@
 """Power sums for the combined function a*z^2*J'' + b*z*J' + c*J.
 
 Writing N(z) for that combination, the even entire function z^(-nu) N(z)
-has zeros +-t_k; tau_n = sum_k t_k^(-2n). The table builder uses the
-recurrence obtained by inserting the power-sum generating function into
-the Riccati equation of the second-order ODE satisfied by N:
+has zeros +-t_k; tau_n = sum_k t_k^(-2n). Bessel's sigma_n is the case
+(a, b, c) = (0, 0, 1).
 
-    tau_1 = (2 nu p + q + 2 r) / (4 q (nu+1)),
-    4q(nu+2) tau_2 = 4q tau_1^2 + 4 nu p tau_1 - p - 4a^2 nu + 2a(a+b),
-    4q(nu+3) tau_3 = 4p(nu+1) tau_2 - 4a^2(nu-1) tau_1 + a^2
-                     + 8q tau_1 tau_2 - 4p tau_1^2,
+One Riccati engine builds every fixed-nu table, this module's and
+``chf``'s. With theta = t d/dt, write a second-order ODE as
 
-and for k >= 3
+    sum_j t^j Q_j(theta) w = 0,   Q_j(x) = alpha_j x^2 + beta_j x + gamma_j,
 
-    q(k+nu+1) tau_{k+1} = p(k+nu-1) tau_k - a^2(k+nu-3) tau_{k-1}
-        + q * sum_{m=1}^{k}   tau_m tau_{k-m+1}
-        - p * sum_{m=1}^{k-1} tau_m tau_{k-m}
-        + a^2 * sum_{m=1}^{k-2} tau_m tau_{k-m-1},
+with Q_0(0) = 0 and w = 1 + O(t). Then s = -theta w / w = sum_{n>=1}
+s_n t^n solves the Riccati equation read off the ODE, and with (s^2)_m =
+sum_{k=1}^{m-1} s_k s_{m-k}
 
-with p = 2a(a nu^2 + c) + (a^2 - b^2), q = (a nu^2 + c)^2 - nu^2 (a-b)^2,
-r = a nu^2 (3a - b) + c(a + b). The recurrence is treated as a claim to
-verify: the series oracle is authoritative and any mismatch fails tests
-loudly. The k >= 3 step is never used for tau_3 (its k = 2 instance lacks
-the constant a^2 of the seed), hence the separate seeds above.
+    s_n (alpha_0 n + beta_0) = alpha_0 (s^2)_n + gamma_n
+        + sum_{j>=1} [alpha_j (s^2)_{n-j} - (alpha_j (n-j) + beta_j) s_{n-j}],
 
-At fixed nu the entries are kept on nested running-lcm denominators
-(``_accumulate.Nested``), and each convolution is one walked row of
-``_accumulate.self_row``. From tau_4 on, each right-hand side is summed as
-one integer over a common denominator and reduced once, into one
-``Fraction`` per entry.
+where gamma_n is gamma_j at j = n and 0 past the last j. For w =
+prod_k (1 - t/t_k), s_n = sum_k t_k^(-n). The three families are three
+lists Q:
+
+* Mercer, in t = z^2 for the even part w of z^(-nu) N: Q_j(m) is
+  ``verify_ode``'s c_j(m), so alpha_j = 4 D_j, beta_j = 2(2nu-1) D_j +
+  2 A_j and gamma_j = nu(nu-1) D_j + nu A_j + E_j, and s_n = tau_n;
+* Bessel, Mercer at (0, 0, 1): Q_0 = 4x^2 + 4nu x and Q_1 = 1, which is
+  Kishore's (nu+n) sigma_n = (sigma^2)_n after sigma_1 = 1/(4(nu+1));
+* Kummer, in t = z for w = 1F1(a; b; z): Q_0 = x^2 + (b-1) x and Q_1 =
+  -x - a. The genus-1 term is s_1 = -a/b, and S_n = s_n for n >= 2.
+
+Written out for Mercer, with p = 2a(a nu^2 + c) + (a^2 - b^2), q =
+(a nu^2 + c)^2 - nu^2 (a-b)^2 and r = a nu^2 (3a - b) + c(a + b),
+
+    4q(n+nu) tau_n = 4q (tau^2)_n - 4p (tau^2)_{n-1} + 4a^2 (tau^2)_{n-2}
+        + 4p (n+nu-2) tau_{n-1} - 4a^2 (n+nu-4) tau_{n-2} + gamma_n,
+
+with gamma_1 = 2 nu p + q + 2r, gamma_2 = 2a(a+b) - p - 4a^2 nu, gamma_3
+= a^2 and gamma_n = 0 for n >= 4: the seeds are the gamma_n. The
+recurrence is treated as a claim to verify: the series oracle is
+authoritative and any mismatch fails tests loudly.
+
+At fixed nu (``_riccati``) the Q_j are scaled to integers once, and s is
+kept on nested running-lcm denominators (``_accumulate.Nested``). Each
+(s^2)_m is one walked row of ``_accumulate.self_row``, built once and only
+if some alpha_j != 0 needs it. Each right-hand side is summed as one
+integer over dens[0] dens[n-2] G, for G the lcm of its rows' growths,
+with a linear term only where its weight is nonzero, and reduced once,
+into one ``Fraction`` per entry.
 
 Symbolic nu runs on integer polynomials. tau is unchanged by (a, b, c) ->
 lambda (a, b, c), so (a, b, c) is first scaled to coprime integers; then
 p, q, r and d_0 = a nu^2 + (b-a) nu + c have integer coefficients, and
 q = d_0 d_0^- with d_0^-(nu) = d_0(-nu). With D_n = prod_{j<=n}
 (nu+j)^floor(n/j), the denominator is E_n = 4^n D_n d_0^n (built by
-``sigma._denominator``, which gives sigma's at d_0 = 1) and the scaled
-entry T_n = E_n tau_n. Write conv(s) = sum_{m=1}^{s-1} tau_m tau_{s-m}
-and C_s = E_s conv(s) / (nu+s) = sum_m T_m T_{s-m} D_s / ((nu+s) D_m
-D_{s-m}), summed over m <= s/2 with the off-centre terms weighted 2; its
-cofactors are those of the sigma table, and it is computed by the same
-row walk (``sigma._convolution_row``). Dividing the equation for tau_n
-(left side lead * q (nu+n) tau_n, lead = 4 for the seeds and 1 after) by
-lead * q (nu+n) / E_n turns its q-convolution into C_n. Every other term
-keeps 1/q = 1/(d_0 d_0^-), so
+``_denominator``) and the scaled entry T_n = E_n tau_n. Write C_s =
+E_s (tau^2)_s / (nu+s) = sum_m T_m T_{s-m} R_{s,m}, summed over m <= s/2
+with the off-centre terms weighted 2. Its cofactors R_{s,m} = D_s /
+((nu+s) D_m D_{s-m}) have exponents floor(s/j) - floor(m/j) -
+floor((s-m)/j) - [j = s] >= 0, and along a row they are walked, not
+rebuilt: with Pi(m) = D_m / D_{m-1} = prod_{j | m} (nu+j),
+R_{s,m+1} = R_{s,m} Pi(s-m) / Pi(m+1) (``_convolution_row``, stepped by
+``ratfunc.CofactorWalk``, which refuses a negative exponent and divides
+exactly, so a wrong D_n fails loudly). Dividing the equation for tau_n
+by 4q (nu+n) / E_n (for n >= 4, first dividing it by 4) turns its
+q-convolution into C_n. Every other term keeps 1/q = 1/(d_0 d_0^-), so
 
     T_n = C_n + R_n / d_0^-,
 
 where R_n sums integer polynomials x * T_m [* T_m'] times the cofactor
-E_n / (lead (nu+n) d_0 E_m E_m'). For n >= 4
+E_n / (lead (nu+n) d_0 E_m E_m'), lead = 4 for n <= 3 and 1 after. For
+n >= 4
 
     R_n = p (nu+n-2) K_1 T_{n-1} - p (nu+n-1) K_1 C_{n-1}
         - a^2 (nu+n-4) K_2 T_{n-2} + a^2 (nu+n-2) K_2 C_{n-2},
 
 with K_i = E_n / ((nu+n) d_0 E_{n-i}): K_1 = 4 prod_{j | n, j < n}
 (nu+j) and K_2 = 16 d_0 D_n / ((nu+n) D_{n-2}). The seeds tau_1..tau_3
-are written the same way from their equations above. ``FactorPowers.
-cofactor`` builds every K from the factored denominators and refuses a
-negative exponent or a fractional scale, and R_n is one call of the
-packed kernel ``poly._isumprod``. The division by
-d_0^- is exact integer long division, and it is the certificate for
-E_n: T_n is a polynomial exactly when E_n clears tau_n, so a remainder
-raises ``ConsistencyError`` instead of giving a wrong value. Each entry is
-T_n / E_n, reduced by peeling the factors (nu+j) and the irreducible
-factors of d_0 (split once by ``ratfunc.factor_quadratic``; a factor equal
-to some nu+j merges with it), with no polynomial gcd.
+are written the same way from the equations for n <= 3. A term whose
+weight is the zero polynomial (p = 0 or a = 0) is not built, nor is its
+cofactor; at (0, 0, 1) none is left, d_0 = d_0^- = 1 and T_n = C_n is
+sigma's scaled entry 4^n D_n sigma_n. ``FactorPowers.cofactor`` builds
+every K from the factored denominators and refuses a negative exponent
+or a fractional scale, and R_n is one call of the packed kernel
+``poly._isumprod``. The division by d_0^- is exact integer long division,
+and it is the certificate for E_n: T_n is a polynomial exactly when E_n
+clears tau_n, so a remainder raises ``ConsistencyError`` instead of
+giving a wrong value. Each entry is T_n / E_n, reduced by peeling the
+factors (nu+j) and the irreducible factors of d_0 (split once by
+``ratfunc.factor_quadratic``; a factor equal to some nu+j merges with
+it), with no polynomial gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import gcd, lcm
 
 from ._accumulate import Nested, self_row
 from .errors import ConsistencyError, DegenerateParametersError, PoleError
 from .poly import PolyNu, _ilongdiv, _isumprod, _trim
-from .ratfunc import FactorPowers, factor_quadratic
-from .sigma import _convolution_row, _denominator as _tau_denominator
+from .ratfunc import CofactorWalk, FactorPowers, factor_quadratic
 from .rational import Record, Table, count, exact
 
 __all__ = [
@@ -113,21 +137,26 @@ class MercerParams(Record):
     def symbolic(self) -> bool:
         return self.nu == "symbolic"
 
-    def _derived(self, i: int):
-        poly = PolyNu(_pqr_coeffs(self.a, self.b, self.c)[i])
-        return poly if self.symbolic else poly(self.nu)
+    @property
+    def _pqr(self) -> tuple:
+        """(p, q, r), from one pass over (a, b, c)."""
+        lists = _pqr_coeffs(self.a, self.b, self.c)
+        if self.symbolic:
+            return tuple(map(PolyNu, lists))
+        nu2 = self.nu * self.nu  # Horner in nu^2: the odd coefficients are 0
+        return tuple(reduce(lambda v, c: v * nu2 + c, reversed(cs[::2])) for cs in lists)
 
     @property
     def p(self):
-        return self._derived(0)
+        return self._pqr[0]
 
     @property
     def q(self):
-        return self._derived(1)
+        return self._pqr[1]
 
     @property
     def r(self):
-        return self._derived(2)
+        return self._pqr[2]
 
 
 def _pqr_coeffs(a, b, c) -> tuple[list, list, list]:
@@ -173,15 +202,6 @@ class TauTable(Table):
         return self.params.nu
 
 
-def _check_divisor(value, shift: int, nu: str | Fraction, what: str):
-    if not value:
-        raise PoleError(
-            f"{what} divides by (nu + {shift}), which vanishes at nu = {nu}",
-            at=nu,
-            index=shift,
-        )
-
-
 def tau_table(params: MercerParams, order: int) -> TauTable:
     """Table tau_1 .. tau_order from the convolution recurrence.
 
@@ -201,69 +221,110 @@ def tau_table(params: MercerParams, order: int) -> TauTable:
             f"q vanishes for (a, b, c) = ({params.a}, {params.b}, {params.c})"
             + ("" if params.symbolic else f" at nu = {params.nu}")
         )
-    build = _symbolic_entries if params.symbolic else _fixed_entries
-    return TauTable(params=params, entries=tuple(build(params, order)), provenance="riccati")
+    entries = tuple(_entries(params, order, "tau"))
+    return TauTable(params=params, entries=entries, provenance="riccati")
 
 
-def _fixed_entries(params: MercerParams, order: int) -> list:
-    x, p, q, r = Fraction(params.nu), params.p, params.q, params.r
-    a, b = params.a, params.b
-    a2 = a * a
-
-    _check_divisor(x + 1, 1, params.nu, "tau_1")
-    t1 = (2 * x * p + q + 2 * r) / (4 * q * (x + 1))
-    entries = [t1]
-
-    if order >= 2:
-        _check_divisor(x + 2, 2, params.nu, "tau_2")
-        rhs = 4 * q * t1 * t1 + 4 * x * p * t1 - p - 4 * a2 * x + 2 * a * (a + b)
-        entries.append(rhs / (4 * q * (x + 2)))
-
-    if order >= 3:
-        _check_divisor(x + 3, 3, params.nu, "tau_3")
-        t2 = entries[1]
-        rhs = (
-            4 * p * (x + 1) * t2
-            - 4 * a2 * (x - 1) * t1
-            + a2
-            + 8 * q * t1 * t2
-            - 4 * p * t1 * t1
+def _entries(params: MercerParams, order: int, symbol: str) -> list:
+    """The entries ``symbol``_1 .. ``symbol``_order: tau, or sigma at
+    (0, 0, 1). At fixed nu a pole nu = -m, 1 <= m <= order, is refused
+    first, naming ``symbol``_m."""
+    if params.symbolic:
+        return _symbolic_entries(params, order)
+    nu = params.nu
+    if nu.denominator == 1 and -order <= nu <= -1:
+        m = -nu.numerator
+        raise PoleError(
+            f"{symbol}_{m} divides by (nu + {m}), which vanishes at nu = {nu}", at=nu, index=m
         )
-        entries.append(rhs / (4 * q * (x + 3)))
+    return _riccati(_theta_ode(ode_coefficients(params), nu), order)
 
-    # The k >= 3 step on integers: with x = X/Y and (P, Q, A) = L (p, q, a^2)
-    # for L the lcm of their denominators, every term of the right-hand side
-    # times L Y is an integer over d_0 dens[k-1] G, G the lcm of the three
-    # rows' growth factors g, and the division by q (x+k+1) is one by
-    # Q (X + (k+1) Y) / (L Y).
-    X, Y = x.numerator, x.denominator
-    L = lcm(p.denominator, q.denominator, a2.denominator)
-    P, Q, A = (v.numerator * (L // v.denominator) for v in (p, q, a2))
-    seq = Nested(entries)
+
+def _riccati(ode, order: int) -> list:
+    """s_1 .. s_order as Fractions for ``ode`` = [(alpha_j, beta_j, gamma_j)
+    for j = 0, 1, ...], rationals with Q_0(0) = 0 (module docstring)."""
+    scale = lcm(*(v.denominator for qj in ode for v in qj))
+    ode = [[v.numerator * (scale // v.denominator) for v in qj] for qj in ode]
+    while not any(ode[-1]):
+        ode.pop()
+    al0, be0 = ode[0][0], ode[0][1]
+    quad = [(j, qj[0]) for j, qj in enumerate(ode) if qj[0]]
+    lin = [(j, al, be) for j, (al, be, _) in enumerate(ode) if j and (al or be)]
+    last, reach = len(ode) - 1, quad[-1][0]
+    span = max(reach, last - 1)
+    seq = Nested([Fraction(ode[1][2], al0 + be0)])
     nums, dens, steps = seq.nums, seq.dens, seq.steps
-    d0 = dens[0]
+    head = dens[0]
     rows: dict = {}
-
-    def conv(s: int) -> tuple[int, int]:
-        """(acc, g) with sum_{m=1}^{s-1} tau_m tau_{s-m} = acc / (d_0 dens[s-2] g)."""
-        got = rows.get(s)
-        if got is None:
-            acc, den = self_row(seq, s)
-            got = rows[s] = (acc, den // (d0 * dens[s - 2]))
-        return got
-
-    for k in range(3, order):
-        _check_divisor(x + (k + 1), k + 1, params.nu, f"tau_{k + 1}")
-        (c1, g1), (c2, g2), (c3, g3) = conv(k + 1), conv(k), conv(k - 1)
-        G = lcm(g1, g2, g3)
-        s1 = steps[k - 1]  # dens[k-1] / dens[k-2]
-        s2 = s1 * steps[k - 2]  # dens[k-1] / dens[k-3]
-        rhs = d0 * G * (
-            P * (X + (k - 1) * Y) * nums[k - 1] - A * (X + (k - 3) * Y) * s1 * nums[k - 2]
-        )
-        rhs += Y * (Q * (G // g1) * c1 - P * (G // g2) * s1 * c2 + A * (G // g3) * s2 * c3)
-        seq.append(Fraction(rhs, d0 * dens[k - 1] * G * Q * (X + (k + 1) * Y)))
+    for n in range(2, order + 1):
+        base = head * dens[n - 2]
+        up = [1]  # up[i] = dens[n-2] / dens[n-2-i]
+        for i in range(n - 2, max(n - 2 - span, 0), -1):
+            up.append(up[-1] * steps[i])
+        # Over head dens[n-2] G: G grows to the lcm of the rows' growths g.
+        rhs, G = 0, 1
+        for j, al in quad:
+            if n - j < 2:
+                break
+            got = rows.get(n - j)
+            if got is None:  # (s^2)_{n-j} = acc / (head dens[n-j-2] g)
+                acc, den = self_row(seq, n - j)
+                got = rows[n - j] = (acc, den // (head * dens[n - j - 2] if j else base))
+            acc, g = got
+            if G % g:
+                h = g // gcd(G, g)
+                rhs *= h
+                G *= h
+            rhs += al * up[j] * (G // g) * acc
+        rows.pop(n - reach, None)
+        tail = ode[n][2] * dens[n - 2] if n <= last else 0
+        for j, al, be in lin:
+            w = al * (n - j) + be
+            if n > j and w:
+                tail -= w * up[j - 1] * nums[n - j - 1]
+        if tail:
+            rhs += head * G * tail
+        seq.append(Fraction(rhs, base * (G * (al0 * n + be0))))
     return seq.values
+
+
+def _ode_parts(ode: OdeCoefficients, x) -> tuple:
+    """D_j, A_j and E_j = Bnum_j + D_{j-1} - x^2 D_j for j = 0..3, at
+    nu = x (``verify_ode``)."""
+    dc, ac, bc = ode.denominator, ode.a_numerator, ode.b_numerator
+    xx = x * x
+    ec = (bc[0] - dc[0] * xx, bc[1] + dc[0] - dc[1] * xx, bc[2] + dc[1] - dc[2] * xx, dc[2])
+    return (*dc, 0), (*ac, 0), ec
+
+
+def _theta_ode(ode: OdeCoefficients, x) -> list:
+    """(alpha_j, beta_j, gamma_j) with Q_j(m) = c_j(m) of ``verify_ode``, at
+    nu = x."""
+    u, v = 4 * x - 2, x * x - x
+    return [(4 * d, u * d + 2 * a, v * d + x * a + e) for d, a, e in zip(*_ode_parts(ode, x))]
+
+
+def _denominator(n: int, d0=(1, {})):
+    """E_n = 4^n D_n d_0^n as a factored value, for a factored d_0; at the
+    default d_0 = 1 it is sigma's 4^n D_n."""
+    scale, factors = d0
+    exps = {(j, 1): n // j for j in range(1, n + 1)}
+    for f, m in factors.items():
+        exps[f] = exps.get(f, 0) + m * n
+    return (4 * scale) ** n, exps
+
+
+def _convolution_row(powers, den, steps, scaled, n: int) -> tuple[int, ...]:
+    """sum_{k<=n/2} w_k R_{n,k} S_k S_{n-k} for the numerators S_m over the
+    factored denominators den[m], with R_{n,k} = den[n] / ((nu+n) den[k]
+    den[n-k]) and steps[m] = den[m] / den[m-1]."""
+    walk = CofactorWalk(powers, den[n], [(1, {(n, 1): 1}), den[1], den[n - 1]])
+    terms = []
+    for k in range(1, n // 2 + 1):
+        if k > 1:
+            walk.step(steps[n - k + 1], steps[k])
+        terms.append((walk.scale * (2 if 2 * k < n else 1), (walk.poly, scaled[k], scaled[n - k])))
+    return _isumprod(terms)
 
 
 def _integer_weights(params: MercerParams) -> tuple[int, int, int]:
@@ -283,11 +344,12 @@ def _symbolic_entries(params: MercerParams, order: int) -> list:
     d0_minus = _trim((c, a - b, a))
     d0 = factor_quadratic(_trim((c, b - a, a)))
     powers = FactorPowers()
-    den = [_tau_denominator(n, d0) for n in range(order + 1)]
+    den = [_denominator(n, d0) for n in range(order + 1)]
     steps = powers.steps(den)
     scaled = [(1,)]  # T_n; T_0 = 1 over E_0 = 1
     conv = [()]  # C_n; C_0 = C_1 = 0
 
+    @lru_cache(maxsize=None)
     def cof(n, lead, *ms):
         """E_n / (lead (nu+n) d_0 prod E_m)."""
         exps = dict(d0[1])
@@ -296,40 +358,41 @@ def _symbolic_entries(params: MercerParams, order: int) -> list:
 
     for n in range(1, order + 1):
         conv.append(_convolution_row(powers, den, steps, scaled, n) if n > 1 else ())
+        # The terms of R_n as (weight, factors, cofactor (lead, *ms)).
         if n == 1:
-            k = cof(1, 4)
-            rest = [(1, ((0, 2), p, k)), (1, (q, k)), (2, (r, k))]
+            rest = [(1, ((0, 2), p), (4,)), (1, (q,), (4,)), (2, (r,), (4,))]
         elif n == 2:
-            k = cof(2, 4)
             rest = [
-                (4, ((0, 1), p, cof(2, 4, 1), scaled[1])),
-                (-1, (p, k)),
-                (1, ((2 * a * (a + b), -4 * a2), k)),
+                (4, ((0, 1), p, scaled[1]), (4, 1)),
+                (-1, (p,), (4,)),
+                (1, (_trim((2 * a * (a + b), -4 * a2)),), (4,)),
             ]
         elif n == 3:
-            k1, t1 = cof(3, 4, 1), scaled[1]
+            t1 = scaled[1]
             rest = [
-                (4, ((1, 1), p, cof(3, 4, 2), scaled[2])),
-                (4 * a2, ((1, -1), k1, t1)),
-                (a2, (cof(3, 4),)),
-                (-4, (p, cof(3, 4, 1, 1), t1, t1)),
+                (4, ((1, 1), p, scaled[2]), (4, 2)),
+                (4 * a2, ((1, -1), t1), (4, 1)),
+                (a2, (), (4,)),
+                (-4, (p, t1, t1), (4, 1, 1)),
             ]
         else:
-            k1, k2 = cof(n, 1, n - 1), cof(n, 1, n - 2)
             rest = [
-                (1, ((n - 2, 1), p, k1, scaled[n - 1])),
-                (-1, ((n - 1, 1), p, k1, conv[n - 1])),
-                (-a2, ((n - 4, 1), k2, scaled[n - 2])),
-                (a2, ((n - 2, 1), k2, conv[n - 2])),
+                (1, ((n - 2, 1), p, scaled[n - 1]), (1, n - 1)),
+                (-1, ((n - 1, 1), p, conv[n - 1]), (1, n - 1)),
+                (-a2, ((n - 4, 1), scaled[n - 2]), (1, n - 2)),
+                (a2, ((n - 2, 1), conv[n - 2]), (1, n - 2)),
             ]
-        total = list(_isumprod(rest))
-        quo = _ilongdiv(total, d0_minus)
-        if quo is None or total:
-            raise ConsistencyError(
-                f"d_0(-nu) does not divide the tau_{n} numerator: the a-priori "
-                "denominator does not clear the recurrence"
-            )
-        scaled.append(_isumprod([(1, (conv[n],)), (1, (tuple(quo),))]))
+        # No term, and no cofactor, for a zero weight.
+        total = list(_isumprod([(w, (*fs, cof(n, *k))) for w, fs, k in rest if w and all(fs)]))
+        if total and d0_minus != (1,):
+            quo = _ilongdiv(total, d0_minus)
+            if quo is None or total:
+                raise ConsistencyError(
+                    f"d_0(-nu) does not divide the tau_{n} numerator: the a-priori "
+                    "denominator does not clear the recurrence"
+                )
+            total = quo
+        scaled.append(_isumprod([(1, (conv[n],)), (1, (tuple(total),))]) if total else conv[n])
     return powers.peel_table(scaled, den, steps)
 
 
@@ -348,16 +411,17 @@ class OdeCoefficients(Record):
 def ode_coefficients(params: MercerParams) -> OdeCoefficients:
     a2 = params.a * params.a
     ab2 = 2 * params.a * (params.a + params.b)
+    p, q, r = params._pqr
     if params.symbolic:
         return OdeCoefficients(
-            denominator=(params.q, -params.p, PolyNu([a2])),
-            a_numerator=(params.q, params.p, PolyNu([-3 * a2])),
-            b_numerator=(PolyNu.ZERO, 2 * params.r, PolyNu([ab2])),
+            denominator=(q, -p, PolyNu([a2])),
+            a_numerator=(q, p, PolyNu([-3 * a2])),
+            b_numerator=(PolyNu.ZERO, 2 * r, PolyNu([ab2])),
         )
     return OdeCoefficients(
-        denominator=(params.q, -params.p, a2),
-        a_numerator=(params.q, params.p, Fraction(-3) * a2),
-        b_numerator=(Fraction(0), 2 * params.r, ab2),
+        denominator=(q, -p, a2),
+        a_numerator=(q, p, Fraction(-3) * a2),
+        b_numerator=(Fraction(0), 2 * r, ab2),
     )
 
 
@@ -397,7 +461,8 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
         r_n = sum_{j=0..3} c_j(n-j) w_{n-j},
         c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j,
 
-    in both modes. At fixed nu each r_n is a plain ``Fraction`` sum. At
+    in both modes. At fixed nu each r_n = sum_j Q_j(n-j) w_{n-j} is a
+    plain ``Fraction`` sum over the engine's ``_theta_ode``. At
     symbolic nu, D_j, A_j and E_j are first written as integer tuples over
     one common denominator C, so each C c_j(m) is an integer tuple built
     without ``PolyNu`` arithmetic. The oracle's numerators give w_m =
@@ -416,25 +481,16 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
     src = mercer_t_series(params, order)
     if ode is None:
         ode = ode_coefficients(params)
-    x = PolyNu.NU if params.symbolic else Fraction(params.nu)
-    dc, ac, bc = ode.denominator, ode.a_numerator, ode.b_numerator
-    xx = x * x
-    ec = (bc[0] - dc[0] * xx, bc[1] + dc[0] - dc[1] * xx, bc[2] + dc[1] - dc[2] * xx, dc[2])
-    dc, ac = (*dc, 0), (*ac, 0)
-
     coeffs = []
     if not params.symbolic:
         w = src.series.coeffs
+        theta = _theta_ode(ode, params.nu)
         for n in range(order + 1):
-            r = Fraction(0)
-            for m in range(n, max(n - 4, -1), -1):
-                s = x + 2 * m
-                j = n - m
-                r += (dc[j] * s * (s - 1) + ac[j] * s + ec[j]) * w[m]
-            coeffs.append(r)
+            terms = zip(theta, range(n, -1, -1))  # (Q_j, m = n - j)
+            coeffs.append(sum(((al * m + be) * m + ga) * w[m] for (al, be, ga), m in terms))
     else:
         # D_j, A_j and E_j as integer tuples over one common denominator C.
-        polys = [[PolyNu._coerce(v) for v in part] for part in (dc, ac, ec)]
+        polys = [[PolyNu._coerce(v) for v in part] for part in _ode_parts(ode, PolyNu.NU)]
         common = lcm(*(v._k.denominator for part in polys for v in part))
         dc, ac, ec = ([tuple(int(v._k * common) * c for c in v._p) for v in part] for part in polys)
         nums, scale = _numerators(params, order)

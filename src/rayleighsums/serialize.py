@@ -83,6 +83,17 @@ def _check_index(name: str, value, implied: int) -> None:
         raise InvalidParameterError(f"{name} = {value!r} where the record implies {implied}")
 
 
+def _field(record: dict, name: str, kind=object):
+    """``record[name]``, refused by name when it is missing or not a
+    ``kind``."""
+    if name not in record:
+        raise InvalidParameterError(f"the record has no {name!r} field")
+    value = record[name]
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{name} must be a {kind.__name__}, not {value!r}")
+    return value
+
+
 def decode_table(record: dict):
     """The table an ``encode_table`` record describes. A record that
     contradicts its family is refused: ``params`` keys other than the
@@ -90,11 +101,12 @@ def decode_table(record: dict):
     its position counted from the family's first index, an ``order``
     other than the last entry's index, or entries of the other mode than
     ``nu`` (``value`` at a fixed nu, ``num_coeffs`` and ``den_coeffs`` at
-    symbolic nu). A field of the wrong type is refused too, by name."""
-    family = record["family"]
+    symbolic nu). A missing field or one of the wrong type is refused
+    too, by name."""
+    family = _field(record, "family", str)
     if family not in _PARAMS:
         raise InvalidParameterError(f"unknown table family {family!r}")
-    names, params, nu = _PARAMS[family], record["params"], record["nu"]
+    names, params, nu = _PARAMS[family], _field(record, "params"), _field(record, "nu")
     if not isinstance(params, dict) or sorted(params) != sorted(names):
         raise InvalidParameterError(f"params of a {family} table are {list(names)}, not {params!r}")
     if family == "chf" and nu is not None:
@@ -103,13 +115,19 @@ def decode_table(record: dict):
         nu = _rational(nu, f"nu of a {family} table")
     cls = {"sigma": SigmaTable, "tau": TauTable, "chf": STable}[family]
     keys = ["den_coeffs", "n", "num_coeffs"] if nu == "symbolic" else ["n", "value"]
-    for n, d in enumerate(record["entries"], cls.start):
-        _check_index("entry n", d["n"], n)
+    entries = _field(record, "entries", list)
+    for n, d in enumerate(entries, cls.start):
+        if not isinstance(d, dict):
+            raise InvalidParameterError(f"entry {n} must be an object, not {d!r}")
         if sorted(d) != keys:
             raise InvalidParameterError(f"entry {n} has fields {sorted(d)}, not {keys}, at nu = {nu!r}")
-    _check_index("order", record["order"], cls.start + len(record["entries"]) - 1)
+        _check_index("entry n", d["n"], n)
+    _check_index("order", _field(record, "order"), cls.start + len(entries) - 1)
     weights = [_rational(params[k], f"params {k}") for k in names]
-    fields = {"entries": tuple(map(_decode_entry, record["entries"])), "provenance": record["provenance"]}
+    fields = {
+        "entries": tuple(map(_decode_entry, entries)),
+        "provenance": _field(record, "provenance", str),
+    }
     if family == "sigma":
         return SigmaTable(nu=nu, **fields)
     if family == "tau":

@@ -3,16 +3,20 @@
 They may share low-level arithmetic (PolyNu, RatFuncNu, FactorPowers,
 CofactorWalk, factor_quadratic, the packed sum-of-products kernel, the
 fixed-nu walked row ``_accumulate.row``), but the
-oracle must not use a recurrence, a recurrence's row walk or a
-recurrence-derived denominator, and the tau recurrence must not use the
-oracle's division or its denominator, or the cross-check becomes circular.
+oracle must not use a recurrence, the Riccati engine, a recurrence's row
+walk or a recurrence-derived denominator, and the recurrence modules
+(``mercer``, which holds the engine, and ``sigma`` and ``chf``, which read
+it) must not use the oracle's division or its denominator, or the
+cross-check becomes circular.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import rayleighsums
-from rayleighsums import _accumulate, mercer, oracle, sigma
+from rayleighsums import _accumulate, mercer, oracle
 
 SRC = Path(rayleighsums.__file__).parent
 
@@ -23,10 +27,11 @@ RECURRENCE_NAMES = {
     # The recurrences' self-convolution row; the oracle's series division
     # uses the bare walked row only.
     _accumulate.self_row.__name__,
-    sigma._denominator.__name__,
-    mercer._tau_denominator.__name__,
+    # The fixed-nu Riccati engine of every table.
+    mercer._riccati.__name__,
+    mercer._denominator.__name__,
     # The sigma and tau row walk: sum_k w_k R_{n,k} S_k S_{n-k}.
-    sigma._convolution_row.__name__,
+    mercer._convolution_row.__name__,
 }
 
 # The oracle's division and denominator; the recurrence modules must not
@@ -78,14 +83,26 @@ def test_sigma_imports_nothing_from_the_oracle():
     assert "oracle" not in _imported_modules((SRC / "sigma.py").read_text())
 
 
+@pytest.mark.parametrize("module", ["sigma.py", "chf.py"])
+def test_engine_readers_name_no_oracle_division(module):
+    assert not ORACLE_NAMES & _names((SRC / module).read_text())
+
+
+def test_chf_imports_nothing_from_the_oracle():
+    assert "oracle" not in _imported_modules((SRC / "chf.py").read_text())
+
+
 def test_guards_catch_a_violation():
     # Negative control: each check flags the pattern it exists for.
     assert "self_row" in _names("from ._accumulate import self_row")
     assert "self_row" in _names("from . import _accumulate\n_accumulate.self_row(seq, 4)")
-    assert "_denominator" in _names("from . import sigma\nsigma._denominator(3)")
-    assert "_tau_denominator" in _names("from .mercer import _tau_denominator")
-    assert "_convolution_row" in _names("from .sigma import _convolution_row")
-    assert "_convolution_row" in _names("from . import sigma\nsigma._convolution_row(p, d, s, v, 4)")
+    assert "_riccati" in _names("from .mercer import _riccati")
+    assert "_riccati" in _names("from . import mercer\nmercer._riccati(ode, 4)")
+    assert "_denominator" in _names("from . import mercer\nmercer._denominator(3)")
+    assert "_denominator" in _names("from .mercer import _denominator")
+    assert "_convolution_row" in _names("from .mercer import _convolution_row")
+    assert "_convolution_row" in _names("from . import mercer\nmercer._convolution_row(p, d, s, v, 4)")
+    assert "genus0_sums_from_series" in _names("from .oracle import genus0_sums_from_series")
     assert "_integer_sums" in _names("from .oracle import _integer_sums")
     assert "_oracle_den" in _names("from . import oracle\noracle._oracle_den(3, d0)")
     assert "oracle" in _imported_modules("from .oracle import bessel_t_series")

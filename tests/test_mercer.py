@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rayleighsums import (
     ConsistencyError,
@@ -14,6 +15,7 @@ from rayleighsums import (
     PoleError,
     PolyNu,
     RatFuncNu,
+    bessel_t_series,
     derive_pqr,
     genus0_sums_from_series,
     leading_constant,
@@ -233,7 +235,7 @@ def test_integer_tau_matches_operator_recurrence(abc):
 
 
 def test_tau_denominator_missing_a_d0_factor_fails_loudly(monkeypatch):
-    real = mercer._tau_denominator
+    real = mercer._denominator
 
     def short(n, d0):
         scale, exps = real(n, d0)
@@ -242,7 +244,7 @@ def test_tau_denominator_missing_a_d0_factor_fails_loudly(monkeypatch):
                 exps[f] -= 1
         return scale, exps
 
-    monkeypatch.setattr(mercer, "_tau_denominator", short)
+    monkeypatch.setattr(mercer, "_denominator", short)
     with pytest.raises(ConsistencyError):
         tau_table(derive_pqr(1, 2, 3), 6)
 
@@ -324,3 +326,31 @@ def test_ode_report_derives_its_verdict():
     assert report == OdeResidualReport(report.coefficients)
     assert (report.order, report.ok, report.first_nonzero) == (6, False, first)
     assert first > 0
+
+
+# Small rationals for the randomized comparison with the unchanged oracle.
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_WEIGHT = st.one_of(st.just(F(0)), _SMALL)
+_NU = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+    lambda nu: nu.denominator != 1 or nu >= 0
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_WEIGHT, _WEIGHT, _WEIGHT, _NU)
+@example(F(0), F(1), F(2), F(-3, 2))  # a = 0: no alpha_2 row, negative nu
+@example(F(1), F(0), F(-4), F(1, 3))
+def test_fixed_tau_matches_the_oracle_at_random_weights(a, b, c, nu):
+    assume(a or b or c)
+    params = derive_pqr(a, b, c, nu)
+    assume(leading_constant(params)(nu) and params.q)
+    oracle = genus0_sums_from_series(mercer_t_series(params, 12), 12)
+    assert tau_table(params, 12).entries == oracle.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(_NU)
+@example(F(-5, 2))
+def test_fixed_sigma_matches_the_oracle_at_random_nu(nu):
+    oracle = genus0_sums_from_series(bessel_t_series(nu, 12), 12)
+    assert sigma_table(12, nu).entries == oracle.entries

@@ -132,9 +132,16 @@ def test_decode_refuses_a_record_that_contradicts_its_family(table, edit, field)
         (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), lambda r: r["params"].update(a=1), "params a"),
         (sigma_table(3, F(1, 2)), lambda r: r.update(nu="symbolic"), "'value'"),
         (sigma_table(3), lambda r: r.update(nu="1/2"), "'num_coeffs'"),
+        (sigma_table(3, F(1, 2)), lambda r: r.update(provenance=5), "provenance"),
+        (tau_table(derive_pqr(1, 2, 3, F(1, 2)), 3), lambda r: r.pop("provenance"), "'provenance'"),
+        (s_table(ChfParams(-2, F(5, 3)), 4), lambda r: r.pop("entries"), "'entries'"),
+        (sigma_table(3, F(1, 2)), lambda r: r.update(entries=None), "entries"),
+        (sigma_table(3, F(1, 2)), lambda r: r["entries"].__setitem__(1, "1/90"), "entry 2 "),
+        (sigma_table(3, F(1, 2)), lambda r: r.update(family=["sigma"]), "family"),
     ],
     ids=["sigma-nu-null", "tau-nu-null", "int-value", "int-coefficient", "int-weight",
-         "symbolic-nu-over-values", "fixed-nu-over-coefficients"],
+         "symbolic-nu-over-values", "fixed-nu-over-coefficients", "int-provenance",
+         "missing-provenance", "missing-entries", "null-entries", "string-entry", "list-family"],
 )
 def test_decode_refuses_wrongly_typed_or_mixed_fields(table, edit, field):
     assert decode_table(_broken(table, lambda r: None)) == table

@@ -9,7 +9,7 @@ from rayleighsums import (
     PoleError,
     PolyNu,
     RatFuncNu,
-    sigma,
+    mercer,
     sigma_table,
 )
 
@@ -144,9 +144,10 @@ def test_integer_sigma_matches_rational_function_recurrence():
 
 
 def test_a_denominator_too_small_fails_loudly(monkeypatch):
-    # floor((n-1)/j) instead of floor(n/j): R_{n,k} then divides by (nu+n).
+    # floor((n-1)/j) instead of floor(n/j), at sigma's d_0 = 1: R_{n,k}
+    # then divides by (nu+n).
     monkeypatch.setattr(
-        sigma, "_denominator", lambda n: (4**n, {(j, 1): (n - 1) // j for j in range(1, n + 1)})
+        mercer, "_denominator", lambda n, d0: (4**n, {(j, 1): (n - 1) // j for j in range(1, n + 1)})
     )
     with pytest.raises(ConsistencyError, match="exponent -1"):
         sigma_table(3)

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from rayleighsums import ConsistencyError, mercer, oracle, sigma
+from rayleighsums import ConsistencyError, mercer, oracle
 from rayleighsums.poly import _iconv
 from rayleighsums.ratfunc import CofactorWalk, FactorPowers, factor_quadratic
 
@@ -48,7 +48,7 @@ def _convolution_rows(den, order):
 
 def test_sigma_rows_walk_equals_cofactor():
     order = 30
-    assert _convolution_rows([sigma._denominator(n) for n in range(order + 1)], order) == sum(
+    assert _convolution_rows([mercer._denominator(n) for n in range(order + 1)], order) == sum(
         n // 2 for n in range(2, order + 1)
     )
 
@@ -58,7 +58,7 @@ def test_tau_rows_walk_equals_cofactor(abc):
     a, b, c = abc
     d0 = factor_quadratic((c, b - a, a))
     order = 30
-    _convolution_rows([mercer._tau_denominator(n, d0) for n in range(order + 1)], order)
+    _convolution_rows([mercer._denominator(n, d0) for n in range(order + 1)], order)
 
 
 @pytest.mark.parametrize("d0_poly", [(1,), (3, 4, 1)])  # Bessel; Mercer (1, 5, 3)
@@ -80,7 +80,7 @@ def test_oracle_rows_walk_equals_cofactor(d0_poly):
 
 def _sigma_walk(n):
     powers = FactorPowers()
-    den = [sigma._denominator(m) for m in range(n + 1)]
+    den = [mercer._denominator(m) for m in range(n + 1)]
     return CofactorWalk(powers, den[n], [(1, {(n, 1): 1}), den[1], den[n - 1]]), den
 
 
@@ -115,7 +115,7 @@ def test_peel_table_equals_peel_entry_by_entry():
     # Numerators holding some of their denominator's factors, so that the
     # peeling stops at different depths along the table.
     order = 24
-    den = [sigma._denominator(n) for n in range(order + 1)]
+    den = [mercer._denominator(n) for n in range(order + 1)]
     powers = FactorPowers()
     nums = [
         _iconv(powers.product({(j, 1): min(n % (j + 1), n // j) for j in range(1, n + 1)}), (n, 1, 3))
