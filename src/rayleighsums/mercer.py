@@ -4,8 +4,9 @@ Writing N(z) for that combination, the even entire function z^(-nu) N(z)
 has zeros +-t_k; tau_n = sum_k t_k^(-2n). Bessel's sigma_n is the case
 (a, b, c) = (0, 0, 1).
 
-One Riccati engine builds every fixed-nu table, this module's and
-``chf``'s. With theta = t d/dt, write a second-order ODE as
+One Riccati recurrence builds every table, this module's and ``chf``'s:
+the fixed-nu engine and the symbolic builder both read it from one list
+Q. With theta = t d/dt, write a second-order ODE as
 
     sum_j t^j Q_j(theta) w = 0,   Q_j(x) = alpha_j x^2 + beta_j x + gamma_j,
 
@@ -29,15 +30,17 @@ lists Q:
   -x - a. The genus-1 term is s_1 = -a/b, and S_n = s_n for n >= 2.
 
 Written out for Mercer, with p = 2a(a nu^2 + c) + (a^2 - b^2), q =
-(a nu^2 + c)^2 - nu^2 (a-b)^2 and r = a nu^2 (3a - b) + c(a + b),
+(a nu^2 + c)^2 - nu^2 (a-b)^2 and r = a nu^2 (3a - b) + c(a + b), the
+list Q gives
 
     4q(n+nu) tau_n = 4q (tau^2)_n - 4p (tau^2)_{n-1} + 4a^2 (tau^2)_{n-2}
         + 4p (n+nu-2) tau_{n-1} - 4a^2 (n+nu-4) tau_{n-2} + gamma_n,
 
 with gamma_1 = 2 nu p + q + 2r, gamma_2 = 2a(a+b) - p - 4a^2 nu, gamma_3
-= a^2 and gamma_n = 0 for n >= 4: the seeds are the gamma_n. The
-recurrence is treated as a claim to verify: the series oracle is
-authoritative and any mismatch fails tests loudly.
+= a^2 and gamma_n = 0 for n >= 4: the seeds are the gamma_n. No builder
+runs this form; both run the generic one from Q. The recurrence is
+treated as a claim to verify: the series oracle is authoritative and any
+mismatch fails tests loudly.
 
 At fixed nu (``_riccati``) the Q_j are scaled to integers once, and s is
 kept on nested running-lcm denominators (``_accumulate.Nested``). Each
@@ -47,58 +50,60 @@ integer over dens[0] dens[n-2] G, for G the lcm of its rows' growths,
 with a linear term only where its weight is nonzero, and reduced once,
 into one ``Fraction`` per entry.
 
-Symbolic nu runs on integer polynomials. tau is unchanged by (a, b, c) ->
-lambda (a, b, c), so (a, b, c) is first scaled to coprime integers; then
-p, q, r and d_0 = a nu^2 + (b-a) nu + c have integer coefficients, and
-q = d_0 d_0^- with d_0^-(nu) = d_0(-nu). With D_n = prod_{j<=n}
-(nu+j)^floor(n/j), the denominator is E_n = 4^n D_n d_0^n (built by
-``_denominator``) and the scaled entry T_n = E_n tau_n. Write C_s =
-E_s (tau^2)_s / (nu+s) = sum_m T_m T_{s-m} R_{s,m}, summed over m <= s/2
-with the off-centre terms weighted 2. Its cofactors R_{s,m} = D_s /
-((nu+s) D_m D_{s-m}) have exponents floor(s/j) - floor(m/j) -
+Symbolic nu runs the same recurrence on integer polynomials in nu, from
+the same list: ``_integer_theta`` writes ``_theta_ode`` at a symbolic nu
+as integer coefficient tuples over their common denominator C. tau is
+unchanged by (a, b, c) -> lambda (a, b, c), so (a, b, c) is first scaled
+to coprime integers; then C = 1, and Q_0 = 4q x (x + nu) with q = d_0
+d_0^-, for d_0 = a nu^2 + (b-a) nu + c and d_0^-(nu) = d_0(-nu) (checked
+before the first entry), so alpha_0 n + beta_0 = 4q (nu+n). With D_n =
+prod_{j<=n} (nu+j)^floor(n/j), the denominator is E_n = 4^n D_n d_0^n
+(built by ``_denominator``) and the scaled entry T_n = E_n tau_n. Write
+C_s = E_s (tau^2)_s / (nu+s) = sum_m T_m T_{s-m} R_{s,m}, summed over
+m <= s/2 with the off-centre terms weighted 2. Its cofactors R_{s,m} =
+D_s / ((nu+s) D_m D_{s-m}) have exponents floor(s/j) - floor(m/j) -
 floor((s-m)/j) - [j = s] >= 0, and along a row they are walked, not
 rebuilt: with Pi(m) = D_m / D_{m-1} = prod_{j | m} (nu+j),
 R_{s,m+1} = R_{s,m} Pi(s-m) / Pi(m+1) (``_convolution_row``, stepped by
 ``ratfunc.CofactorWalk``, which refuses a negative exponent and divides
 exactly, so a wrong D_n fails loudly). Dividing the equation for tau_n
-by 4q (nu+n) / E_n (for n >= 4, first dividing it by 4) turns its
-q-convolution into C_n. Every other term keeps 1/q = 1/(d_0 d_0^-), so
+by 4q (nu+n) / E_n turns its alpha_0 term into C_n. Every other term
+keeps 1/q = 1/(d_0 d_0^-), so, with (tau^2)_m = (nu+m) C_m / E_m and
+tau_m = T_m / E_m,
 
     T_n = C_n + R_n / d_0^-,
+    R_n = gamma_n K_n + sum_{j>=1, m=n-j>=1} [alpha_j (nu+m) C_m
+        - (alpha_j m + beta_j) T_m] K_{n,m}.
 
-where R_n sums integer polynomials x * T_m [* T_m'] times the cofactor
-E_n / (lead (nu+n) d_0 E_m E_m'), lead = 4 for n <= 3 and 1 after. For
-n >= 4
+There is one cofactor, K_n = E_n / (4 (nu+n) d_0) and K_{n,m} = K_n /
+E_m, an integer polynomial because E_n / E_m = (4 d_0)^(n-m) D_n / D_m
+for m < n and nu+n divides D_n once. A term whose weight is the zero
+polynomial is not built, nor is its cofactor; at (0, 0, 1) only gamma_1
+= 1 is left, d_0 = d_0^- = 1 and T_n = C_n for n >= 2 is sigma's scaled
+entry 4^n D_n sigma_n. ``FactorPowers.cofactor`` builds every K from the
+factored denominators and refuses a negative exponent or a fractional
+scale, and R_n is one call of the packed kernel ``poly._isumprod``.
 
-    R_n = p (nu+n-2) K_1 T_{n-1} - p (nu+n-1) K_1 C_{n-1}
-        - a^2 (nu+n-4) K_2 T_{n-2} + a^2 (nu+n-2) K_2 C_{n-2},
-
-with K_i = E_n / ((nu+n) d_0 E_{n-i}): K_1 = 4 prod_{j | n, j < n}
-(nu+j) and K_2 = 16 d_0 D_n / ((nu+n) D_{n-2}). The seeds tau_1..tau_3
-are written the same way from the equations for n <= 3. A term whose
-weight is the zero polynomial (p = 0 or a = 0) is not built, nor is its
-cofactor; at (0, 0, 1) none is left, d_0 = d_0^- = 1 and T_n = C_n is
-sigma's scaled entry 4^n D_n sigma_n. ``FactorPowers.cofactor`` builds
-every K from the factored denominators and refuses a negative exponent
-or a fractional scale, and R_n is one call of the packed kernel
-``poly._isumprod``. The division by d_0^- is exact integer long division,
-and it is the certificate for E_n: T_n is a polynomial exactly when E_n
-clears tau_n, so a remainder raises ``ConsistencyError`` instead of
-giving a wrong value. Each entry is T_n / E_n, reduced by peeling the
-factors (nu+j) and the irreducible factors of d_0 (split once by
-``ratfunc.factor_quadratic``; a factor equal to some nu+j merges with
-it), with no polynomial gcd.
+E_n is the a-priori denominator, and the division by d_0^- is its
+certificate: C_n and R_n are integer polynomials once T_1..T_{n-1} are,
+so T_n is a polynomial, that is, E_n clears tau_n, exactly when d_0^-
+divides R_n. The division is exact integer long division, and a
+remainder raises ``ConsistencyError`` instead of giving a wrong value.
+Each entry is T_n / E_n, reduced by peeling the factors (nu+j) and the
+irreducible factors of d_0 (split once by ``ratfunc.factor_quadratic``;
+a factor equal to some nu+j merges with it), with no polynomial gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import gcd, lcm
 
 from ._accumulate import Nested, self_row
 from .errors import ConsistencyError, DegenerateParametersError, PoleError
-from .poly import PolyNu, _ilongdiv, _isumprod, _trim
+from .poly import PolyNu, _iconv, _ilongdiv, _isumprod, _trim
 from .ratfunc import CofactorWalk, FactorPowers, factor_quadratic
 from .rational import Record, Table, count, exact
 
@@ -139,8 +144,14 @@ class MercerParams(Record):
 
     @property
     def _pqr(self) -> tuple:
-        """(p, q, r), from one pass over (a, b, c)."""
-        lists = _pqr_coeffs(self.a, self.b, self.c)
+        """(p, q, r), from one pass over (a, b, c) through their ascending
+        coefficient lists in nu."""
+        a, b, c = self.a, self.b, self.c
+        lists = (
+            [2 * a * c + a * a - b * b, 0, 2 * a * a],
+            [c * c, 0, 2 * a * c - (a - b) ** 2, 0, a * a],
+            [c * (a + b), 0, a * (3 * a - b)],
+        )
         if self.symbolic:
             return tuple(map(PolyNu, lists))
         nu2 = self.nu * self.nu  # Horner in nu^2: the odd coefficients are 0
@@ -157,15 +168,6 @@ class MercerParams(Record):
     @property
     def r(self):
         return self._pqr[2]
-
-
-def _pqr_coeffs(a, b, c) -> tuple[list, list, list]:
-    """The ascending coefficient lists in nu of p, q and r."""
-    return (
-        [2 * a * c + a * a - b * b, 0, 2 * a * a],
-        [c * c, 0, 2 * a * c - (a - b) ** 2, 0, a * a],
-        [c * (a + b), 0, a * (3 * a - b)],
-    )
 
 
 # The public name of the constructor: MercerParams with p, q, r exactly as
@@ -288,20 +290,32 @@ def _riccati(ode, order: int) -> list:
     return seq.values
 
 
-def _ode_parts(ode: OdeCoefficients, x) -> tuple:
-    """D_j, A_j and E_j = Bnum_j + D_{j-1} - x^2 D_j for j = 0..3, at
-    nu = x (``verify_ode``)."""
+def _theta_ode(ode: OdeCoefficients, x) -> list:
+    """(alpha_j, beta_j, gamma_j) for j = 0..3 with Q_j(m) = c_j(m) of
+    ``verify_ode``, at nu = x, from D_j, A_j and E_j = Bnum_j + D_{j-1} -
+    x^2 D_j."""
     dc, ac, bc = ode.denominator, ode.a_numerator, ode.b_numerator
     xx = x * x
     ec = (bc[0] - dc[0] * xx, bc[1] + dc[0] - dc[1] * xx, bc[2] + dc[1] - dc[2] * xx, dc[2])
-    return (*dc, 0), (*ac, 0), ec
+    u, v = 4 * x - 2, xx - x
+    return [(4 * d, u * d + 2 * a, v * d + x * a + e) for d, a, e in zip((*dc, 0), (*ac, 0), ec)]
 
 
-def _theta_ode(ode: OdeCoefficients, x) -> list:
-    """(alpha_j, beta_j, gamma_j) with Q_j(m) = c_j(m) of ``verify_ode``, at
-    nu = x."""
-    u, v = 4 * x - 2, x * x - x
-    return [(4 * d, u * d + 2 * a, v * d + x * a + e) for d, a, e in zip(*_ode_parts(ode, x))]
+def _integer_theta(ode: OdeCoefficients) -> tuple[int, list]:
+    """(C, Q): ``_theta_ode`` at symbolic nu, each coefficient times C as
+    an integer tuple ascending in nu, for C the least common denominator."""
+    polys = [[PolyNu._coerce(v) for v in qj] for qj in _theta_ode(ode, PolyNu.NU)]
+    common = lcm(*(v._k.denominator for qj in polys for v in qj))
+    return common, [tuple(tuple(int(v._k * common) * c for c in v._p) for v in qj) for qj in polys]
+
+
+def _at(q, m: int) -> tuple[int, ...]:
+    """Horner in m over integer tuples, (q_0 m + q_1) m + ...: Q_j(m) for
+    q = Q_j, alpha_j m + beta_j for q = Q_j[:2]."""
+    acc = ()
+    for c in q:
+        acc = tuple(x * m + y for x, y in zip_longest(acc, c, fillvalue=0))
+    return _trim(acc)
 
 
 def _denominator(n: int, d0=(1, {})):
@@ -339,10 +353,12 @@ def _integer_weights(params: MercerParams) -> tuple[int, int, int]:
 
 def _symbolic_entries(params: MercerParams, order: int) -> list:
     a, b, c = _integer_weights(params)
-    a2 = a * a
-    p, q, r = map(_trim, _pqr_coeffs(a, b, c))
-    d0_minus = _trim((c, a - b, a))
-    d0 = factor_quadratic(_trim((c, b - a, a)))
+    common, ode = _integer_theta(ode_coefficients(MercerParams(a, b, c)))
+    d0_plus, d0_minus = _trim((c, b - a, a)), _trim((c, a - b, a))
+    q4 = tuple(4 * v for v in _iconv(d0_plus, d0_minus))
+    if common != 1 or ode[0] != (q4, (0, *q4), ()):
+        raise ConsistencyError("Q_0 is not 4q x (x + nu) with q = d_0(nu) d_0(-nu)")
+    d0 = factor_quadratic(d0_plus)
     powers = FactorPowers()
     den = [_denominator(n, d0) for n in range(order + 1)]
     steps = powers.steps(den)
@@ -350,40 +366,27 @@ def _symbolic_entries(params: MercerParams, order: int) -> list:
     conv = [()]  # C_n; C_0 = C_1 = 0
 
     @lru_cache(maxsize=None)
-    def cof(n, lead, *ms):
-        """E_n / (lead (nu+n) d_0 prod E_m)."""
+    def cof(n, *ms):
+        """E_n / (4 (nu+n) d_0 prod E_m)."""
         exps = dict(d0[1])
         exps[(n, 1)] = exps.get((n, 1), 0) + 1
-        return powers.cofactor(den[n], (lead * d0[0], exps), *(den[m] for m in ms))
+        return powers.cofactor(den[n], (4 * d0[0], exps), *(den[m] for m in ms))
 
+    lin = [(j, al, be) for j, (al, be, _) in enumerate(ode) if j and (al or be)]
     for n in range(1, order + 1):
         conv.append(_convolution_row(powers, den, steps, scaled, n) if n > 1 else ())
-        # The terms of R_n as (weight, factors, cofactor (lead, *ms)).
-        if n == 1:
-            rest = [(1, ((0, 2), p), (4,)), (1, (q,), (4,)), (2, (r,), (4,))]
-        elif n == 2:
-            rest = [
-                (4, ((0, 1), p, scaled[1]), (4, 1)),
-                (-1, (p,), (4,)),
-                (1, (_trim((2 * a * (a + b), -4 * a2)),), (4,)),
-            ]
-        elif n == 3:
-            t1 = scaled[1]
-            rest = [
-                (4, ((1, 1), p, scaled[2]), (4, 2)),
-                (4 * a2, ((1, -1), t1), (4, 1)),
-                (a2, (), (4,)),
-                (-4, (p, t1, t1), (4, 1, 1)),
-            ]
-        else:
-            rest = [
-                (1, ((n - 2, 1), p, scaled[n - 1]), (1, n - 1)),
-                (-1, ((n - 1, 1), p, conv[n - 1]), (1, n - 1)),
-                (-a2, ((n - 4, 1), scaled[n - 2]), (1, n - 2)),
-                (a2, ((n - 2, 1), conv[n - 2]), (1, n - 2)),
-            ]
-        # No term, and no cofactor, for a zero weight.
-        total = list(_isumprod([(w, (*fs, cof(n, *k))) for w, fs, k in rest if w and all(fs)]))
+        # The terms of R_n, with no term and no cofactor for a zero weight.
+        terms = [(1, (ode[n][2], cof(n)))] if n < len(ode) and ode[n][2] else []
+        for j, al, be in lin:
+            m = n - j
+            if m < 1:
+                break
+            if al and conv[m]:
+                terms.append((1, (al, (m, 1), conv[m], cof(n, m))))
+            w = _at((al, be), m)
+            if w:
+                terms.append((-1, (w, scaled[m], cof(n, m))))
+        total = list(_isumprod(terms))
         if total and d0_minus != (1,):
             quo = _ilongdiv(total, d0_minus)
             if quo is None or total:
@@ -461,11 +464,12 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
         r_n = sum_{j=0..3} c_j(n-j) w_{n-j},
         c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j,
 
-    in both modes. At fixed nu each r_n = sum_j Q_j(n-j) w_{n-j} is a
-    plain ``Fraction`` sum over the engine's ``_theta_ode``. At
-    symbolic nu, D_j, A_j and E_j are first written as integer tuples over
-    one common denominator C, so each C c_j(m) is an integer tuple built
-    without ``PolyNu`` arithmetic. The oracle's numerators give w_m =
+    in both modes, and c_j(m) = Q_j(m) for the engine's list Q. At fixed
+    nu each r_n = sum_j Q_j(n-j) w_{n-j} is a plain ``Fraction`` sum over
+    ``_theta_ode``. At symbolic nu the Q_j are the integer tuples of
+    ``_integer_theta`` over their common denominator C, the list the
+    symbolic tables read, so each C c_j(m) = (alpha_j m + beta_j) m +
+    gamma_j is one integer pass. The oracle's numerators give w_m =
     N_m / (L G_m) with integer polynomials N_m, an integer L and G_m =
     4^m m! (nu+1)_m, so C L G_n r_n = sum_j C c_j(m) N_m 4^j (n!/m!)
     prod_{i=m+1..n} (nu+i) is an integer polynomial, summed by the packed
@@ -489,20 +493,14 @@ def verify_ode(params: MercerParams, order: int, ode: OdeCoefficients | None = N
             terms = zip(theta, range(n, -1, -1))  # (Q_j, m = n - j)
             coeffs.append(sum(((al * m + be) * m + ga) * w[m] for (al, be, ga), m in terms))
     else:
-        # D_j, A_j and E_j as integer tuples over one common denominator C.
-        polys = [[PolyNu._coerce(v) for v in part] for part in _ode_parts(ode, PolyNu.NU)]
-        common = lcm(*(v._k.denominator for part in polys for v in part))
-        dc, ac, ec = ([tuple(int(v._k * common) * c for c in v._p) for v in part] for part in polys)
+        common, theta = _integer_theta(ode)
         nums, scale = _numerators(params, order)
         powers = FactorPowers()
         g = [_coefficient_den(m) for m in range(order + 1)]
         for n in range(order + 1):
-            terms = []
-            for m in range(n, max(n - 4, -1), -1):
-                j = n - m
-                # C c_j(m) = D_j (nu+2m)(nu+2m-1) + A_j (nu+2m) + E_j
-                lin, quad = (2 * m, 1), (2 * m * (2 * m - 1), 4 * m - 1, 1)
-                cj = _isumprod([(1, (dc[j], quad)), (1, (ac[j], lin)), (1, (ec[j],))])
-                terms.append((1, (cj, nums[m], powers.cofactor(g[n], g[m]))))
+            terms = [
+                (1, (_at(qj, n - j), nums[n - j], powers.cofactor(g[n], g[n - j])))
+                for j, qj in enumerate(theta[: n + 1])
+            ]
             coeffs.append(powers.peel(_isumprod(terms), (scale * common * g[n][0], g[n][1])))
     return OdeResidualReport(coefficients=tuple(coeffs))

@@ -423,15 +423,18 @@ def find_zeros(
     count: int,
     precision=Fraction(1, 10**6),
     *,
-    params: MercerParams | None = None,
+    params=None,
     assert_real_zeros: bool = False,
 ) -> list[ZeroEnclosure]:
     """Disjoint enclosures for the first ``count`` positive zeros in t = z^2.
 
-    ``params`` switches from the Bessel function to the combined one; the
-    reality of the combined function's zeros is not established in
-    general, so that family demands ``assert_real_zeros=True`` and only
-    certifies the real zeros it brackets.
+    ``params``, a ``MercerParams`` or None, switches from the Bessel
+    function to the combined one. Only its a, b, c and nu are read, so
+    this module neither imports ``mercer`` nor names the class in an
+    annotation, where it could not be resolved. The reality of the
+    combined function's zeros is not established in general, so that
+    family demands ``assert_real_zeros=True`` and only certifies the real
+    zeros it brackets.
     """
     nu0 = exact(nu, "nu")
     if nu0 <= -1:

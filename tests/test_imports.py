@@ -8,9 +8,11 @@ because some installs preload ``typing`` through a ``site`` hook.
 """
 
 import ast
+import inspect
 import json
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import rayleighsums
@@ -53,3 +55,33 @@ def test_no_module_imports_dataclasses_or_typing():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("dataclasses", "typing"), f"{path.name}: {name}"
+
+
+def _public_callables():
+    """Every callable in ``rayleighsums.__all__``, and the functions,
+    static and class methods and property getters of its classes and
+    their package bases."""
+    for name in rayleighsums.__all__:
+        obj = getattr(rayleighsums, name)
+        if callable(obj):
+            yield name, obj
+        if isinstance(obj, type):
+            for klass in obj.__mro__:
+                if not klass.__module__.startswith("rayleighsums"):
+                    continue
+                for attr, value in vars(klass).items():
+                    f = value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+                    if inspect.isfunction(f):
+                        yield f"{name}.{attr}", f
+
+
+def test_public_annotations_resolve():
+    # The modules use postponed annotations without importing typing, so
+    # a name used only in an annotation must still be defined there.
+    failed = []
+    for name, obj in _public_callables():
+        try:
+            typing.get_type_hints(obj)
+        except (NameError, AttributeError, TypeError) as exc:
+            failed.append(f"{name}: {exc!r}")
+    assert failed == []

@@ -2,8 +2,8 @@
 
 They may share low-level arithmetic (PolyNu, RatFuncNu, FactorPowers,
 CofactorWalk, factor_quadratic, the packed sum-of-products kernel, the
-fixed-nu walked row ``_accumulate.row``), but the
-oracle must not use a recurrence, the Riccati engine, a recurrence's row
+fixed-nu walked row ``_accumulate.row``), but the oracle must not use a
+recurrence, the Riccati engine or its ODE list Q, a recurrence's row
 walk or a recurrence-derived denominator, and the recurrence modules
 (``mercer``, which holds the engine, and ``sigma`` and ``chf``, which read
 it) must not use the oracle's division or its denominator, or the
@@ -27,8 +27,11 @@ RECURRENCE_NAMES = {
     # The recurrences' self-convolution row; the oracle's series division
     # uses the bare walked row only.
     _accumulate.self_row.__name__,
-    # The fixed-nu Riccati engine of every table.
+    # The fixed-nu Riccati engine of every table, and the theta-form ODE
+    # list Q it and the symbolic builder read.
     mercer._riccati.__name__,
+    mercer._theta_ode.__name__,
+    mercer._integer_theta.__name__,
     mercer._denominator.__name__,
     # The sigma and tau row walk: sum_k w_k R_{n,k} S_k S_{n-k}.
     mercer._convolution_row.__name__,
@@ -98,6 +101,8 @@ def test_guards_catch_a_violation():
     assert "self_row" in _names("from . import _accumulate\n_accumulate.self_row(seq, 4)")
     assert "_riccati" in _names("from .mercer import _riccati")
     assert "_riccati" in _names("from . import mercer\nmercer._riccati(ode, 4)")
+    assert "_integer_theta" in _names("from .mercer import _integer_theta")
+    assert "_integer_theta" in _names("from . import mercer\nmercer._integer_theta(ode)")
     assert "_denominator" in _names("from . import mercer\nmercer._denominator(3)")
     assert "_denominator" in _names("from .mercer import _denominator")
     assert "_convolution_row" in _names("from .mercer import _convolution_row")

@@ -184,7 +184,9 @@ def test_derive_pqr_accepts_int_and_fraction():
 # (a, b, c) for the integer tau route: the six orderings of (1, 2, 3);
 # (1, 0, 0), where d_0 = nu(nu-1) and d_0(-nu) = nu(nu+1) shares (nu+1)
 # with D_n; (1, 1, 1), where d_0 = d_0(-nu); (0, 1, 1), where a = 0 and q
-# is quadratic; (1, 4, 2), where d_0 = (nu+1)(nu+2); rational weights.
+# is quadratic; (1, 4, 2), where d_0 = (nu+1)(nu+2); rational weights;
+# (1, -1, -3), where d_0 = (nu-3)(nu+1) merges its (nu+1) with D_n's and
+# d_0(-nu) = (nu+3)(nu-1); (1, 0, -4), where d_0 is irreducible and c < 0.
 TAU_ROUTE_SETS = list(itertools.permutations((1, 2, 3))) + [
     (0, 0, 1),
     (0, 1, 0),
@@ -193,6 +195,8 @@ TAU_ROUTE_SETS = list(itertools.permutations((1, 2, 3))) + [
     (0, 1, 1),
     (1, 4, 2),
     (F(1, 2), F(1, 3), 2),
+    (1, -1, -3),
+    (1, 0, -4),
 ]
 
 
@@ -256,6 +260,27 @@ def test_tau_remainder_after_d0_minus_division_fails_loudly(monkeypatch):
     monkeypatch.setattr(mercer, "factor_quadratic", lambda p: (1, {(5, 1): 1}))
     with pytest.raises(ConsistencyError, match="d_0"):
         tau_table(derive_pqr(1, 2, 3), 6)
+
+
+# (j, k): add 1 to the constant coefficient of alpha_j, beta_j or gamma_j
+# (k = 0, 1, 2) in the integer Q list.
+@pytest.mark.parametrize("j, k", [(1, 2), (1, 0), (2, 1), (0, 0)])
+def test_symbolic_builders_read_the_integer_q_list(monkeypatch, j, k):
+    real = mercer._integer_theta
+
+    def perturbed(ode):
+        common, theta = real(ode)
+        qj = list(theta[j])
+        qj[k] = (qj[k][0] + 1, *qj[k][1:]) if qj[k] else (1,)
+        theta[j] = tuple(qj)
+        return common, theta
+
+    params = derive_pqr(1, 2, 3)
+    assert verify_ode(params, 8).ok and tau_table(params, 8)
+    monkeypatch.setattr(mercer, "_integer_theta", perturbed)
+    with pytest.raises(ConsistencyError):
+        tau_table(params, 8)
+    assert not verify_ode(params, 8).ok
 
 
 def _at(ode, nu0):
