@@ -1,6 +1,6 @@
 """Certified real-zero enclosures and bracketed partial sums.
 
-Everything here runs in exact rational arithmetic. A function value is
+Everything here runs in exact integer arithmetic. A function value is
 only ever used through an enclosure [S - T, S + T] where S is an exact
 partial sum of the even-part series and T bounds the dropped tail:
 
@@ -12,44 +12,36 @@ partial sum of the even-part series and T bounds the dropped tail:
   has successive-term ratio below 1/2 from the truncation point on, so T
   is twice the first omitted majorant term.
 
-S is summed in dyadic fixed point (see _EvenSeries): each term is an
-integer multiple of 2^-b, rounded down by one floor division, and a
-closed-form bound on the rounding error joins T in the certificate. The
-dyadic sum answers only where it certifies |f| above twice the refusal
-floor of the exact sum, so where it answers, the exact sum certifies the
-same sign. Where it cannot, the exact sum decides: with nu = p/q and
-t = P/Q every partial sum is an exact integer over the common
-denominator L q^2 G_k Q^k, and each certificate is an integer comparison,
-the same as for the sums in reduced rationals. Either way no gcd is
-taken, no float is used, and the sign is the exact sum's.
+S is summed in dyadic fixed point (see _EvenSeries), with a closed-form
+bound on the rounding error in the certificate. The dyadic sum answers
+only where it certifies |f| above twice the refusal floor of the exact
+sum, which decides elsewhere, so every sign is the exact sum's. Where the
+sums start therefore changes no sign and no refusal: each series starts
+8 terms below the truncation of its last certificate (a warm start), or
+at the cutoff if that is later.
 
-Sign certificates from these enclosures drive a scan along a grid of
-spacing roughly pi/4 in z (a heuristic; the certificates are what make
-the output trustworthy) and a missed-zero guard that rescans any stretch
-between consecutive brackets longer than 1.5 pi at half step.
+The search runs on integer grid indices and builds a Fraction only for
+the enclosures it returns. The scan takes z = 11 m / 112 at m = 8, 16, ...
+(a step of about pi/4 in z; a heuristic, the certificates are what make
+the output trustworthy), and rescans at half step any stretch between
+consecutive brackets longer than 1.5 pi.
 
-Each bracket [tlo, thi] of width W is then narrowed to a cell
-[a, b] = tlo + W [j, j + 1] / 2^d, where d is the first depth with
-W / 2^d <= precision, as bisection would. Newton's iteration on the even
-series, its ratio f / (t f') from the dyadic sums and its steps rounded
-to dyadic grids of doubling depth, picks j; it carries no trust. From
-the fourth zero on it starts warm: by McMahon's expansion
+A bracket [zlo, zhi] is refined on the points t = (A 2^e + B i) / (C 2^e),
+with A / C = zlo^2 and B / C = zhi^2 - zlo^2, to the cell [i, i + 1] at
+the first depth d with B / (C 2^d) <= precision, as bisection would.
+Newton's iteration on the even series, uncertified, picks i. From the
+fourth zero on it starts warm: by McMahon's expansion
 j_k ~ beta - (4 nu^2 - 1) / (8 beta) with beta = (k + nu/2 - 1/4) pi
 (Watson, Treatise 15.53), t_k = j_k^2 is a quadratic in k up to
 O(k^-2), so the quadratic through the three picks before zero k lands a
-small fraction of its bracket away, and about one evaluation of the
-series makes the pick. Combinations of J with its derivatives have zeros
-with the same asymptotics. The first three zeros, and any guess outside
-the bracket, start from the midpoint. Two sign certificates make the
-cell an enclosure: f(a) has the sign at tlo and f(b) does not (at a
-bracket end the scan has already certified the sign). A failed edge says on which
-side the zero lies, so the neighbouring cell is tried next, with one new
-certificate; if that fails too, bisection runs from the bracket as the
-fallback. When a bracket holds one sign change, the cell is exactly the
-one bisection on certified signs ends in: no cell edge can be the zero,
-because the sign certificate raises PrecisionError at a zero instead of
-returning a sign (and for rational nu the zeros are transcendental).
-Every endpoint is therefore backed by a certificate.
+small fraction of its bracket away. Combinations of J with its
+derivatives have zeros with the same asymptotics. Two sign certificates
+make the cell an enclosure; a failed edge says on which side the zero
+lies, so the neighbouring cell is tried next, and if that fails too,
+bisection runs from the bracket. With one sign change in a bracket, the
+cell is the one bisection ends in: no edge can be the zero, because the
+certificate raises PrecisionError at a zero (and for rational nu the
+zeros are transcendental).
 
 The tail of an infinite power sum is bounded by comparing the zeros
 beyond the last bracketed one against the arithmetic progression
@@ -61,9 +53,8 @@ that later zeros exceed the last one found).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from math import ceil, floor, isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .bounds import nth_root_enclosure
 from .errors import (
@@ -91,13 +82,14 @@ PI_HI = Fraction(3141592653589793238462643383280, 10**30)
 
 _SIGN_FLOOR = Fraction(1, 10**150)
 
-# The scan: grid step and range in z, and the most zeros one search returns.
-_GRID_STEP = Fraction(11, 14)
-_Z_MAX = Fraction(250)
+# The scan range in z and the most zeros one search returns. A stretch of
+# more than _GAP units of 11/112 in z is longer than 1.5 PI_HI.
+_Z_MAX = 250
 _MAX_COUNT = 64
+_GAP = 168 * PI_HI // 11
 
 
-def _power_str(x: Fraction) -> str:
+def _power_str(x):
     """x as 10^-k when it is one, else as an exact rational."""
     d = rational.int_str(x.denominator)
     if x.numerator == 1 and d == "1" + "0" * (len(d) - 1):
@@ -105,15 +97,15 @@ def _power_str(x: Fraction) -> str:
     return rational.rational_str(x)
 
 
-def _fixed_point_bits(t: Fraction) -> int:
-    """Bits b of the dyadic sums at t.
+def _fixed_point_bits(P, Q):
+    """Bits b of the dyadic sums at t = P/Q.
 
     The largest series term near t is about e^sqrt(t) < 2^(1.5 sqrt(t)),
     which the rounding error scales with; 64 guard bits cover the term
-    count and the coefficients, and one more bit per bit of t's
+    count and the coefficients, and one more bit per bit of t's reduced
     denominator covers the smaller values at finer points.
     """
-    return 3 * isqrt(t.numerator // t.denominator) // 2 + 64 + t.denominator.bit_length()
+    return 3 * isqrt(P // Q) // 2 + 64 + (Q // gcd(P, Q)).bit_length()
 
 
 class ZeroEnclosure(Record):
@@ -173,24 +165,22 @@ class _EvenSeries:
     direction.
     """
 
-    def __init__(self, nu: Fraction, abc: tuple[Fraction, Fraction, Fraction]):
+    def __init__(self, nu, abc):
         self.p, self.q = nu.numerator, nu.denominator
         L = lcm(*(x.denominator for x in abc))
         self.A, self.B, self.C = (x.numerator * (L // x.denominator) for x in abc)
         self.L = L
         # r_n, (-1)^n H_n, w_n, G_n and sum_{m<=n} |H_m| per index n, extended on demand
-        self._r: list[int] = []
-        self._h: list[int] = []
-        self._w: list[int] = []
-        self._G: list[int] = []
-        self._hsum: list[int] = []
+        self._r, self._h, self._w, self._G, self._hsum = [], [], [], [], []
         # the cutoff thresholds (num_i, den_i), one per truncation index 4 * 2^i
-        self._thresholds: list[tuple[int, int]] = []
+        self._thresholds = []
+        # the truncation of the last sign certificate and of the last Newton ratio
+        self._hint = self._newton_hint = 0
         self._extend(0)
         h0 = self._h[0]
         self.sign0 = (h0 > 0) - (h0 < 0)
 
-    def _extend(self, upto: int) -> None:
+    def _extend(self, upto):
         p, q, A, B, C = self.p, self.q, self.A, self.B, self.C
         while len(self._r) <= upto:
             n = len(self._r)
@@ -209,7 +199,7 @@ class _EvenSeries:
             self._G.append(self._G[-1] * r if n else 1)
             self._hsum.append(self._hsum[-1] + abs(h) if n else abs(h))
 
-    def _cutoff(self, X: int, Q: int) -> int:
+    def _cutoff(self, X, Q):
         """First truncation index k = 4 * 2^i past which the majorant ratio is <= 1/2.
 
         At n = k + 1 and m = 2n + nu, the decreasing bound on every
@@ -230,7 +220,7 @@ class _EvenSeries:
                 return 4 << i
             i += 1
 
-    def _fixed_point_sums(self, X: int, Q: int, k: int, run):
+    def _fixed_point_sums(self, X, Q, k, run):
         """Advance the dyadic sums (see the class docstring) through index k.
 
         ``run`` = (n, U_n, A, A_w, U_max) holds the sums A of (-1)^m H_m U_m
@@ -257,12 +247,12 @@ class _EvenSeries:
                     top = U
         return k + 1, U, A, Aw, top
 
-    def _fixed_point_sign(self, t: Fraction) -> int:
-        """Sign of f(t) from the dyadic sums, when their rounding bound
-        certifies it and |f(t)| exceeds twice the refusal floor; 0 otherwise."""
-        X, Q = self.q * t.numerator, t.denominator
-        k = self._cutoff(X, Q)
-        bits = _fixed_point_bits(t)
+    def _fixed_point_sign(self, P, Q):
+        """Sign of f(P/Q) from the dyadic sums, when their rounding bound
+        certifies it and |f| exceeds twice the refusal floor; 0 otherwise."""
+        X = self.q * P
+        k = max(self._cutoff(X, Q), self._hint - 8)
+        bits = _fixed_point_bits(P, Q)
         one = 1 << bits
         guard = (2 * _SIGN_FLOOR.numerator * self.L * self.q * self.q) << bits
         run = 0, one, 0, None, one
@@ -274,48 +264,52 @@ class _EvenSeries:
             rounding = E * self._hsum[k]
             tail = self._w[K] * U
             if (abs(A) - rounding - tail - self._w[K] * E) * _SIGN_FLOOR.denominator > guard:
+                self._hint = k
                 return 1 if A > 0 else -1
             if tail <= rounding:
                 return 0
             k += 8
 
-    def newton_ratio(self, t: Fraction, bits: int) -> tuple[int, int]:
-        """(N, N_w) with N / N_w close to f(t) / (t f'(t)), uncertified.
+    def newton_ratio(self, P, Q, bits):
+        """(N, N_w) with N / N_w close to f(t) / (t f'(t)) at t = P/Q, uncertified.
 
         N and N_w are the dyadic sums A and A_w (the twin with weights n,
-        which sums t f'(t)), on _fixed_point_bits(t) + bits bits. Terms are
+        which sums t f'(t)), on _fixed_point_bits + bits bits. Terms are
         added 8 at a time until the tail bound is below 2^-bits of |N_w|,
         or a term cap is reached; the rounding is not bounded. N_w may be 0.
         """
-        X, Q = self.q * t.numerator, t.denominator
+        X = self.q * P
         k = self._cutoff(X, Q)
         cap = 2 * (k + bits)
-        one = 1 << (_fixed_point_bits(t) + bits)
+        k = max(k, self._newton_hint - 8)
+        one = 1 << (_fixed_point_bits(P, Q) + bits)
         run = 0, one, 0, 0, one
         while True:
             run = n, U, N, Nw, _ = self._fixed_point_sums(X, Q, k, run)
             if (self._w[n] * U) << bits <= abs(Nw) or k >= cap:
+                self._newton_hint = k
                 # keeping bits + 8 bits of N_w spares the caller a huge gcd
                 s = max(Nw.bit_length() - bits - 8, 0)
                 return N >> s, Nw >> s
             k += 8
 
-    def sign_at(self, t: Fraction) -> int:
-        """Sign of f(t), certified by [S - T, S + T] excluding 0.
+    def sign_at(self, P, Q):
+        """Sign of f(P/Q) for integers P >= 0 and Q > 0, certified by
+        [S - T, S + T] excluding 0.
 
         The dyadic sums answer when their bound certifies the sign; otherwise
         the exact sum does, deepening 8 terms at a time, and raises
         PrecisionError once T is below the refusal floor.
         """
-        if t < 0:
+        if P < 0:
             raise InvalidParameterError("even-part series evaluated at negative t")
-        if not t:
+        if not P:
             return 1 if self.sign0 > 0 else -1
-        return self._fixed_point_sign(t) or self._exact_sign(t)
+        return self._fixed_point_sign(P, Q) or self._exact_sign(P, Q)
 
-    def _exact_sign(self, t: Fraction) -> int:
-        """Sign of f(t) from the exact sum N_k."""
-        X, Q = self.q * t.numerator, t.denominator
+    def _exact_sign(self, P, Q):
+        """Sign of f(P/Q) from the exact sum N_k."""
+        X = self.q * P
         k = self._cutoff(X, Q)
         N, Xn, n = 0, 1, 0
         while True:
@@ -334,75 +328,69 @@ class _EvenSeries:
                 _SIGN_FLOOR.numerator * self.L * self.q**2 * self._G[n] * Q**n
             ):
                 raise PrecisionError(
-                    f"cannot certify the sign at t = {t}: |value| < {_SIGN_FLOOR}"
+                    f"cannot certify the sign at t = {P}/{Q}: |value| < {_SIGN_FLOOR}"
                 )
             k += 8
 
 
-def _scan_window(
-    f: _EvenSeries,
-    za: Fraction,
-    sa: int,
-    zb: Fraction,
-    step: Fraction,
-) -> list[tuple[Fraction, Fraction, int]]:
-    """Sign-change cells (zlo, zhi, sign at zlo) on a grid over [za, zb]."""
+def _scan_window(f, ma, sa, mb, step, count=None):
+    """The first ``count`` (default all) sign-change cells (m, m', sign at m)
+    on a grid of z = 11 m / 112 over [ma, mb]."""
     out = []
-    zp, sp = za, sa
-    while zp < zb:
-        z = min(zp + step, zb)
-        s = f.sign_at(z * z)
+    mp, sp = ma, sa
+    while mp < mb and len(out) != count:
+        m = min(mp + step, mb)
+        s = f.sign_at(121 * m * m, 12544)
         if s != sp:
-            out.append((zp, z, sp))
-        zp, sp = z, s
+            out.append((mp, m, sp))
+        mp, sp = m, s
     return out
 
 
-def _approximate_zero(
-    f: _EvenSeries, tlo: Fraction, thi: Fraction, d: int, guess: Fraction | None
-) -> Fraction:
-    """Untrusted Newton estimate of the zero in [tlo, thi], for picking a
-    depth-d cell.
+def _approximate_zero(f, A, B, C, d, guess):
+    """Untrusted Newton estimate (num, den) of the zero t = num / den in
+    [A / C, (A + B) / C], for picking a depth-d cell.
 
-    With W = thi - tlo, the iteration starts from ``guess`` rounded to the
-    coarse grid tlo + W j / 2^16 when the guess lies in the bracket, and
-    from the midpoint otherwise. Each step evaluates the Newton ratio to
-    the precision of a grid twice as deep as the last, capped at depth
-    d + 6 (after the midpoint, the first is 2^8), and rounds its result to
-    that grid, clamped to the bracket: a step about doubles the correct
-    bits, and an evaluation costs more the more bits its point has. At
-    depth d + 6 a step s ends the iteration when s^2 / W, about the error
-    left after it, is at most W / 2^(d + 6), a 64th of a cell; a step cap
-    or N_w = 0 ends it too.
+    The iteration starts from ``guess``, a pair, rounded to depth 16 if
+    it lies in the bracket, else from the midpoint. Each step evaluates
+    the Newton ratio to the precision of a grid twice as deep as the last,
+    capped at depth d + 6, and rounds its result to that grid, clamped to
+    the bracket. At depth d + 6 a step of s bracket widths ends it when s^2,
+    about the error left, is at most 2^-(d + 6); a step cap or N_w = 0 ends
+    it too.
     """
-    W = thi - tlo
-    if guess is not None and tlo <= guess <= thi:
-        D = 16
-        t = tlo + W * round((guess - tlo) * 2**D / W) / 2**D
-    else:
-        t, D = tlo + W / 2, 4
+    E = max(d + 6, 16)  # every point is t = (A 2^E + B i) / (C 2^E) at an index i
+    i, D = 1 << (E - 1), 4
+    if guess:
+        gn, gd = guess
+        if A * gd <= gn * C <= (A + B) * gd:
+            i, D = ((gn * C - A * gd << 17) + B * gd) // (2 * B * gd) << (E - 16), 16
     for _ in range(48):
         D = min(2 * D, d + 6)
-        # enough bits for a step error below a quarter of a grid cell
-        N, Nw = f.newton_ratio(t, D + 2 + int(t / W).bit_length())
+        T = (A << E) + B * i
+        # enough bits for a step error below a quarter of a depth-D cell
+        N, Nw = f.newton_ratio(T, C << E, D + 2 + (T // (B << E)).bit_length())
         if not Nw:
             break
-        u = min(max(t - t * N / Nw, tlo), thi)
-        if D == d + 6 and (u - t) ** 2 * 2**D <= W * W:
-            return u
-        t = tlo + W * round((u - tlo) * 2**D / W) / 2**D
-    return t
+        # the Newton point num / den, den > 0, at depth E, clamped to the bracket
+        num, den = (B * i * Nw - T * N) * Nw, B * Nw * Nw
+        num = min(max(num, 0), den << E)
+        if D == d + 6 and (num - i * den) ** 2 <= den * den << (2 * E - D):
+            return (A * den << E) + B * num, C * den << E
+        s = E - D  # rounded to depth D
+        i = (2 * num + (den << s)) // (den << s + 1) << s
+    return (A << E) + B * i, C << E
 
 
-def _certified_cell(f: _EvenSeries, tlo: Fraction, W: Fraction, n: int, j: int, slo: int):
-    """Index i of the cell [tlo + W i / n, tlo + W (i + 1) / n] that two edge
-    signs certify: cell j, or else the neighbour its failed edge points to,
-    whose shared edge keeps its certified sign. None if neither holds."""
-    edge = {0: slo, n: -slo}  # the scan certified the bracket ends
+def _certified_cell(f, A, B, C, d, j, slo):
+    """Index i of the cell [i, i + 1] at depth d that two edge signs certify:
+    cell j, or else the neighbour its failed edge points to, whose shared
+    edge keeps its certified sign. None if neither holds."""
+    edge = {0: slo, 1 << d: -slo}  # the scan certified the bracket ends
 
     def sign(i):
         if i not in edge:
-            edge[i] = f.sign_at(tlo + W * i / n)
+            edge[i] = f.sign_at((A << d) + B * i, C << d)
         return edge[i]
 
     try:
@@ -462,76 +450,67 @@ def find_zeros(
     if not f.sign0:
         raise DegenerateParametersError("constant term vanishes; t = 0 is a zero")
 
-    s0 = f.sign0
-    brackets: list[tuple[Fraction, Fraction, int]] = []
-    zp, sp = Fraction(0), s0
-    z = _GRID_STEP
-    while len(brackets) < count:
-        if z > _Z_MAX:
-            raise BracketingError(
-                f"found {len(brackets)} sign changes of {fid} for z in (0, {_Z_MAX}]; "
-                f"wanted {count}"
-            )
-        s = f.sign_at(z * z)
-        if s != sp:
-            brackets.append((zp, z, sp))
-        zp, sp = z, s
-        z += _GRID_STEP
+    brackets = _scan_window(f, 0, f.sign0, 8 * (14 * _Z_MAX // 11), 8, count)
+    if len(brackets) < count:
+        raise BracketingError(
+            f"found {len(brackets)} sign changes of {fid} for z in (0, {_Z_MAX}]; "
+            f"wanted {count}"
+        )
 
     # Missed-zero guard: any stretch between consecutive brackets longer
     # than 1.5 pi in z is rescanned at half step (to a depth cap). Missed
     # zeros show up in pairs, so only same-sign stretches need rescanning.
-    gap_cap = Fraction(3, 2) * PI_HI
-    step = _GRID_STEP
-    for _ in range(3):
-        step = step / 2
-        inserted = False
-        refined: list[tuple[Fraction, Fraction, int]] = []
-        for i, cell in enumerate(brackets):
+    step = 8
+    while step > 1:
+        step //= 2
+        refined = brackets[:1]
+        for (_, ma, sa), cell in zip(brackets, brackets[1:]):
+            if cell[0] - ma > _GAP:
+                refined += _scan_window(f, ma, -sa, cell[0], step)
             refined.append(cell)
-            if i + 1 < len(brackets):
-                za, sa = cell[1], -cell[2]
-                zb = brackets[i + 1][0]
-                if zb - za > gap_cap:
-                    extra = _scan_window(f, za, sa, zb, step)
-                    if extra:
-                        refined.extend(extra)
-                        inserted = True
-        brackets = refined
-        if not inserted:
+        if len(refined) == len(brackets):
             break
+        brackets = refined
 
     out = []
-    picks: list[Fraction] = []  # the Newton picks of the zeros so far
-    for idx, (zlo, zhi, slo) in enumerate(brackets[:count], start=1):
-        tlo, thi = zlo * zlo, zhi * zhi
-        # Bisection stops at the first depth d with W / 2^d <= precision, in
-        # a cell tlo + W [j, j + 1] / 2^d; pick j by Newton, then certify it.
-        W = thi - tlo
-        d = (ceil(W / precision) - 1).bit_length()
+    picks = []  # the Newton picks (num, den) of the zeros so far
+    for idx, (mlo, mhi, slo) in enumerate(brackets[:count], start=1):
+        # t = (A 2^e + B i) / (C 2^e): A / C = zlo^2 and B / C = zhi^2 - zlo^2.
+        # Bisection stops at the first depth d with B / (C 2^d) <= precision,
+        # in a cell [j, j + 1]; pick j by Newton, then certify it.
+        A, C = 121 * mlo * mlo, 12544
+        B = 121 * mhi * mhi - A
+        d = (-(-B * precision.denominator // (C * precision.numerator)) - 1).bit_length()
+        j = None
         if d:
-            n = 2**d
-            # the quadratic through the last three picks (McMahon; see above)
-            guess = 3 * picks[-1] - 3 * picks[-2] + picks[-3] if len(picks) >= 3 else None
-            picks.append(_approximate_zero(f, tlo, thi, d, guess))
-            j = floor((picks[-1] - tlo) * n / W)
-            j = _certified_cell(f, tlo, W, n, min(max(j, 0), n - 1), slo)
-            if j is not None:
-                tlo, thi = tlo + W * j / n, tlo + W * (j + 1) / n
-        # Fallback bisection; after a certified cell it has nothing left to do.
-        try:
-            while thi - tlo > precision:
-                mid = (tlo + thi) / 2
-                if f.sign_at(mid) == slo:
-                    tlo = mid
-                else:
-                    thi = mid
-        except PrecisionError as exc:
-            raise PrecisionError(
-                f"cannot enclose zero {idx} of {fid} to precision {_power_str(precision)}: "
-                f"the sign certificates stop at |value| < {_power_str(_SIGN_FLOOR)}"
-            ) from exc
-        out.append(ZeroEnclosure(lo=tlo, hi=thi, function_id=fid, index=idx))
+            guess = None
+            if len(picks) >= 3:
+                # the quadratic through the last three picks (McMahon; see above)
+                (a1, b1), (a2, b2), (a3, b3) = picks[-3:]
+                guess = 3 * (a3 * b2 - a2 * b3) * b1 + a1 * b2 * b3, b1 * b2 * b3
+            picks.append(_approximate_zero(f, A, B, C, d, guess))
+            un, ud = picks[-1]
+            j = ((un * C - A * ud) << d) // (B * ud)
+            j = _certified_cell(f, A, B, C, d, min(max(j, 0), (1 << d) - 1), slo)
+        if j is None:
+            # Fallback bisection
+            j = 0
+            try:
+                for e in range(1, d + 1):
+                    j *= 2
+                    if f.sign_at((A << e) + B * (j + 1), C << e) == slo:
+                        j += 1
+            except PrecisionError as exc:
+                raise PrecisionError(
+                    f"cannot enclose zero {idx} of {fid} to precision {_power_str(precision)}: "
+                    f"the sign certificates stop at |value| < {_power_str(_SIGN_FLOOR)}"
+                ) from exc
+        lo = (A << d) + B * j
+        out.append(
+            ZeroEnclosure(
+                lo=Fraction(lo, C << d), hi=Fraction(lo + B, C << d), function_id=fid, index=idx
+            )
+        )
     return out
 
 

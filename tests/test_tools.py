@@ -1,5 +1,6 @@
 """Smoke tests of the A/B timer ``tools/ab.py``, each in a subprocess,
-because the timer purges ``rayleighsums`` from ``sys.modules``."""
+because the timer purges ``rayleighsums`` from ``sys.modules``, and of
+the repository's pytest configuration."""
 
 import json
 import subprocess
@@ -10,6 +11,7 @@ import rayleighsums
 
 _SRC = Path(rayleighsums.__file__).resolve().parents[1]
 _TOOLS = _SRC.parent / "tools"
+_CONFIG = _SRC.parent / "pyproject.toml"
 
 
 def test_ab_times_one_request_on_the_same_tree():
@@ -46,3 +48,20 @@ def test_ab_exits_1_when_the_trees_disagree(tmp_path):
     # Every request differs, which also shows each side ran its own tree.
     assert differ.returncode == 1
     assert differ.stdout.count("OUTPUT DIFFERS") == len(agree.stdout.splitlines()) - 2
+
+
+def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # Under filterwarnings = error, the warning that hypothesis' failure
+    # report set off on import used to end the run with INTERNALERROR.
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    argv = [sys.executable, "-m", "pytest", "-c", str(_CONFIG), "--rootdir", str(tmp_path)]
+    argv += ["-p", "no:cacheprovider", "test_fails.py"]
+    done = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "1 failed" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr

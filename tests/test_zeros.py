@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import random
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -217,9 +218,9 @@ def _count_refinement_calls(monkeypatch):
     calls = {"after": 0, "refining": False}
     sign_at, approximate = _EvenSeries.sign_at, zeros._approximate_zero
 
-    def counted(self, t):
+    def counted(self, *point):
         calls["after"] += calls["refining"]
-        return sign_at(self, t)
+        return sign_at(self, *point)
 
     def marked(*args):
         calls["refining"] = True
@@ -244,13 +245,22 @@ def test_refinement_needs_few_sign_certificates(monkeypatch, case, most):
 
 
 _APPROXIMATE = zeros._approximate_zero
+
+
+def _next_cell(pick, B, C, d):
+    """The pair (num, den) of pick + B / (C 2^d), one depth-d cell later."""
+    num, den = pick
+    return (num * C << d) + B * den, den * C << d
+
+
+# Picks as pairs (num, den) of t, in the bracket [A / C, (A + B) / C].
 _WRONG_CELLS = {
-    "tlo": lambda f, tlo, thi, d, guess: tlo,
-    "thi": lambda f, tlo, thi, d, guess: thi,
-    "below": lambda f, tlo, thi, d, guess: tlo - 1,
-    "above": lambda f, tlo, thi, d, guess: 2 * thi,
-    "neighbour": lambda f, tlo, thi, d, guess: (
-        _APPROXIMATE(f, tlo, thi, d, guess) + (thi - tlo) / 2**d
+    "tlo": lambda f, A, B, C, d, guess: (A, C),
+    "thi": lambda f, A, B, C, d, guess: (A + B, C),
+    "below": lambda f, A, B, C, d, guess: (A - C, C),
+    "above": lambda f, A, B, C, d, guess: (2 * (A + B), C),
+    "neighbour": lambda f, A, B, C, d, guess: _next_cell(
+        _APPROXIMATE(f, A, B, C, d, guess), B, C, d
     ),
 }
 
@@ -274,9 +284,9 @@ def _count_newton_calls(monkeypatch):
     calls = {"newton": 0}
     newton_ratio = _EvenSeries.newton_ratio
 
-    def counted(self, t, bits):
+    def counted(self, *args):
         calls["newton"] += 1
-        return newton_ratio(self, t, bits)
+        return newton_ratio(self, *args)
 
     monkeypatch.setattr(_EvenSeries, "newton_ratio", counted)
     return calls
@@ -286,15 +296,44 @@ def _count_exact_sums(monkeypatch):
     calls = {"exact": 0}
     exact_sign = _EvenSeries._exact_sign
 
-    def counted(self, t):
+    def counted(self, *point):
         calls["exact"] += 1
-        return exact_sign(self, t)
+        return exact_sign(self, *point)
 
     monkeypatch.setattr(_EvenSeries, "_exact_sign", counted)
     return calls
 
 
 _BENCH_REQUESTS = [c for c in _GOLDEN if c[2] == F(1, 10**5)]
+
+
+def test_sign_kernel_cost_on_the_bench_requests(monkeypatch):
+    # Dyadic sums per evaluation (a sign certificate or a Newton ratio):
+    # 8 132 for 1 980 evaluations, 137 676 terms, when every evaluation
+    # started at the cutoff; the warm start makes about two per evaluation.
+    cost = {"evaluations": 0, "sums": 0, "terms": 0}
+    sums = _EvenSeries._fixed_point_sums
+
+    def counted_sums(self, X, Q, k, run):
+        cost["sums"] += 1
+        cost["terms"] += k + 1 - run[0]
+        return sums(self, X, Q, k, run)
+
+    def counted(method):
+        def evaluate(self, *args):
+            cost["evaluations"] += 1
+            return method(self, *args)
+
+        return evaluate
+
+    monkeypatch.setattr(_EvenSeries, "_fixed_point_sums", counted_sums)
+    for name in ("_fixed_point_sign", "newton_ratio"):
+        monkeypatch.setattr(_EvenSeries, name, counted(getattr(_EvenSeries, name)))
+    for case in _BENCH_REQUESTS:
+        assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+    assert cost["evaluations"] == 1980
+    assert cost["sums"] <= 2.2 * cost["evaluations"]
+    assert cost["terms"] <= 1.05 * 137676
 
 
 @pytest.mark.parametrize(
@@ -318,20 +357,18 @@ def test_warm_start_needs_about_one_newton_step_per_zero(monkeypatch, case):
 def _with_guess(wrong_guess):
     """_approximate_zero with its guess replaced, on every zero."""
 
-    def approximate(f, tlo, thi, d, guess):
-        return _APPROXIMATE(f, tlo, thi, d, wrong_guess(f, tlo, thi, d))
+    def approximate(f, A, B, C, d, guess):
+        return _APPROXIMATE(f, A, B, C, d, wrong_guess(f, A, B, C, d))
 
     return approximate
 
 
 _WRONG_GUESSES = {
-    "below": lambda f, tlo, thi, d: tlo - 1,
-    "above": lambda f, tlo, thi, d: 2 * thi,
-    "tlo": lambda f, tlo, thi, d: tlo,
-    "thi": lambda f, tlo, thi, d: thi,
-    "cell_off": lambda f, tlo, thi, d: (
-        _APPROXIMATE(f, tlo, thi, d, None) + (thi - tlo) / 2**d
-    ),
+    "below": lambda f, A, B, C, d: (A - C, C),
+    "above": lambda f, A, B, C, d: (2 * (A + B), C),
+    "tlo": lambda f, A, B, C, d: (A, C),
+    "thi": lambda f, A, B, C, d: (A + B, C),
+    "cell_off": lambda f, A, B, C, d: _next_cell(_APPROXIMATE(f, A, B, C, d, None), B, C, d),
 }
 
 
@@ -353,14 +390,43 @@ def test_wrong_guesses_keep_the_endpoints(monkeypatch, wrong, c):
     newton, after = _newton_calls_with_guess(monkeypatch, _WRONG_GUESSES[wrong], case)
     assert after <= 66
     if wrong in ("below", "above"):
-        midpoint = lambda f, tlo, thi, d: None
+        midpoint = lambda f, A, B, C, d: None
         assert newton == _newton_calls_with_guess(monkeypatch, midpoint, case)[0]
 
 
 def test_zero_derivative_ends_the_approximation(monkeypatch):
-    monkeypatch.setattr(_EvenSeries, "newton_ratio", lambda self, t, bits: (1, 0))
+    monkeypatch.setattr(_EvenSeries, "newton_ratio", lambda self, P, Q, bits: (1, 0))
     case = (F(0), 30, F(1, 10**5), None)
     assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+
+
+class _StepSeries:
+    """A stand-in for _EvenSeries with zeros at the given z: its sign is
+    (-1)^(the number of them below sqrt(t)), and its Newton ratio is 0/0."""
+
+    zs: list = []
+
+    def __init__(self, nu, abc):
+        self.sign0 = 1
+
+    def sign_at(self, P, Q):
+        return (-1) ** sum(z * z * Q < P for z in self.zs)
+
+    def newton_ratio(self, P, Q, bits):
+        return 0, 0
+
+
+def test_rescan_finds_a_pair_the_scan_steps_over(monkeypatch):
+    # 5.8 and 5.95 lie in one scan cell of 11/14 in z; the stretch from
+    # the bracket of 2.4 to that of 8.7 exceeds 1.5 pi, so it is rescanned
+    # at half step, which parts the pair.
+    zs = [F(24, 10), F(58, 10), F(595, 100), F(87, 10), F(118, 10), F(149, 10), F(18)]
+    monkeypatch.setattr(_StepSeries, "zs", zs)
+    monkeypatch.setattr(zeros, "_EvenSeries", _StepSeries)
+    found = find_zeros(0, 5, F(1, 10**6))
+    assert [e.index for e in found] == [1, 2, 3, 4, 5]
+    for e, z in zip(found, zs):
+        assert e.lo < z * z < e.hi and e.width <= F(1, 10**6)
 
 
 def _reference_sign(nu, abc, t):
@@ -450,9 +516,9 @@ def test_integer_sign_matches_fraction_reference(point):
         want = _reference_sign(nu, abc, t)
     except PrecisionError:
         with pytest.raises(PrecisionError):
-            _EvenSeries(nu, abc).sign_at(t)
+            _EvenSeries(nu, abc).sign_at(t.numerator, t.denominator)
         return
-    assert _EvenSeries(nu, abc).sign_at(t) == want
+    assert _EvenSeries(nu, abc).sign_at(t.numerator, t.denominator) == want
 
 
 # Series whose dyadic sums are checked at a bit width too small for
@@ -486,7 +552,7 @@ def _low_bits_points(draw):
     if draw(st.booleans()):
         bits = draw(st.integers(4, 48))
     else:
-        bits = max(zeros._fixed_point_bits(t) - draw(st.integers(0, 96)), 4)
+        bits = max(zeros._fixed_point_bits(t.numerator, t.denominator) - draw(st.integers(0, 96)), 4)
     return case, t, bits
 
 
@@ -499,35 +565,70 @@ def test_dyadic_sign_is_undecided_or_right_at_low_bit_widths(point):
     case, t, bits = point
     nu, abc = _LOW_BITS_CASES[case]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(zeros, "_fixed_point_bits", lambda t: bits)
-        got = _EvenSeries(nu, abc)._fixed_point_sign(t)
+        m.setattr(zeros, "_fixed_point_bits", lambda P, Q: bits)
+        got = _EvenSeries(nu, abc)._fixed_point_sign(t.numerator, t.denominator)
     assert got in (-1, 0, 1)
     if got:
         assert got == _reference_sign(nu, abc, t)
 
 
-def test_coarse_floor_refusals_still_raise(monkeypatch):
-    # Above twice the floor both sums certify the same sign; below it the
-    # dyadic sums must leave the point to the exact sum and its refusal.
-    points = [
-        (_EvenSeries(*_LOW_BITS_CASES[case]), t)
+def _coarse_floor_points():
+    """(case, t): 384 points next to the zeros of the low-bit cases, 50 to
+    334 of them refused under a 1/10^6 floor."""
+    return [
+        (case, t)
         for case in range(len(_LOW_BITS_CASES))
         for enc in _fine_zeros(case)
         for scale in (1, 10**3, 10**5, 10**7)
         for t in (enc.lo - enc.width * scale, enc.hi + enc.width * scale)
     ]
+
+
+def test_coarse_floor_refusals_still_raise(monkeypatch):
+    # Above twice the floor both sums certify the same sign; below it the
+    # dyadic sums must leave the point to the exact sum and its refusal.
+    points = [(_EvenSeries(*_LOW_BITS_CASES[case]), t) for case, t in _coarse_floor_points()]
     monkeypatch.setattr(zeros, "_SIGN_FLOOR", F(1, 10**6))
     refused = 0
     for f, t in points:
         try:
-            want = f._exact_sign(t)
+            want = f._exact_sign(t.numerator, t.denominator)
         except PrecisionError:
             refused += 1
             with pytest.raises(PrecisionError):
-                f.sign_at(t)
+                f.sign_at(t.numerator, t.denominator)
         else:
-            assert f.sign_at(t) == want
+            assert f.sign_at(t.numerator, t.denominator) == want
     assert 50 <= refused <= len(points) - 50
+
+
+def _answer(f, t):
+    """The sign of f at t, or "refused"."""
+    try:
+        return f.sign_at(t.numerator, t.denominator)
+    except PrecisionError:
+        return "refused"
+
+
+def test_warm_start_cannot_change_an_answer(monkeypatch):
+    # One series per case, asked in shuffled order, answers as a fresh
+    # series per point does, though most of its sums start past the cutoff.
+    points = _coarse_floor_points()
+    random.Random(0).shuffle(points)
+    monkeypatch.setattr(zeros, "_SIGN_FLOOR", F(1, 10**6))
+    fresh = [_answer(_EvenSeries(*_LOW_BITS_CASES[case]), t) for case, t in points]
+    shared = [_EvenSeries(*abc) for abc in _LOW_BITS_CASES]
+    warm, sign = [], _EvenSeries._fixed_point_sign
+
+    def logged(self, P, Q):
+        warm.append(self._hint - 8 > self._cutoff(self.q * P, Q))
+        return sign(self, P, Q)
+
+    monkeypatch.setattr(_EvenSeries, "_fixed_point_sign", logged)
+    for _ in range(2):
+        assert [_answer(shared[case], t) for case, t in points] == fresh
+    assert 50 <= fresh.count("refused") <= len(points) - 50
+    assert sum(warm) >= len(warm) // 2
 
 
 def _doubling_cutoff(f, X, Q):
