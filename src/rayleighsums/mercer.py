@@ -412,19 +412,15 @@ class OdeCoefficients(Record):
 
 
 def ode_coefficients(params: MercerParams) -> OdeCoefficients:
-    a2 = params.a * params.a
-    ab2 = 2 * params.a * (params.a + params.b)
+    """The cleared ODE of ``params``: entries are PolyNu in nu at symbolic
+    nu and their Fraction values at a fixed nu, as p, q and r are."""
+    a2, ab2 = params.a * params.a, 2 * params.a * (params.a + params.b)
     p, q, r = params._pqr
-    if params.symbolic:
-        return OdeCoefficients(
-            denominator=(q, -p, PolyNu([a2])),
-            a_numerator=(q, p, PolyNu([-3 * a2])),
-            b_numerator=(PolyNu.ZERO, 2 * r, PolyNu([ab2])),
-        )
+    const = PolyNu._coerce if params.symbolic else Fraction
     return OdeCoefficients(
-        denominator=(q, -p, a2),
-        a_numerator=(q, p, Fraction(-3) * a2),
-        b_numerator=(Fraction(0), 2 * r, ab2),
+        denominator=(q, -p, const(a2)),
+        a_numerator=(q, p, const(-3 * a2)),
+        b_numerator=(const(0), 2 * r, const(ab2)),
     )
 
 

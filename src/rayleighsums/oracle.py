@@ -13,18 +13,22 @@ quotient w'/w starts at the constant a/b (checked as a hard assertion)
 and the z^k coefficient is -S_{k+1}. Everything here is exact rational
 arithmetic; there is no floating point in this module.
 
-Symbolic Bessel and Mercer series are divided on integer polynomials.
+The Bessel and Mercer series are written once, for both arithmetics.
 Their coefficients are d_k = N_k / (L G_k) with G_k = 4^k k! (nu+1)_k.
 ``_numerators`` builds the integer polynomials N_k and the integer L from
 the series definition alone: N_k = (-1)^k with L = 1 for Bessel, and
 N_k = (-1)^k [a (2k+nu)(2k+nu-1) + b (2k+nu) + c] for Mercer, with
 (a, b, c) scaled to integers by L. They are the one stored form of the
-coefficients. The divider reads them as the coefficients N_k / G_k of
-L y, which has the same quotient y'/y; below, d_0 stands for N_0 =
-a nu^2 + (b-a) nu + c. The ``series`` view writes each d_k in canonical
-form with no gcd, by peeling the factors (nu+j) of G_k off N_k (N_k(-j)
-= d_0(2k-j), so a factor cancels only where d_0 has a root at a positive
-integer).
+coefficients, symbolic or not. At a fixed nu = p/q the ``series`` view
+makes each d_k one Fraction from q^k G_k(p/q) = 4^k k! prod_{j<=k}
+(p + jq) and one integer Horner pass over N_k, and the refusal of a
+vanishing constant term reads N_0 the same way. Symbolic series are
+divided on integer polynomials: the divider reads N_k as the
+coefficients N_k / G_k of L y, which has the same quotient y'/y; below,
+d_0 stands for N_0 = a nu^2 + (b-a) nu + c. The symbolic ``series`` view
+writes each d_k in canonical form with no gcd, by peeling the factors
+(nu+j) of G_k off N_k (N_k(-j) = d_0(2k-j), so a factor cancels only
+where d_0 has a root at a positive integer).
 
 *Denominator.* Expanding 1/y in powers of (y - d_0)/d_0, the quotient
 h = -t y'/y has h_n = sum over compositions k_1 + ... + k_r = n (r <= n)
@@ -72,7 +76,7 @@ from math import factorial, lcm
 from .chf import ChfParams, STable
 from .errors import ConsistencyError, DegenerateParametersError, InvalidParameterError, PoleError
 from .mercer import MercerParams, TauTable
-from .poly import _isumprod, _trim
+from .poly import _ihorner, _isumprod, _trim
 from .ratfunc import CofactorWalk, FactorPowers, factor_quadratic
 from .rational import Record, count, exact
 from .series import FormalSeries, series_divide
@@ -120,11 +124,12 @@ class OracleSeries(Record):
                 )
         if family == "mercer" and nu != params.nu:
             raise InvalidParameterError(f"nu = {nu} of a mercer series is not its params' nu = {params.nu}")
-        if family == "mercer" and nu != "symbolic" and not ((params.a * (nu - 1) + params.b) * nu + params.c):
-            raise DegenerateParametersError(
-                "constant term a*nu^2 + (b-a)*nu + c vanishes; "
-                "the normalized series does not exist"
-            )
+        if family == "mercer" and nu != "symbolic":
+            if not _ihorner(_numerators(params, 0)[0][0], nu.numerator, nu.denominator):
+                raise DegenerateParametersError(
+                    "constant term a*nu^2 + (b-a)*nu + c vanishes; "
+                    "the normalized series does not exist"
+                )
         super().__init__(family, nu, params, order)
 
     @property
@@ -135,19 +140,18 @@ class OracleSeries(Record):
             for n in range(1, self.order + 1):
                 w.append(w[-1] * (a + n - 1) / ((b + n - 1) * n))
             return FormalSeries("z", w)
+        nums, scale = _numerators(self.params, self.order)
         if self.nu == "symbolic":
-            return FormalSeries("t", _symbolic_coeffs(*_numerators(self.params, self.order)))
-        # g_n = (-1)^n / (4^n n! (nu+1)(nu+2)...(nu+n)); Mercer's d_n =
-        # [a (2n+nu)(2n+nu-1) + b (2n+nu) + c] g_n by termwise differentiation.
-        x, g = self.nu, [Fraction(1)]
-        for n in range(1, self.order + 1):
-            g.append(-g[-1] / (4 * n * (x + n)))
-        if self.params is not None:
-            a, b, c = self.params.a, self.params.b, self.params.c
-            for n, gn in enumerate(g):
-                m = 2 * n + x
-                g[n] = (a * m * (m - 1) + b * m + c) * gn
-        return FormalSeries("t", g)
+            return FormalSeries("t", _symbolic_coeffs(nums, scale))
+        # d_n = q^n N_n(p/q) / (L q^n G_n(p/q)), q^n G_n(p/q) = 4^n n! prod (p + jq).
+        p, q = self.nu.numerator, self.nu.denominator
+        coeffs, den, qn = [], scale, 1
+        for n, u in enumerate(nums):
+            if n:
+                den *= 4 * n * (p + n * q)
+                qn *= q
+            coeffs.append(Fraction(_ihorner(u, p, q) * qn, den * q ** (len(u) - 1)))
+        return FormalSeries("t", coeffs)
 
 
 def _numerators(params: MercerParams | None, order: int) -> tuple[list, int]:

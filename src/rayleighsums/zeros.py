@@ -229,7 +229,8 @@ class _EvenSeries:
         the weighted twin is not wanted. Returns the run at n = k + 1.
         """
         n, U, A, Aw, top = run
-        self._extend(k + 1)
+        if len(self._r) <= k + 1:
+            self._extend(k + 1)
         hs, rs = self._h[n : k + 1], self._r[n + 1 : k + 2]
         if Aw is None:
             for h, r in zip(hs, rs):

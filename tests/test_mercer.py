@@ -324,6 +324,9 @@ def test_fixed_pqr_are_the_symbolic_ones_at_nu(abc, nu0):
     assert (fixed.p, fixed.q, fixed.r) == (sym.p(nu0), sym.q(nu0), sym.r(nu0))
     assert all(type(v) is F for v in (fixed.p, fixed.q, fixed.r))
     assert all(isinstance(v, PolyNu) for v in (sym.p, sym.q, sym.r))
+    ode = ode_coefficients(fixed)
+    assert ode == _at(ode_coefficients(sym), nu0)
+    assert all(type(v) is F for part in (ode.denominator, ode.a_numerator, ode.b_numerator) for v in part)
 
 
 def test_mercer_params_validate_like_derive_pqr():

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction as F
 from math import factorial
 
@@ -17,6 +18,7 @@ from rayleighsums import (
     bessel_t_series,
     chf_series,
     chf_sums_from_series,
+    cli,
     derive_pqr,
     genus0_sums_from_series,
     mercer_t_series,
@@ -254,6 +256,26 @@ def test_symbolic_series_at_a_fixed_nu_is_the_fixed_series(abc):
         else:
             symbolic, fixed = mercer_t_series(derive_pqr(*abc), 8), mercer_t_series(derive_pqr(*abc, nu), 8)
         assert tuple(c(nu) for c in symbolic.series.coeffs) == fixed.series.coeffs
+        # Both sides read oracle._numerators; the operator series does not.
+        assert tuple(c(nu) for c in _operator_coeffs(abc, 8)) == fixed.series.coeffs
+
+
+def test_fixed_series_read_the_stored_numerators(monkeypatch):
+    real = oracle._numerators
+
+    def bumped(params, order):
+        nums, scale = real(params, order)
+        if order >= 1:
+            nums[1] = (nums[1][0] + 1, *nums[1][1:])
+        return nums, scale
+
+    builds = (lambda: bessel_t_series(F(1, 3), 4), lambda: mercer_t_series(derive_pqr(1, 2, 3, F(1, 2)), 4))
+    argv = ["verify", "--family", "tau", "--a", "1", "--b", "2", "--c", "3", "--nu", "1/2", "--order", "8"]
+    before = [build().series for build in builds]
+    assert cli.run(argv, stdout=io.StringIO()) == 0
+    monkeypatch.setattr(oracle, "_numerators", bumped)
+    assert all(build().series != old for build, old in zip(builds, before))
+    assert cli.run(argv, stdout=io.StringIO()) == 1
 
 
 def test_a_denominator_too_small_fails_loudly(monkeypatch):
@@ -296,6 +318,17 @@ def _operator_bessel_coeffs(order):
     return g
 
 
+def _operator_coeffs(abc, order):
+    """The Bessel operator series (abc None), or Mercer's by termwise
+    differentiation: d_n = [a (2n+nu)(2n+nu-1) + b (2n+nu) + c] g_n."""
+    g = _operator_bessel_coeffs(order)
+    if abc is None:
+        return g
+    a, b, c = abc
+    m = [2 * n + RatFuncNu.NU for n in range(order + 1)]
+    return [(a * mn * (mn - 1) + b * mn + c) * gn for mn, gn in zip(m, g)]
+
+
 def test_symbolic_bessel_coefficients_are_canonical_without_gcds():
     got = bessel_t_series("symbolic", 24).series.coeffs
     want = _operator_bessel_coeffs(24)
@@ -307,12 +340,7 @@ def test_symbolic_bessel_coefficients_are_canonical_without_gcds():
 # (nu+1)_n cancels at (n, j) = (2, 1) and (3, 3).
 @pytest.mark.parametrize("abc", [(1, 2, 3), (1, 5, 3), (4, 16, 5), (1, -1, -3), (F(1, 2), F(-1, 3), 2)])
 def test_symbolic_mercer_coefficients_are_canonical_without_gcds(abc):
-    a, b, c = abc
-    x = RatFuncNu.NU
-    want = []
-    for n, gn in enumerate(_operator_bessel_coeffs(16)):
-        m = 2 * n + x
-        want.append((a * m * (m - 1) + b * m + c) * gn)
+    want = _operator_coeffs(abc, 16)
     got = mercer_t_series(derive_pqr(*abc), 16).series.coeffs
     assert got == tuple(want)
     assert [hash(v) for v in got] == [hash(v) for v in want]

@@ -1,6 +1,7 @@
 """Smoke tests of the A/B timer ``tools/ab.py``, each in a subprocess,
-because the timer purges ``rayleighsums`` from ``sys.modules``, and of
-the repository's pytest configuration."""
+because the timer purges ``rayleighsums`` from ``sys.modules``; of the
+line counter ``tools/loc.py``; and of the repository's pytest
+configuration."""
 
 import json
 import subprocess
@@ -65,3 +66,45 @@ def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     assert done.returncode == 1
     assert "1 failed" in done.stdout
     assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
+_STUB = '''"""Module docstring,
+on two lines."""
+
+# a comment
+import os
+
+
+class Record:
+    """A docstring."""
+
+    __slots__ = ()
+
+
+class Pair(Record):
+    __slots__ = ("x", "y")
+
+    def total(self):
+        """Sum,
+        of both."""
+        return self.x + self.y  # a trailing comment
+
+
+class Plain:
+    __slots__ = ("z",)
+'''
+
+
+def test_loc_counts_code_fields_and_compile_peak(tmp_path):
+    (tmp_path / "stub.py").write_text(_STUB)
+    done = subprocess.run(
+        [sys.executable, str(_TOOLS / "loc.py"), str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    rows = {line[:20].strip(): line[20:].split() for line in done.stdout.splitlines()}
+    # 9 code lines: no docstring, comment or blank line is counted.
+    lines, kb = rows["stub.py"]
+    assert lines == "9" and float(kb) > 0
+    assert rows["total"] == ["9", kb]
+    # Record and Pair are records, with 0 + 2 fields; Plain is not one.
+    assert rows["record fields"] == ["2"]
+    assert rows["module"] == ["lines", "compile", "KB"]

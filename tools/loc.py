@@ -1,13 +1,17 @@
 """Count library code lines: non-blank lines outside comments and
 module, class and function docstrings, per module under
-``src/rayleighsums`` and in total. Then count the stored record fields:
-the ``__slots__`` names of every ``Record`` or ``Table`` subclass there.
+``src/rayleighsums`` and in total. Next to them, the compile peak: the
+``tracemalloc`` peak, in KB, of ``compile()`` on each module's source,
+which is what a run without cached bytecode pays in peak memory. Then
+count the stored record fields: the ``__slots__`` names of every
+``Record`` or ``Table`` subclass there.
 
 Usage: python tools/loc.py [SRC_DIR]
 """
 
 import ast
 import sys
+import tracemalloc
 from pathlib import Path
 
 _DEFAULT = Path(__file__).resolve().parents[1] / "src" / "rayleighsums"
@@ -25,14 +29,23 @@ def _docstring_lines(tree) -> set:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    text = path.read_text()
-    skip = _docstring_lines(ast.parse(text))
+def code_lines(text: str, tree) -> int:
+    skip = _docstring_lines(tree)
     return sum(
         1
         for number, line in enumerate(text.splitlines(), 1)
         if number not in skip and line.strip() and not line.strip().startswith("#")
     )
+
+
+def compile_peak_kb(text: str, name: str) -> float:
+    """The ``tracemalloc`` peak of compiling ``text``, in KB."""
+    tracemalloc.start()
+    try:
+        compile(text, name, "exec", dont_inherit=True)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def record_fields(trees) -> int:
@@ -59,14 +72,18 @@ def record_fields(trees) -> int:
 
 def main(argv) -> None:
     src = Path(argv[0]) if argv else _DEFAULT
-    total = 0
+    total = peak = 0
     trees = []
+    print(f"{'module':20} {'lines':>5} {'compile KB':>10}")
     for path in sorted(src.glob("*.py")):
-        n = code_lines(path)
+        text = path.read_text()
+        kb = compile_peak_kb(text, str(path))  # first, before ast.parse interns the names
+        trees.append(ast.parse(text))
+        n = code_lines(text, trees[-1])
         total += n
-        trees.append(ast.parse(path.read_text()))
-        print(f"{path.name:20} {n:5}")
-    print(f"{'total':20} {total:5}")
+        peak += kb
+        print(f"{path.name:20} {n:5} {kb:10.0f}")
+    print(f"{'total':20} {total:5} {peak:10.0f}")
     print(f"{'record fields':20} {record_fields(trees):5}")
 
 
