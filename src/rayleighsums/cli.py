@@ -18,7 +18,7 @@ from .bounds import euler_rayleigh
 from .chf import ChfParams, s_table
 from .errors import InvalidParameterError, RayleighError, RegimeError
 from .mercer import derive_pqr, tau_table, verify_ode
-from .oracle import bessel_t_series, chf_sums_from_series, genus0_sums_from_series, mercer_t_series
+from .oracle import OracleSeries, genus0_sums_from_series
 from .rational import count, decimal_str, parse_rational, rational_str
 from .render import ratfunc_latex, ratfunc_plain, value_latex, value_plain
 from .serialize import encode_table, table_csv
@@ -41,15 +41,23 @@ def _nu_arg(text: str):
 # that to rational literals so --a -1/2 parses.
 _NEGATIVE_RATIONAL = re.compile(r"^-\d+(/\d+)?$")
 
-_FAMILIES = ("sigma", "tau", "chf")
+# The table families, each with the family of its oracle series.
+_FAMILIES = {"sigma": "bessel", "tau": "mercer", "chf": "chf"}
+
+# Help is wrapped at a fixed 78 columns, what argparse reads with no
+# terminal (80 - 2); left to itself it imports shutil, and with it bz2,
+# lzma and fnmatch, to read the terminal's width on every call.
+_Parser = functools.partial(
+    argparse.ArgumentParser, formatter_class=functools.partial(argparse.HelpFormatter, width=78)
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="rayleighsums",
         description="Exact power sums of reciprocal zeros, bounds, and verification.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def weights(p, required=False):
         for name in ("--a", "--b", "--c"):
@@ -64,9 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="render fixed-mode values as correctly rounded decimals",
         )
 
-    def real_zeros(p):
-        p.add_argument("--assert-real-zeros", action="store_true")
-
     p = sub.add_parser("sums", help="power-sum tables")
     p.add_argument("family", choices=_FAMILIES)
     p.add_argument("--order", type=int, required=True)
@@ -80,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", type=_nu_arg)
     weights(p)
     p.add_argument("--root-width", type=_rat_arg, default=Fraction(1, 10**9))
-    real_zeros(p)
+    p.add_argument("--assert-real-zeros", action="store_true")
     output(p)
 
     p = sub.add_parser("zeros", help="certified enclosures of real zeros (t = z^2)")
@@ -89,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--precision", type=_rat_arg, default=Fraction(1, 10**6))
     weights(p)
-    real_zeros(p)
+    p.add_argument("--assert-real-zeros", action="store_true")
     output(p)
 
     p = sub.add_parser("verify", help="recurrence table against the series oracle")
@@ -109,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The parser ``run`` uses, built on its first call: parsing leaves a
     parser unchanged, so one serves every call."""
     return build_parser()
@@ -173,7 +178,7 @@ def _family_nu(ns):
     return "symbolic" if ns.nu is None else ns.nu
 
 
-def _check_decimal(ns, symbolic: bool = False) -> None:
+def _check_decimal(ns, symbolic=False):
     """Refuse --decimal before any work is done: on a symbolic table, or
     with a negative digit count."""
     digits = getattr(ns, "decimal", None)
@@ -279,12 +284,7 @@ def _cmd_zeros(ns, out) -> int:
 
 def _cmd_verify(ns, out) -> int:
     lhs = _make_table(ns, ns.order)
-    if ns.family == "sigma":
-        rhs = genus0_sums_from_series(bessel_t_series(lhs.nu, ns.order), ns.order)
-    elif ns.family == "tau":
-        rhs = genus0_sums_from_series(mercer_t_series(lhs.params, ns.order), ns.order)
-    else:
-        rhs = chf_sums_from_series(lhs.params, ns.order)
+    rhs = genus0_sums_from_series(OracleSeries(_FAMILIES[ns.family], lhs.nu, lhs.params, ns.order), ns.order)
     lhs_name = "kishore" if ns.family == "sigma" else "riccati"
     total = lhs.order - lhs.start + 1
     bad = [n for n in range(lhs.start, lhs.order + 1) if lhs.entry(n) != rhs.entry(n)]

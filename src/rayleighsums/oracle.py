@@ -8,10 +8,12 @@ zeros zeta_k,
 
     t y'(t) / y(t) = - sum_{n>=1} s_n t^n,      s_n = sum_k zeta_k^(-n).
 
-The Kummer function has genus 1; its product carries exp(a z / b), so the
-quotient w'/w starts at the constant a/b (checked as a hard assertion)
-and the z^k coefficient is -S_{k+1}. Everything here is exact rational
-arithmetic; there is no floating point in this module.
+The Kummer series w is in z itself (t = z), and the same quotient
+h = -z w'/w gives its sums. Its genus is 1: the product carries
+exp(a z / b), so h_1 = -a/b is the genus-1 term (checked as a hard
+assertion), as in the Q list of ``mercer``, and S_n = h_n for n >= 2.
+Everything here is exact rational arithmetic; there is no floating point
+in this module.
 
 The Bessel and Mercer series are written once, for both arithmetics.
 Their coefficients are d_k = N_k / (L G_k) with G_k = 4^k k! (nu+1)_k.
@@ -134,6 +136,9 @@ class OracleSeries(Record):
 
     @property
     def series(self) -> FormalSeries:
+        """The truncated series, built on each read: in t with d_n =
+        N_n / (L G_n) for "bessel" and "mercer", in z with (a)_n / ((b)_n
+        n!) for "chf"."""
         if self.family == "chf":
             a, b = self.params.a, self.params.b
             w = [Fraction(1)]
@@ -199,20 +204,20 @@ def mercer_t_series(params: MercerParams, order: int) -> OracleSeries:
 
 
 def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
-    """Power sums of reciprocal zeros read off t y'/y = -sum s_n t^n.
+    """Power sums of reciprocal zeros read off h = -t y'/y = sum h_n t^n,
+    with t = z for the Kummer series.
 
-    Given an OracleSeries this returns the matching table (SigmaTable for
-    the Bessel family, TauTable for the combined one) with provenance
-    "series-oracle"; given a bare FormalSeries it returns the tuple
-    (s_1, ..., s_order). A symbolic OracleSeries is divided on its
-    integer numerators; every other series by ``series_divide``.
+    Given an OracleSeries this returns the matching table with provenance
+    "series-oracle": a SigmaTable (Bessel) or TauTable (Mercer) of s_n =
+    h_n for 1 <= n <= order, or an STable of S_n = h_n for 2 <= n <= order
+    (Kummer, order >= 2), after checking the genus-1 term h_1 = -a/b
+    (``ConsistencyError`` otherwise). Given a bare FormalSeries it returns
+    the tuple (h_1, ..., h_order). A symbolic OracleSeries is divided on
+    its integer numerators; every other series by ``series_divide``.
     """
-    order = count(order, "order", 0)
     oracle = isinstance(src, OracleSeries)
-    if oracle and src.family == "chf":
-        raise InvalidParameterError(
-            "genus-0 sums apply to the t-series families; use chf_sums_from_series"
-        )
+    chf = oracle and src.family == "chf"
+    order = count(order, "order (the first convergent sum is S_2)" if chf else "order", 2 if chf else 0)
     if src.order < order:
         raise InvalidParameterError("series truncated below the requested order")
     if oracle and src.nu == "symbolic":
@@ -220,13 +225,16 @@ def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
     else:
         series = src.series if oracle else src
         minus_t_dy = FormalSeries(series.var, [-n * c for n, c in enumerate(series.coeffs)])
-        quot = series_divide(minus_t_dy, series, order)
-        entries = tuple(quot.coeff(n) for n in range(1, order + 1))
+        entries = series_divide(minus_t_dy, series, order).coeffs[1:]
     if not oracle:
         return entries
     if src.family == "bessel":
         return SigmaTable(entries=entries, nu=src.nu, provenance="series-oracle")
-    return TauTable(params=src.params, entries=entries, provenance="series-oracle")
+    if not chf:
+        return TauTable(params=src.params, entries=entries, provenance="series-oracle")
+    if entries[0] != -src.params.a / src.params.b:
+        raise ConsistencyError("genus-1 term h_1 differs from -a/b; arithmetic bug")
+    return STable(params=src.params, entries=entries[1:], provenance="series-oracle")
 
 
 def _coefficient_den(k: int):
@@ -271,17 +279,8 @@ def chf_series(params: ChfParams, order: int) -> OracleSeries:
 
 
 def chf_sums_from_series(params: ChfParams, order: int) -> STable:
-    """S_2 .. S_order from w'/w = a/b - sum_{k>=1} S_{k+1} z^k.
-
-    The constant term of the quotient must equal a/b exactly; a mismatch
-    means an arithmetic bug, not bad input.
-    """
+    """S_2 .. S_order read off h = -z w'/w by ``genus0_sums_from_series``,
+    which checks the genus-1 term h_1 = -a/b: a mismatch means an
+    arithmetic bug, not bad input."""
     order = count(order, "order (the first convergent sum is S_2)", 2)
-    w = chf_series(params, order).series
-    quot = series_divide(w.derivative(), w.truncate(order - 1), order - 1)
-    if quot.coeff(0) != params.a / params.b:
-        raise ConsistencyError(
-            "logarithmic-derivative constant differs from a/b; arithmetic bug"
-        )
-    entries = tuple(-quot.coeff(k) for k in range(1, order))
-    return STable(params=params, entries=entries, provenance="series-oracle")
+    return genus0_sums_from_series(chf_series(params, order), order)

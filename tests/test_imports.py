@@ -2,9 +2,11 @@
 
 Set-up is what a CLI user pays on every invocation, so importing the
 package and building the parser must not load ``dataclasses`` (which
-pulls in ``inspect``), ``typing`` or ``csv``, and writing a CSV table
-must not load ``csv`` either. The subprocesses run with ``python -S``,
-because some installs preload ``typing`` through a ``site`` hook.
+pulls in ``inspect``), ``typing``, ``csv`` or ``shutil`` (which argparse
+imports to read the terminal width when a parser is not given one), and
+writing a CSV table must not load ``csv`` either. The subprocesses run
+with ``python -S``, because some installs preload ``typing`` through a
+``site`` hook.
 """
 
 import ast
@@ -18,7 +20,7 @@ from pathlib import Path
 import rayleighsums
 
 _SRC = Path(rayleighsums.__file__).resolve().parents[1]
-_BANNED = ("dataclasses", "inspect", "typing", "csv")
+_BANNED = ("dataclasses", "inspect", "typing", "csv", "shutil")
 
 
 def test_cli_setup_loads_no_heavy_stdlib_module():

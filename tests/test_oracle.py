@@ -23,6 +23,8 @@ from rayleighsums import (
     genus0_sums_from_series,
     mercer_t_series,
     oracle,
+    s_table,
+    series_divide,
     sigma_table,
     verify_ode,
 )
@@ -122,9 +124,79 @@ def test_chf_sums_from_series_examples():
     assert chf_sums_from_series(ChfParams(1, 3), 2).entry(2) == F(-1, 18)
 
 
-def test_genus0_rejects_chf_series():
-    with pytest.raises(InvalidParameterError):
-        genus0_sums_from_series(chf_series(ChfParams(1, 2), 3), 3)
+def _old_chf_route(params, order):
+    """S_2 .. S_order by a second division, w'/w = a/b - sum_{k>=1}
+    S_{k+1} z^k at order - 1, with its constant a/b checked."""
+    w = chf_series(params, order).series.coeffs
+    dw = FormalSeries("z", [n * c for n, c in enumerate(w)][1:])
+    quot = series_divide(dw, FormalSeries("z", w[:order]), order - 1)
+    assert quot.coeff(0) == params.a / params.b
+    return tuple(-quot.coeff(k) for k in range(1, order))
+
+
+@pytest.mark.parametrize(
+    "ab",
+    [(0, 1), (-3, 2), (-2, F(5, 3)), (-2, F(7, 3)), (F(-5, 2), 1), (1, 3), (2, F(1, 2)), (F(7, 4), F(-3, 2))],
+    ids=str,
+)
+def test_genus0_reads_kummer_sums_off_minus_z_w_prime_over_w(ab):
+    # a = 0 is the constant function, a = -3 a cubic, a > 0 and b non-integer
+    # have infinitely many complex zeros.
+    params, order = ChfParams(*ab), 12
+    table = genus0_sums_from_series(chf_series(params, order), order)
+    assert table == chf_sums_from_series(params, order)
+    assert table.provenance == "series-oracle" and (table.start, table.order) == (2, order)
+    assert table.entries == s_table(params, order).entries == _old_chf_route(params, order)
+    if ab[0] == 0:
+        assert set(table.entries) == {0}
+
+
+def test_genus0_kummer_order_starts_at_two():
+    src = chf_series(ChfParams(1, 2), 3)
+    for order in (0, 1):
+        with pytest.raises(InvalidParameterError, match="first convergent sum is S_2"):
+            genus0_sums_from_series(src, order)
+    with pytest.raises(InvalidParameterError, match="truncated"):
+        genus0_sums_from_series(src, 4)
+
+
+def test_kummer_genus1_term_is_checked(monkeypatch):
+    # A z^1 coefficient off by one moves h_1 = -w_1/w_0 away from -a/b.
+    real = OracleSeries.series.fget
+
+    def bumped(self):
+        w = real(self)
+        return FormalSeries(w.var, (w.coeff(0), w.coeff(1) + 1, *w.coeffs[2:]))
+
+    monkeypatch.setattr(OracleSeries, "series", property(bumped))
+    with pytest.raises(ConsistencyError, match="-a/b"):
+        genus0_sums_from_series(chf_series(ChfParams(1, 2), 4), 4)
+    with pytest.raises(ConsistencyError, match="-a/b"):
+        chf_sums_from_series(ChfParams(-2, F(5, 3)), 4)
+
+
+def test_verify_builds_every_oracle_twin_by_one_call(monkeypatch):
+    seen = []
+    real = cli.genus0_sums_from_series
+
+    def recorded(src, order):
+        seen.append((src.family, src.nu, src.params, order))
+        return real(src, order)
+
+    monkeypatch.setattr(cli, "genus0_sums_from_series", recorded)
+    for argv in (
+        ["--family", "sigma", "--nu", "1/2"],
+        ["--family", "tau", "--a", "1", "--b", "2", "--c", "3"],
+        ["--family", "chf", "--a", "-2", "--b", "5/3"],
+    ):
+        out = io.StringIO()
+        assert cli.run(["verify", *argv, "--order", "6"], stdout=out) == 0
+        assert "PASS" in out.getvalue()
+    assert seen == [
+        ("bessel", F(1, 2), None, 6),
+        ("mercer", "symbolic", derive_pqr(1, 2, 3), 6),
+        ("chf", None, ChfParams(-2, F(5, 3)), 6),
+    ]
 
 
 @pytest.mark.parametrize("bad", INEXACT, ids=repr)

@@ -235,7 +235,7 @@ def test_golden_fixed_nu_large_tables():
 def test_golden_fixed_series_and_residuals():
     f = FormalSeries("t", [F(k * k - 3, 2 * k + 7) for k in range(40)])
     g = FormalSeries("t", [F((-1) ** k, k + 1) + F(1, 3) for k in range(40)])
-    assert _values_digest(f.mul(g).coeffs) == (
+    assert _values_digest(f.poly_mul(g.coeffs, 39).coeffs) == (
         "60959700bfeb276006fda9afeeb80608c1b7c24aada38976321060c21be87e10"
     )
     assert _values_digest(f.poly_mul([F(2, 3), 0, F(-5, 7), F(1, 9)], 39).coeffs) == (

@@ -5,12 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from rayleighsums import (
     FormalSeries,
+    InvalidParameterError,
     NonInvertibleError,
     PolyNu,
     RatFuncNu,
     bessel_t_series,
     series_divide,
 )
+
+from _util import INEXACT
 
 fractions = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
 
@@ -64,7 +67,7 @@ def test_divide_multiply_round_trip(f, g):
     fs = FormalSeries("t", f)
     gs = FormalSeries("t", g)
     h = series_divide(fs, gs, 4)
-    assert h.mul(gs).coeffs == fs.coeffs
+    assert h.poly_mul(gs.coeffs, 4).coeffs == fs.coeffs
 
 
 def test_poly_mul_exact_through_requested_order():
@@ -73,15 +76,20 @@ def test_poly_mul_exact_through_requested_order():
     assert out.coeffs == (F(1), F(1), F(1), F(1))
 
 
-def test_mixed_mode_promotes_to_symbolic():
-    s = FormalSeries("t", [RatFuncNu.NU, F(1)])
-    assert s.symbolic
-    assert s.coeff(1) == RatFuncNu.ONE
+def test_mixed_mode_is_refused():
+    with pytest.raises(InvalidParameterError, match="mix"):
+        FormalSeries("t", [RatFuncNu.NU, F(1)])
+    fixed = FormalSeries("t", [F(1), F(1)])
+    symbolic = FormalSeries("t", [RatFuncNu.ONE, RatFuncNu.NU])
+    for f, g in ((fixed, symbolic), (symbolic, fixed)):
+        with pytest.raises(InvalidParameterError, match="fixed-nu series and a symbolic"):
+            series_divide(f, g, 1)
 
 
-def test_derivative():
+def test_series_keeps_no_mul_derivative_or_truncate():
+    # Products go through poly_mul, and the oracle builds -t y' itself.
     s = FormalSeries("t", [F(5), F(1), F(2)])
-    assert s.derivative().coeffs == (F(1), F(4))
+    assert [name for name in ("mul", "derivative", "truncate") if hasattr(s, name)] == []
 
 
 def test_poly_mul_promotes_a_mixed_factor():
@@ -92,3 +100,30 @@ def test_poly_mul_promotes_a_mixed_factor():
         assert out.symbolic
         a, b = factor
         assert out.coeffs == (a * 1, a * 2 + b * 1, a * 3 + b * 2)
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_inexact_coefficients_are_refused(bad):
+    with pytest.raises(InvalidParameterError, match="series coefficient"):
+        FormalSeries("t", [bad, 1, 2])
+    with pytest.raises(InvalidParameterError, match="series coefficient"):
+        FormalSeries("t", [F(1), F(2)]).poly_mul([bad], 1)
+
+
+def test_int_coefficients_become_fractions_and_ratfunc_ones_pass():
+    s = FormalSeries("t", [1, F(1, 2), -3])
+    assert s.coeffs == (F(1), F(1, 2), F(-3)) and all(type(c) is F for c in s.coeffs)
+    assert s.poly_mul([2], 2).coeffs == (F(2), F(1), F(-6))
+    assert FormalSeries("t", [RatFuncNu.NU]).poly_mul([1, RatFuncNu.NU], 0).coeffs == (RatFuncNu.NU,)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, F(1), "1"], ids=repr)
+def test_orders_and_indices_must_be_ints(bad):
+    s = FormalSeries("t", [F(1), F(2)])
+    for call in (lambda: s.coeff(bad), lambda: s.poly_mul([1], bad), lambda: series_divide(s, s, bad)):
+        with pytest.raises(InvalidParameterError, match="must be an int"):
+            call()
+    with pytest.raises(InvalidParameterError, match=">= 0"):
+        s.coeff(-1)
+    with pytest.raises(IndexError):
+        s.coeff(2)

@@ -15,6 +15,11 @@ keeps a whole-run change of the host's speed out of the ratio.
 Prints, per request, the best of the N * R runs of each side in
 milliseconds and the ratio change / parent, then the sums of the bests.
 Exits 1 if the two trees' stdout or exit codes differ on any request.
+
+An A/A run, on two identical copies of one tree, reads a sum-of-bests
+ratio of about 1.02, with per-request ratios up to about 1.03; the
+cause of this bias is not known. A ratio within 3 % of 1 is therefore
+unresolved: it shows no change in either direction.
 """
 
 from __future__ import annotations
