@@ -10,7 +10,15 @@ top. Every value is immutable and every operation is a pure function, so
 everything here is safe for concurrent use.
 """
 
-from .bounds import EulerRayleighBracket, euler_rayleigh, nth_root_enclosure
+from .bounds import (
+    PI_HI,
+    PI_LO,
+    EulerRayleighBracket,
+    SumEnclosure,
+    euler_rayleigh,
+    nth_root_enclosure,
+    partial_sum_enclosure,
+)
 from .chf import ChfParams, STable, s_table
 from .errors import (
     BracketingError,
@@ -49,14 +57,7 @@ from .rational import BigRat, decimal_str, parse_rational, rational_str
 from .serialize import decode_table, encode_table, table_csv
 from .series import FormalSeries, series_divide
 from .sigma import SigmaTable, sigma_table
-from .zeros import (
-    PI_HI,
-    PI_LO,
-    SumEnclosure,
-    ZeroEnclosure,
-    find_zeros,
-    partial_sum_enclosure,
-)
+from .zeros import ZeroEnclosure, find_zeros
 
 __version__ = "0.1.0"
 

@@ -213,19 +213,22 @@ def genus0_sums_from_series(src: OracleSeries | FormalSeries, order: int):
     (Kummer, order >= 2), after checking the genus-1 term h_1 = -a/b
     (``ConsistencyError`` otherwise). Given a bare FormalSeries it returns
     the tuple (h_1, ..., h_order). A symbolic OracleSeries is divided on
-    its integer numerators; every other series by ``series_divide``.
+    its integer numerators; every other series by ``series_divide``, as
+    -y'/y, whose coefficient n - 1 is h_n.
     """
     oracle = isinstance(src, OracleSeries)
     chf = oracle and src.family == "chf"
     order = count(order, "order (the first convergent sum is S_2)" if chf else "order", 2 if chf else 0)
     if src.order < order:
         raise InvalidParameterError("series truncated below the requested order")
+    entries = ()
     if oracle and src.nu == "symbolic":
         entries = _integer_sums(_numerators(src.params, order)[0])
-    else:
+    elif order:
+        # -y'/y = sum h_{k+1} t^k: one row fewer than -t y'/y, and no h_0 = 0
         series = src.series if oracle else src
-        minus_t_dy = FormalSeries(series.var, [-n * c for n, c in enumerate(series.coeffs)])
-        entries = series_divide(minus_t_dy, series, order).coeffs[1:]
+        minus_dy = FormalSeries(series.var, [-n * c for n, c in enumerate(series.coeffs)][1:])
+        entries = series_divide(minus_dy, series, order - 1).coeffs
     if not oracle:
         return entries
     if src.family == "bessel":

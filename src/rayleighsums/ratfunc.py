@@ -48,8 +48,8 @@ class RatFuncNu:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=None):
-        num = self._as_poly(num)
-        den = PolyNu.ONE if den is None else self._as_poly(den)
+        num = self._as_poly(num, "num")
+        den = PolyNu.ONE if den is None else self._as_poly(den, "den")
         if not den:
             raise ZeroDenominatorError("denominator polynomial is identically zero")
         if not num:
@@ -80,12 +80,8 @@ class RatFuncNu:
         return self
 
     @staticmethod
-    def _as_poly(x) -> PolyNu:
-        if isinstance(x, PolyNu):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return PolyNu([x])
-        raise TypeError(f"cannot build a polynomial from {type(x).__name__}")
+    def _as_poly(x, name: str) -> PolyNu:
+        return x if isinstance(x, PolyNu) else PolyNu([exact(x, name)])
 
     @classmethod
     def from_rational(cls, q: int | Fraction) -> "RatFuncNu":

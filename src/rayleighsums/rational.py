@@ -197,7 +197,10 @@ def parse_rational(text: str) -> Fraction:
 
 
 def rational_str(x: Fraction) -> str:
-    """Serialize as ``num/den`` with the denominator always explicit."""
+    """Serialize as ``num/den`` with the denominator always explicit. An
+    ``int`` prints over 1; anything else goes through ``exact``."""
+    if x.__class__ is not Fraction:
+        x = exact(x, "value")
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError:  # past the int-to-str limit
@@ -208,10 +211,12 @@ def decimal_str(x: Fraction, digits: int) -> str:
     """Fixed-point decimal with ``digits`` places, correctly rounded.
 
     Rounding is half-to-even on the exact scaled value, so the printed
-    string is the correctly rounded decimal of the rational input.
+    string is the correctly rounded decimal of the rational input. ``x``
+    goes through ``exact`` and ``digits`` through ``count``.
     """
-    if digits < 0:
-        raise ValueError("digits must be >= 0")
+    if x.__class__ is not Fraction:
+        x = exact(x, "value")
+    digits = count(digits, "digits", 0)
     neg = x < 0
     if neg:
         x = -x

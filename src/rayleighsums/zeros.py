@@ -1,4 +1,4 @@
-"""Certified real-zero enclosures and bracketed partial sums.
+"""Certified real-zero enclosures.
 
 Everything here runs in exact integer arithmetic. A function value is
 only ever used through an enclosure [S - T, S + T] where S is an exact
@@ -21,34 +21,50 @@ sums start therefore changes no sign and no refusal: each series starts
 at the cutoff if that is later.
 
 The search runs on integer grid indices and builds a Fraction only for
-the enclosures it returns. The scan takes z = 11 m / 112 at m = 8, 16, ...
-(a step of about pi/4 in z; a heuristic, the certificates are what make
-the output trustworthy), and rescans at half step any stretch between
+the enclosures it returns. The scan takes z = 11 m / 112 at multiples m
+of its step. For the Bessel family (nu > -1, so every zero is real and
+simple) the scan is complete, by Sturm comparison (Watson, Treatise,
+ch. 15; see ``bounds``). u = sqrt(z) J_nu(z) solves u'' + Q u = 0 with
+Q(z) = 1 - (4 nu^2 - 1) / (4 z^2), so two zeros between which Q <= M are
+at least pi / sqrt(M) apart. Q <= 1 for |nu| >= 1/2. For |nu| < 1/2, Q
+decreases, and the Euler-Rayleigh bound 1 / j_1^2 < sigma_1 =
+1 / (4 (nu + 1)) puts every zero past z_0 = 2 sqrt(nu + 1), so
+M = Q(z_0) = 1 + (1 - 4 nu^2) / (16 (nu + 1)) bounds Q between zeros.
+The step is ``bounds.sturm_step``, the largest multiple of 8 units with
+(11 step / 112)^2 M < PI_LO^2: 24 at every nu > -1. A closed cell that
+short holds at most one zero, so it holds one where its ends differ in
+sign and none elsewhere, and the sign changes are exactly the first
+zeros. The combined function's spacing is not certified, so its scan
+steps 8 (about pi/4 in z; a heuristic, the certificates are what make
+the output trustworthy) and rescans at half step any stretch between
 consecutive brackets longer than 1.5 pi.
 
-A bracket [zlo, zhi] is refined on the points t = (A 2^e + B i) / (C 2^e),
-with A / C = zlo^2 and B / C = zhi^2 - zlo^2, to the cell [i, i + 1] at
-the first depth d with B / (C 2^d) <= precision, as bisection would.
-Newton's iteration on the even series, uncertified, picks i. From the
-fourth zero on it starts warm: by McMahon's expansion
+Each enclosure lies in the bracket [m, m'] of a scan at step 8 or of a
+rescan (m' - m = 8, 4, 2 or 1). With A / C = zlo^2 and
+B / C = zhi^2 - zlo^2 of that bracket, it is the cell [i, i + 1] of the
+points t = (A 2^e + B i) / (C 2^e) at the first depth d with
+B / (C 2^d) <= precision, as bisection would end in. Newton's
+iteration on the even series, uncertified, runs on the scan's bracket
+and picks i; on a coarse Bessel bracket it picks the 8-unit cell, the
+bracket a scan at step 8 would have found, and i in it. From the fourth
+zero on it starts warm: by McMahon's expansion
 j_k ~ beta - (4 nu^2 - 1) / (8 beta) with beta = (k + nu/2 - 1/4) pi
 (Watson, Treatise 15.53), t_k = j_k^2 is a quadratic in k up to
 O(k^-2), so the quadratic through the three picks before zero k lands a
 small fraction of its bracket away. Combinations of J with its
 derivatives have zeros with the same asymptotics. Two sign certificates
-make the cell an enclosure; a failed edge says on which side the zero
-lies, so the neighbouring cell is tried next, and if that fails too,
-bisection runs from the bracket. With one sign change in a bracket, the
-cell is the one bisection ends in: no edge can be the zero, because the
-certificate raises PrecisionError at a zero (and for rational nu the
-zeros are transcendental).
-
-The tail of an infinite power sum is bounded by comparing the zeros
-beyond the last bracketed one against the arithmetic progression
-beta + k*pi and replacing the sum by an integral; beta is a certified
-lower bound on the square root of the last enclosure's left edge (no
-extra spacing margin is added, so the k = 1 term of the bound only uses
-that later zeros exceed the last one found).
+make the cell an enclosure, and an edge at an end of the bracket keeps
+the scan's sign: with one zero in the bracket, a cell whose left edge
+has the bracket's left sign and whose right edge the other holds it. A
+failed edge says on which side the zero lies, so the neighbouring cell
+is tried next. On a coarse bracket, if that fails too, or leaves the
+8-unit cell, or Newton ends at an end of the bracket, the 8-unit points
+inside it find the cell of the sign change, which is then refined as a
+scan bracket of its own. If the cell and neighbour of a bracket fail,
+bisection runs from the bracket. The cell is the one
+bisection ends in: no edge can be the zero, because the certificate
+raises PrecisionError at a zero (and for rational nu the zeros are
+transcendental).
 """
 
 from __future__ import annotations
@@ -56,7 +72,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .bounds import nth_root_enclosure
+from .bounds import PI_HI, sturm_step
 from .errors import (
     BracketingError,
     DegenerateParametersError,
@@ -67,18 +83,7 @@ from .errors import (
 from . import rational
 from .rational import Record, exact
 
-__all__ = [
-    "PI_LO",
-    "PI_HI",
-    "ZeroEnclosure",
-    "SumEnclosure",
-    "find_zeros",
-    "partial_sum_enclosure",
-]
-
-# Rational enclosure of pi, 30 decimal digits.
-PI_LO = Fraction(3141592653589793238462643383279, 10**30)
-PI_HI = Fraction(3141592653589793238462643383280, 10**30)
+__all__ = ["ZeroEnclosure", "find_zeros"]
 
 _SIGN_FLOOR = Fraction(1, 10**150)
 
@@ -116,16 +121,6 @@ class ZeroEnclosure(Record):
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-
-class SumEnclosure(Record):
-    """Rational bracket [lower, upper] around an infinite power sum."""
-
-    __slots__ = ("lower", "upper", "function_id", "n", "count", "beta", "tail_bound")
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
 
 
 class _EvenSeries:
@@ -353,18 +348,18 @@ def _approximate_zero(f, A, B, C, d, guess):
     [A / C, (A + B) / C], for picking a depth-d cell.
 
     The iteration starts from ``guess``, a pair, rounded to depth 16 if
-    it lies in the bracket, else from the midpoint. Each step evaluates
-    the Newton ratio to the precision of a grid twice as deep as the last,
-    capped at depth d + 6, and rounds its result to that grid, clamped to
-    the bracket. At depth d + 6 a step of s bracket widths ends it when s^2,
-    about the error left, is at most 2^-(d + 6); a step cap or N_w = 0 ends
-    it too.
+    it lies inside the bracket, else (at an end too) from the midpoint.
+    Each step evaluates the Newton ratio to the precision of a grid twice
+    as deep as the last, capped at depth d + 6, and rounds its result to
+    that grid, clamped to the bracket. At depth d + 6 a step of s bracket
+    widths ends it when s^2, about the error left, is at most 2^-(d + 6);
+    a step cap or N_w = 0 ends it too.
     """
     E = max(d + 6, 16)  # every point is t = (A 2^E + B i) / (C 2^E) at an index i
     i, D = 1 << (E - 1), 4
     if guess:
         gn, gd = guess
-        if A * gd <= gn * C <= (A + B) * gd:
+        if A * gd < gn * C < (A + B) * gd:
             i, D = ((gn * C - A * gd << 17) + B * gd) // (2 * B * gd) << (E - 16), 16
     for _ in range(48):
         D = min(2 * D, d + 6)
@@ -383,11 +378,23 @@ def _approximate_zero(f, A, B, C, d, guess):
     return (A << E) + B * i, C << E
 
 
-def _certified_cell(f, A, B, C, d, j, slo):
-    """Index i of the cell [i, i + 1] at depth d that two edge signs certify:
-    cell j, or else the neighbour its failed edge points to, whose shared
-    edge keeps its certified sign. None if neither holds."""
-    edge = {0: slo, 1 << d: -slo}  # the scan certified the bracket ends
+def _grid(mlo, mhi, precision):
+    """(A, B, C, d) of the bracket z in [11 mlo / 112, 11 mhi / 112]:
+    A / C = zlo^2, B / C = zhi^2 - zlo^2, and d the first depth with
+    B / (C 2^d) <= precision."""
+    A, C = 121 * mlo * mlo, 12544
+    B = 121 * mhi * mhi - A
+    return A, B, C, (-(-B * precision.denominator // (C * precision.numerator)) - 1).bit_length()
+
+
+def _certified_cell(f, A, B, C, d, pick, slo, edge):
+    """Index i of the cell [i, i + 1], 0 <= i < 2^d, at depth d that two
+    edge signs certify: the cell j holding ``pick`` (num, den), clamped to
+    the grid, or else the neighbour its failed edge points to, whose shared
+    edge keeps its certified sign. ``edge`` holds the signs already
+    certified, by index. None if neither holds."""
+    un, ud = pick
+    j = min(max(((un * C - A * ud) << d) // (B * ud), 0), (1 << d) - 1)
 
     def sign(i):
         if i not in edge:
@@ -402,6 +409,8 @@ def _certified_cell(f, A, B, C, d, j, slo):
                 j += 1
             else:
                 return j
+            if not 0 <= j < 1 << d:
+                break
     except PrecisionError:
         pass  # a wrong cell's edge may be one bisection never visits
     return None
@@ -451,18 +460,19 @@ def find_zeros(
     if not f.sign0:
         raise DegenerateParametersError("constant term vanishes; t = 0 is a zero")
 
-    brackets = _scan_window(f, 0, f.sign0, 8 * (14 * _Z_MAX // 11), 8, count)
+    step = sturm_step(nu0) if params is None else 8
+    brackets = _scan_window(f, 0, f.sign0, 8 * (14 * _Z_MAX // 11), step, count)
     if len(brackets) < count:
         raise BracketingError(
             f"found {len(brackets)} sign changes of {fid} for z in (0, {_Z_MAX}]; "
             f"wanted {count}"
         )
 
-    # Missed-zero guard: any stretch between consecutive brackets longer
-    # than 1.5 pi in z is rescanned at half step (to a depth cap). Missed
-    # zeros show up in pairs, so only same-sign stretches need rescanning.
-    step = 8
-    while step > 1:
+    # Missed-zero guard for the combined function: any stretch between
+    # consecutive brackets longer than 1.5 pi in z is rescanned at half
+    # step (to a depth cap). Missed zeros show up in pairs, so only
+    # same-sign stretches need rescanning.
+    while params is not None and step > 1:
         step //= 2
         refined = brackets[:1]
         for (_, ma, sa), cell in zip(brackets, brackets[1:]):
@@ -475,24 +485,38 @@ def find_zeros(
 
     out = []
     picks = []  # the Newton picks (num, den) of the zeros so far
-    for idx, (mlo, mhi, slo) in enumerate(brackets[:count], start=1):
-        # t = (A 2^e + B i) / (C 2^e): A / C = zlo^2 and B / C = zhi^2 - zlo^2.
-        # Bisection stops at the first depth d with B / (C 2^d) <= precision,
-        # in a cell [j, j + 1]; pick j by Newton, then certify it.
-        A, C = 121 * mlo * mlo, 12544
-        B = 121 * mhi * mhi - A
-        d = (-(-B * precision.denominator // (C * precision.numerator)) - 1).bit_length()
-        j = None
-        if d:
-            guess = None
-            if len(picks) >= 3:
-                # the quadratic through the last three picks (McMahon; see above)
-                (a1, b1), (a2, b2), (a3, b3) = picks[-3:]
-                guess = 3 * (a3 * b2 - a2 * b3) * b1 + a1 * b2 * b3, b1 * b2 * b3
-            picks.append(_approximate_zero(f, A, B, C, d, guess))
-            un, ud = picks[-1]
-            j = ((un * C - A * ud) << d) // (B * ud)
-            j = _certified_cell(f, A, B, C, d, min(max(j, 0), (1 << d) - 1), slo)
+    for idx, (lo, hi, slo) in enumerate(brackets[:count], start=1):
+        guess = pick = j = None
+        if len(picks) >= 3:
+            # the quadratic through the last three picks (McMahon; see above)
+            (a1, b1), (a2, b2), (a3, b3) = picks[-3:]
+            guess = 3 * (a3 * b2 - a2 * b3) * b1 + a1 * b2 * b3, b1 * b2 * b3
+        while True:
+            A, B, C, d = _grid(lo, hi, precision)
+            m, n = lo, hi
+            if d:
+                # Newton on the bracket picks a depth-d cell; on a coarse
+                # bracket, in the 8-unit cell [m, n] that holds the pick
+                un, ud = pick = _approximate_zero(f, A, B, C, d, guess)
+                coarse = hi - lo > 8
+                # a pick at an end of a coarse bracket says Newton left it
+                if not coarse or A * ud < un * C < (A + B) * ud:
+                    if coarse:
+                        m = min(max(isqrt(un * C // (121 * ud)) // 8 * 8, lo), hi - 8)
+                        n = m + 8
+                        A, B, C, d = _grid(m, n, precision)
+                    edge = {0: slo} if m == lo else {}  # the scan's signs at the bracket's ends
+                    if n == hi:
+                        edge[1 << d] = -slo
+                    j = _certified_cell(f, A, B, C, d, pick, slo, edge)
+            if j is not None or hi - lo <= 8:
+                break
+            # the 8-unit cell of the sign change, from at most two certificates
+            while lo + 8 < hi and f.sign_at(121 * (lo + 8) ** 2, 12544) == slo:
+                lo += 8
+            hi = lo + 8
+        if pick:
+            picks.append(pick)
         if j is None:
             # Fallback bisection
             j = 0
@@ -513,65 +537,3 @@ def find_zeros(
             )
         )
     return out
-
-
-def partial_sum_enclosure(
-    zeros: list[ZeroEnclosure],
-    n: int,
-    root_width=Fraction(1, 10**9),
-) -> SumEnclosure:
-    """Bracket sum_k t_k^(-n) over all zeros from the first len(zeros) ones.
-
-    lower = sum hi_k^(-n) uses only the certified enclosures. The upper
-    bound adds a tail for the zeros beyond the last enclosure: with beta
-    a certified lower bound for sqrt(lo_last), every later zero exceeds
-    beta in z, and the comparison
-
-        sum_{j>=0} (beta + j*pi)^(-2n) <= beta^(-2n)
-                                          + integral_0^inf (beta+pi x)^(-2n) dx
-
-    gives tail <= beta^(-2n) + 1 / (pi (2n-1) beta^(2n-1)). That holds
-    only past the first M zeros of one function, so the enclosures must
-    carry the indices 1..M in order and one ``function_id``.
-    """
-    n = rational.count(n, "n", 1)  # the tail bound diverges at n = 0
-    if not zeros:
-        raise InvalidParameterError("need at least one zero enclosure")
-    fid = zeros[0].function_id
-    prev_hi = Fraction(0)
-    for k, enc in enumerate(zeros, start=1):
-        if enc.index != k:
-            raise InvalidParameterError(
-                f"enclosures must be zeros 1..{len(zeros)} in order; "
-                f"index {enc.index} is at position {k}"
-            )
-        if enc.function_id != fid:
-            raise InvalidParameterError(
-                f"enclosures mix functions: {enc.function_id} after {fid}"
-            )
-        if not (0 < enc.lo < enc.hi):
-            raise InvalidParameterError(f"bad enclosure at index {enc.index}")
-        if enc.lo < prev_hi:
-            raise InvalidParameterError(
-                "enclosures must be disjoint and increasing (monotone-growth "
-                f"certificate failed at index {enc.index})"
-            )
-        prev_hi = enc.hi
-
-    lower = Fraction(0)
-    upper_main = Fraction(0)
-    for enc in zeros:
-        lower += Fraction(1) / enc.hi**n
-        upper_main += Fraction(1) / enc.lo**n
-
-    beta = nth_root_enclosure(zeros[-1].lo, 2, exact(root_width, "root_width"))[0]
-    tail = beta ** (-2 * n) + Fraction(1) / (PI_LO * (2 * n - 1) * beta ** (2 * n - 1))
-    return SumEnclosure(
-        lower=lower,
-        upper=upper_main + tail,
-        function_id=fid,
-        n=n,
-        count=len(zeros),
-        beta=beta,
-        tail_bound=tail,
-    )

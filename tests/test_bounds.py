@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rayleighsums import (
+    PI_LO,
     ChfParams,
     InvalidParameterError,
     RegimeError,
     derive_pqr,
     euler_rayleigh,
+    find_zeros,
     nth_root_enclosure,
     s_table,
     sigma_table,
     tau_table,
 )
+from rayleighsums.bounds import sturm_bound, sturm_step
 
 from _util import INEXACT
 
@@ -187,3 +190,63 @@ def test_nth_root_and_bracket_accept_ints():
     assert nth_root_enclosure(2, 2, 1) == nth_root_enclosure(F(2), 2, F(1))
     table = sigma_table(4, F(0))
     assert euler_rayleigh(table, 2, root_width=1) == euler_rayleigh(table, 2, root_width=F(1))
+
+
+_UNIT = F(11, 112)  # the zero scan's grid unit in z
+
+
+@pytest.mark.parametrize(
+    "nu, m",
+    [
+        (F(-999999, 10**6), 1),  # nu -> -1: |nu| >= 1/2, so Q <= 1
+        (F(-1, 2), 1),
+        (F(1, 2), 1),
+        (F(0), F(17, 16)),
+        # next to the maximum of M, at nu = sqrt(3)/2 - 1
+        (F(-134, 1000), 1 + (1 - 4 * F(-134, 1000) ** 2) / (16 * F(866, 1000))),
+        (F(40), 1),
+    ],
+    ids=str,
+)
+def test_sturm_step_certificate(nu, m):
+    assert sturm_bound(nu) == m <= F(10670, 10**4)
+    step = sturm_step(nu)
+    assert step == 24
+    # the exact inequality for the step, and its failure one multiple of 8 on
+    assert (_UNIT * step) ** 2 * m < PI_LO**2 <= (_UNIT * (step + 8)) ** 2 * m
+    # negative control: 32 units, 22/7 in z, exceed pi / sqrt(M) for every M >= 1
+    assert (_UNIT * 32) ** 2 * m >= PI_LO**2
+
+
+def test_sturm_bound_peaks_at_sqrt3_over_2_minus_1():
+    # M(nu) = 1 + (1 - 4 nu^2) / (16 (nu + 1)) on |nu| < 1/2, 1 elsewhere
+    grid = [F(k, 1000) for k in range(-999, 1001)]
+    peak = max(grid, key=sturm_bound)
+    assert peak == F(-134, 1000)
+    assert all(sturm_bound(nu) == 1 for nu in grid if abs(nu) >= F(1, 2))
+
+
+@pytest.mark.parametrize("nu", [F(-9, 10), F(-1, 7), F(0), F(1, 3), F(7, 2)], ids=str)
+def test_sturm_premises_hold_on_certified_zeros(nu):
+    # j_1^2 > 4 (nu + 1), and consecutive zeros lie farther apart in z than
+    # a scan cell of 24 units
+    zs = find_zeros(nu, 12, F(1, 10**8))
+    assert zs[0].lo > 4 * (nu + 1)
+    for a, b in zip(zs, zs[1:]):
+        gap = nth_root_enclosure(b.lo, 2, F(1, 10**8))[0] - nth_root_enclosure(a.hi, 2, F(1, 10**8))[1]
+        assert gap > 24 * _UNIT
+
+
+@pytest.mark.parametrize("bad", INEXACT, ids=repr)
+def test_sturm_bound_needs_an_exact_nu(bad):
+    with pytest.raises(InvalidParameterError, match="nu"):
+        sturm_bound(bad)
+    with pytest.raises(InvalidParameterError, match="nu"):
+        sturm_step(bad)
+
+
+def test_sturm_bound_refuses_nu_at_or_below_minus_1():
+    with pytest.raises(InvalidParameterError, match="nu > -1"):
+        sturm_bound(-1)
+    with pytest.raises(InvalidParameterError, match="nu > -1"):
+        sturm_step(F(-3, 2))

@@ -108,3 +108,24 @@ def test_loc_counts_code_fields_and_compile_peak(tmp_path):
     # Record and Pair are records, with 0 + 2 fields; Plain is not one.
     assert rows["record fields"] == ["2"]
     assert rows["module"] == ["lines", "compile", "KB"]
+
+
+def test_loc_names_the_largest_compile_and_the_change_against_a_base(tmp_path):
+    head, base = tmp_path / "head", tmp_path / "base"
+    head.mkdir()
+    base.mkdir()
+    (head / "stub.py").write_text(_STUB)
+    (head / "big.py").write_text(_STUB * 3)
+    (head / "new.py").write_text("x = 1\n")
+    (base / "stub.py").write_text(_STUB)
+    (base / "big.py").write_text(_STUB)
+    done = subprocess.run(
+        [sys.executable, str(_TOOLS / "loc.py"), str(head), str(base)], capture_output=True, text=True, check=True
+    )
+    rows = {line[:20].strip(): line[20:].split() for line in done.stdout.splitlines()}
+    assert rows["module"] == ["lines", "compile", "KB", "base", "KB", "change"]
+    _, kb, base_kb, change = rows["big.py"]
+    # the change is taken before rounding
+    assert float(kb) > float(base_kb) and abs(int(change) - (float(kb) - float(base_kb))) <= 1
+    assert rows["new.py"][2:] == ["-", "new"]
+    assert rows["largest compile"][0] == "big.py"

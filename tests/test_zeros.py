@@ -3,6 +3,7 @@ import inspect
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,13 +214,13 @@ def test_golden_endpoints_every_bench_request(case):
 
 
 def _count_refinement_calls(monkeypatch):
-    """Count sign_at calls made after the scan, which ends at the first
-    call of the cell approximation."""
-    calls = {"after": 0, "refining": False}
+    """Count sign_at calls made by the scan and after it: the scan ends at
+    the first call of the cell approximation."""
+    calls = {"scan": 0, "after": 0, "refining": False}
     sign_at, approximate = _EvenSeries.sign_at, zeros._approximate_zero
 
     def counted(self, *point):
-        calls["after"] += calls["refining"]
+        calls["after" if calls["refining"] else "scan"] += 1
         return sign_at(self, *point)
 
     def marked(*args):
@@ -278,6 +279,66 @@ def test_wrong_cells_fall_back_to_bisection(monkeypatch, wrong, c):
     else:
         # a failed certificate is followed by about 20 bisection steps
         assert calls["after"] > 15 * 30
+        # A pick at a coarse bracket's end goes to the 8-unit cell of the
+        # sign change, at most 2 certificates, and costs no more in all
+        # than the scan at step 8 with its bisections: 867 in both cases.
+        assert calls["scan"] + calls["after"] <= 867
+
+
+def _other_cell(side):
+    """_approximate_zero picking, on a coarse bracket, a point next to the
+    left (side 0) or right (side 1) end of the first or last 8-unit cell
+    that does not hold the zero; on 8-unit brackets, the true pick."""
+
+    def pick(f, A, B, C, d, guess):
+        true = _APPROXIMATE(f, A, B, C, d, guess)
+        lo, hi = isqrt(A // 121), isqrt((A + B) // 121)
+        held = isqrt(true[0] * 12544 // (121 * true[1])) // 8 * 8
+        others = [m for m in range(lo, hi, 8) if m != held]
+        if not others:
+            return true
+        m = others[-side] + 8 * side
+        return (121 * m * m << d + 40) + 1 - 2 * side, 12544 << d + 40
+
+    return pick
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["left end", "right end"])
+def test_a_pick_in_another_8_unit_cell_keeps_the_endpoints(monkeypatch, side):
+    # The 8-unit points inside a coarse bracket carry no sign from the
+    # scan; taking the bracket's signs there would certify a cell without
+    # the zero.
+    monkeypatch.setattr(zeros, "_approximate_zero", _other_cell(side))
+    calls = _count_refinement_calls(monkeypatch)
+    case = (F(0), 30, F(1, 10**5), None)
+    assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+    assert calls["after"] <= 8 * 30
+
+
+class _OneZero:
+    """A stand-in series with one zero, at t = num / den: sign +1 below it."""
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def sign_at(self, P, Q):
+        return 1 if P * self.den < self.num * Q else -1
+
+
+def test_certified_cell_stays_inside_its_8_unit_cell():
+    # A zero half a depth-d cell past either end of the 8-unit cell: the
+    # neighbour a failed edge points to lies in the next 8-unit cell, on
+    # another grid, so no index is certified.
+    A, B, C, d = zeros._grid(8, 16, F(1, 100))
+
+    def mid(j):  # the midpoint of cell j, as a Newton pick
+        return (A << d + 1) + B * (2 * j + 1), C << d + 1
+
+    first, last = mid(0), mid((1 << d) - 1)
+    assert zeros._certified_cell(_OneZero(*mid(-1)), A, B, C, d, first, 1, {}) is None
+    assert zeros._certified_cell(_OneZero(*mid(1 << d)), A, B, C, d, last, 1, {}) is None
+    # inside, the same two edges certify the cell
+    assert zeros._certified_cell(_OneZero(*mid(0)), A, B, C, d, mid(1), 1, {}) == 0
 
 
 def _count_newton_calls(monkeypatch):
@@ -331,7 +392,8 @@ def test_sign_kernel_cost_on_the_bench_requests(monkeypatch):
         monkeypatch.setattr(_EvenSeries, name, counted(getattr(_EvenSeries, name)))
     for case in _BENCH_REQUESTS:
         assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
-    assert cost["evaluations"] == 1980
+    # 1 980 evaluations when the Bessel scan stepped 8 units
+    assert cost["evaluations"] == 1502
     assert cost["sums"] <= 2.2 * cost["evaluations"]
     assert cost["terms"] <= 1.05 * 137676
 
@@ -417,16 +479,93 @@ class _StepSeries:
 
 
 def test_rescan_finds_a_pair_the_scan_steps_over(monkeypatch):
-    # 5.8 and 5.95 lie in one scan cell of 11/14 in z; the stretch from
-    # the bracket of 2.4 to that of 8.7 exceeds 1.5 pi, so it is rescanned
-    # at half step, which parts the pair.
+    # The combined function's scan steps 8 units, 11/14 in z, and
+    # rescans: 5.8 and 5.95 lie in one scan cell; the stretch from the
+    # bracket of 2.4 to that of 8.7 exceeds 1.5 pi, so it is rescanned at
+    # half step, which parts the pair. (The Bessel scan steps by the
+    # certified zero spacing, which these zeros break.)
     zs = [F(24, 10), F(58, 10), F(595, 100), F(87, 10), F(118, 10), F(149, 10), F(18)]
     monkeypatch.setattr(_StepSeries, "zs", zs)
     monkeypatch.setattr(zeros, "_EvenSeries", _StepSeries)
-    found = find_zeros(0, 5, F(1, 10**6))
+    found = _search(F(1), 5, F(1, 10**6), 0)
     assert [e.index for e in found] == [1, 2, 3, 4, 5]
     for e, z in zip(found, zs):
         assert e.lo < z * z < e.hi and e.width <= F(1, 10**6)
+
+
+def test_rescan_brackets_are_bisected_as_they_are(monkeypatch):
+    # 5.8 and 5.9 are 60 - 59 grid units in z apart; the rescan at step 4
+    # brackets them as [56, 60] and [60, 64]. Each enclosure is the cell
+    # that bisection of its own bracket ends in, with nothing taken from
+    # outside the bracket.
+    zs = [F(24, 10), F(58, 10), F(59, 10), F(87, 10), F(118, 10), F(149, 10), F(18)]
+    monkeypatch.setattr(_StepSeries, "zs", zs)
+    monkeypatch.setattr(zeros, "_EvenSeries", _StepSeries)
+    cells, scan_window = [], zeros._scan_window
+
+    def recorded(*args):
+        out = scan_window(*args)
+        cells.extend((lo, hi) for lo, hi, _ in out)
+        return out
+
+    monkeypatch.setattr(zeros, "_scan_window", recorded)
+    precision = F(1, 10**6)
+    found = _search(F(1), 5, precision, 0)
+    assert [e.index for e in found] == [1, 2, 3, 4, 5]
+    assert {(56, 60), (60, 64)} <= set(cells)
+    for e, z in zip(found, zs):
+        assert e.lo < z * z < e.hi
+        (m, m2), = [(m, m2) for m, m2 in cells if 121 * m * m < 12544 * z * z < 121 * m2 * m2]
+        lo, hi = F(121 * m * m, 12544), F(121 * m2 * m2, 12544)
+        while hi - lo > precision:
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid < z * z else (lo, mid)
+        assert (e.lo, e.hi) == (lo, hi)
+
+
+# Sign certificates of the scan per Bessel bench request, keyed by nu:
+# 119 to 125 at the step of 8 units, a third at the certified step of 24.
+_SCAN_CERTIFICATES = {F(0): 40, F(1, 2): 40, F(1): 41, F(2): 41, F(5, 2): 42, F(3): 42}
+
+
+@pytest.mark.parametrize("nu", sorted(_SCAN_CERTIFICATES), ids=str)
+def test_bessel_scan_steps_by_the_certified_spacing(monkeypatch, nu):
+    calls = _count_refinement_calls(monkeypatch)
+    windows, scan_window = [], zeros._scan_window
+    monkeypatch.setattr(zeros, "_scan_window", lambda *a: windows.append(a[4]) or scan_window(*a))
+    case = (nu, 30, F(1, 10**5), None)
+    assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
+    assert windows == [24]  # one window at the certified step: no rescan
+    assert calls["scan"] == _SCAN_CERTIFICATES[nu]
+    # about 180 sign certificates in all at the step of 8
+    assert calls["scan"] + calls["after"] <= 110
+
+
+def _bisection_reference(nu, count, precision):
+    """(lo, hi) of the first ``count`` zeros of J_nu in t from a scan at
+    step 8 units of 11/112 in z and plain bisection of each bracket down
+    to width ``precision``."""
+    f = _EvenSeries(F(nu), (F(0), F(0), F(1)))
+    out, m, s = [], 0, f.sign0
+    while len(out) < count:
+        m, t = m + 8, f.sign_at(121 * (m + 8) ** 2, 12544)
+        if t != s:
+            lo, hi = F(121 * (m - 8) ** 2, 12544), F(121 * m * m, 12544)
+            while hi - lo > precision:
+                mid = (lo + hi) / 2
+                if f.sign_at(mid.numerator, mid.denominator) == s:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append((lo, hi))
+        s = t
+    return out
+
+
+@pytest.mark.parametrize("nu", [F(-9, 10), F(-1, 2), F(-1, 7), F(0), F(1, 3), F(7, 2), F(40)], ids=str)
+def test_bessel_enclosures_equal_step_8_bisection(nu):
+    found = find_zeros(nu, 20, F(1, 10**10))
+    assert [(e.lo, e.hi) for e in found] == _bisection_reference(nu, 20, F(1, 10**10))
 
 
 def _reference_sign(nu, abc, t):

@@ -2,11 +2,16 @@
 module, class and function docstrings, per module under
 ``src/rayleighsums`` and in total. Next to them, the compile peak: the
 ``tracemalloc`` peak, in KB, of ``compile()`` on each module's source,
-which is what a run without cached bytecode pays in peak memory. Then
-count the stored record fields: the ``__slots__`` names of every
-``Record`` or ``Table`` subclass there.
+which is what a run without cached bytecode pays in peak memory. The
+module with the largest peak is named last: importing the package
+without cached bytecode peaks there, so it sets every benchmark
+workload's ``peak_rss_mb``. Then count the stored record fields: the
+``__slots__`` names of every ``Record`` or ``Table`` subclass there.
 
-Usage: python tools/loc.py [SRC_DIR]
+With BASE_DIR, another tree's modules (say, the base of a change), each
+row adds that module's compile peak there and the change in KB.
+
+Usage: python tools/loc.py [SRC_DIR [BASE_DIR]]
 """
 
 import ast
@@ -70,21 +75,38 @@ def record_fields(trees) -> int:
     return total
 
 
+def compile_peaks(src: Path) -> dict:
+    """Module file name -> compile peak in KB, for the modules in ``src``."""
+    return {path.name: compile_peak_kb(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+
+
 def main(argv) -> None:
     src = Path(argv[0]) if argv else _DEFAULT
+    base = compile_peaks(Path(argv[1])) if len(argv) > 1 else None
     total = peak = 0
-    trees = []
-    print(f"{'module':20} {'lines':>5} {'compile KB':>10}")
+    trees, peaks = [], {}
+    extra = f" {'base KB':>10} {'change':>7}" if base is not None else ""
+    print(f"{'module':20} {'lines':>5} {'compile KB':>10}" + extra)
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        kb = compile_peak_kb(text, str(path))  # first, before ast.parse interns the names
+        kb = peaks[path.name] = compile_peak_kb(text, str(path))  # first, before ast.parse interns the names
         trees.append(ast.parse(text))
         n = code_lines(text, trees[-1])
         total += n
         peak += kb
-        print(f"{path.name:20} {n:5} {kb:10.0f}")
-    print(f"{'total':20} {total:5} {peak:10.0f}")
+        row = f"{path.name:20} {n:5} {kb:10.0f}"
+        if base is not None:
+            old = base.get(path.name)
+            row += f" {'-':>10} {'new':>7}" if old is None else f" {old:10.0f} {kb - old:+7.0f}"
+        print(row)
+    row = f"{'total':20} {total:5} {peak:10.0f}"
+    if base is not None:
+        row += f" {sum(base.values()):10.0f} {peak - sum(base.values()):+7.0f}"
+    print(row)
     print(f"{'record fields':20} {record_fields(trees):5}")
+    if peaks:
+        top = max(peaks, key=peaks.get)
+        print(f"{'largest compile':20} {top} ({peaks[top]:.0f} KB), which sets every workload's peak_rss_mb")
 
 
 if __name__ == "__main__":
