@@ -257,10 +257,9 @@ class PolyNu:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PolyNu):
             return self._k == other._k and self._p == other._p
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self._p
-            return self._p == (1,) and self._k == other
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+            # a constant c is stored as _k = c over _p = (1,), and 0 as 0 over ()
+            return len(self._p) < 2 and self._k == other
         return NotImplemented
 
     def __hash__(self) -> int:

@@ -52,9 +52,6 @@ class RatFuncNu:
         den = PolyNu.ONE if den is None else self._as_poly(den, "den")
         if not den:
             raise ZeroDenominatorError("denominator polynomial is identically zero")
-        if not num:
-            self._num, self._den = PolyNu.ZERO, PolyNu.ONE
-            return
         g = PolyNu.gcd(num, den)
         if g.degree > 0:
             num = num.exact_div(g)
@@ -186,10 +183,11 @@ class RatFuncNu:
         return RatFuncNu._from_coprime(self._num**n, self._den**n)
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self._num == o._num and self._den == o._den
+        if isinstance(other, RatFuncNu):
+            return self._num == other._num and self._den == other._den
+        # equal to an int, Fraction or PolyNu as a polynomial; PolyNu == is
+        # False for anything else, a bool included
+        return self._den == PolyNu.ONE and self._num == other
 
     def __hash__(self) -> int:
         if self._den == PolyNu.ONE and self._num.degree <= 0:

@@ -13,12 +13,26 @@ partial sum of the even-part series and T bounds the dropped tail:
   is twice the first omitted majorant term.
 
 S is summed in dyadic fixed point (see _EvenSeries), with a closed-form
-bound on the rounding error in the certificate. The dyadic sum answers
-only where it certifies |f| above twice the refusal floor of the exact
-sum, which decides elsewhere, so every sign is the exact sum's. Where the
-sums start therefore changes no sign and no refusal: each series starts
-8 terms below the truncation of its last certificate (a warm start), or
-at the cutoff if that is later.
+bound on the rounding error in the certificate. That one algorithm
+decides every point: it gives the sign of f once its bounds prove
+|f| > 10^-150, the refusal floor, and raises PrecisionError once they
+prove |f| < 10^-150; otherwise it adds terms or bits. The loop ends
+because f(t) is never +-10^-150: for rational nu > -1 and rational
+t = z^2 > 0, f(t) is 0 or transcendental. With Siegel's
+K(z) = sum_n g_n z^2n = Gamma(nu + 1) (z/2)^-nu J_nu(z), f is
+Gamma(nu + 1) (z/2)^-nu (a z^2 J'' + b z J' + c J), and by Bessel's
+equation a z^2 J'' + b z J' + c J = (c - a (z^2 - nu^2)) J + (b - a) z J',
+so
+
+    f(t) = (c - a (z^2 - nu^2) + (b - a) nu) K(z) + (b - a) z K'(z).
+
+The coefficients are algebraic, and K(z) and K'(z) are algebraically
+independent at algebraic z != 0 (Siegel) unless nu is half an odd
+integer. There f(t) = u sin z + v cos z with u, v rational in z, and
+e^iz is transcendental (Lindemann-Weierstrass). So every answer
+depends on f(t) alone, and where the sums start changes no sign and no
+refusal: each series starts 8 terms below the truncation of its last
+certificate (a warm start), or at the cutoff if that is later.
 
 The search runs on integer grid indices and builds a Fraction only for
 the enclosures it returns. The scan takes z = 11 m / 112 at multiples m
@@ -63,8 +77,7 @@ inside it find the cell of the sign change, which is then refined as a
 scan bracket of its own. If the cell and neighbour of a bracket fail,
 bisection runs from the bracket. The cell is the one
 bisection ends in: no edge can be the zero, because the certificate
-raises PrecisionError at a zero (and for rational nu the zeros are
-transcendental).
+raises PrecisionError at a zero.
 """
 
 from __future__ import annotations
@@ -103,7 +116,7 @@ def _power_str(x):
 
 
 def _fixed_point_bits(P, Q):
-    """Bits b of the dyadic sums at t = P/Q.
+    """Bits b on which the dyadic sums at t = P/Q start.
 
     The largest series term near t is about e^sqrt(t) < 2^(1.5 sqrt(t)),
     which the rounding error scales with; 64 guard bits cover the term
@@ -141,23 +154,16 @@ class _EvenSeries:
     u_0 = 1, and past the peak the products of rho are at most 1. With
     K = k + 1 and U_max the largest U_n up to K, max(1, u_max) is at most
     floor(U_max / (2^b - K)) + 1, so E = K (that + 1) bounds every error.
-    A = sum_{n<=k} (-1)^n H_n U_n then carries the sign of f when
+    So A = sum_{n<=k} (-1)^n H_n U_n lies within
 
-        |A| - E sum_{n<=k} |H_n| - w_{k+1} (U_{k+1} + E) > 2 L q^2 2^b floor,
+        R = E sum_{n<=k} |H_n| + w_{k+1} (U_{k+1} + E)
 
-    where floor is the refusal floor of the exact sum: above twice the
-    floor, the exact sum provably certifies the same sign. The dyadic sum
-    deepens 8 terms at a time while the tail dominates the rounding; if
-    it still cannot certify, the exact sum decides.
-
-    The exact sum is fraction-free: the partial sum through index k is
-    N_k / (L q^2 G_k Q^k) with
-
-        N_k = N_{k-1} r_k Q + (-1)^k H_k X^k,
-
-    so S +- T has the sign of N_k r_{k+1} Q +- w_{k+1} X^{k+1}. nu > -1
-    keeps r_n and M_n - q positive for n >= 1, so no comparison changes
-    direction.
+    of 2^b L q^2 f. With F = 2^b L q^2 floor and floor the refusal floor,
+    the sign of A is the sign of f when |A| - R > F, and |f| < floor when
+    |A| + R < F. Otherwise the sum deepens 8 terms while its tail term
+    w_{k+1} U_{k+1} exceeds the rounding term, and else reruns from n = 0
+    at twice the bits, as it does when 2^b <= K. So f gets a sign exactly
+    when |f| > floor and a refusal exactly when |f| < floor.
     """
 
     def __init__(self, nu, abc):
@@ -165,8 +171,8 @@ class _EvenSeries:
         L = lcm(*(x.denominator for x in abc))
         self.A, self.B, self.C = (x.numerator * (L // x.denominator) for x in abc)
         self.L = L
-        # r_n, (-1)^n H_n, w_n, G_n and sum_{m<=n} |H_m| per index n, extended on demand
-        self._r, self._h, self._w, self._G, self._hsum = [], [], [], [], []
+        # r_n, (-1)^n H_n, w_n and sum_{m<=n} |H_m| per index n, extended on demand
+        self._r, self._h, self._w, self._hsum = [], [], [], []
         # the cutoff thresholds (num_i, den_i), one per truncation index 4 * 2^i
         self._thresholds = []
         # the truncation of the last sign certificate and of the last Newton ratio
@@ -191,7 +197,6 @@ class _EvenSeries:
             self._r.append(r)
             self._h.append(-h if n % 2 else h)
             self._w.append(w)
-            self._G.append(self._G[-1] * r if n else 1)
             self._hsum.append(self._hsum[-1] + abs(h) if n else abs(h))
 
     def _cutoff(self, X, Q):
@@ -243,29 +248,6 @@ class _EvenSeries:
                     top = U
         return k + 1, U, A, Aw, top
 
-    def _fixed_point_sign(self, P, Q):
-        """Sign of f(P/Q) from the dyadic sums, when their rounding bound
-        certifies it and |f| exceeds twice the refusal floor; 0 otherwise."""
-        X = self.q * P
-        k = max(self._cutoff(X, Q), self._hint - 8)
-        bits = _fixed_point_bits(P, Q)
-        one = 1 << bits
-        guard = (2 * _SIGN_FLOOR.numerator * self.L * self.q * self.q) << bits
-        run = 0, one, 0, None, one
-        while True:
-            run = K, U, A, _, top = self._fixed_point_sums(X, Q, k, run)
-            if one <= K:
-                return 0
-            E = K * (top // (one - K) + 1)
-            rounding = E * self._hsum[k]
-            tail = self._w[K] * U
-            if (abs(A) - rounding - tail - self._w[K] * E) * _SIGN_FLOOR.denominator > guard:
-                self._hint = k
-                return 1 if A > 0 else -1
-            if tail <= rounding:
-                return 0
-            k += 8
-
     def newton_ratio(self, P, Q, bits):
         """(N, N_w) with N / N_w close to f(t) / (t f'(t)) at t = P/Q, uncertified.
 
@@ -290,43 +272,42 @@ class _EvenSeries:
             k += 8
 
     def sign_at(self, P, Q):
-        """Sign of f(P/Q) for integers P >= 0 and Q > 0, certified by
-        [S - T, S + T] excluding 0.
-
-        The dyadic sums answer when their bound certifies the sign; otherwise
-        the exact sum does, deepening 8 terms at a time, and raises
-        PrecisionError once T is below the refusal floor.
+        """Sign of f(P/Q) for integers P >= 0 and Q > 0, certified by the
+        dyadic sums (see the class docstring); PrecisionError where they
+        prove |f| below the refusal floor. The loop ends because |f| never
+        equals the floor (see the module docstring).
         """
         if P < 0:
             raise InvalidParameterError("even-part series evaluated at negative t")
         if not P:
             return 1 if self.sign0 > 0 else -1
-        return self._fixed_point_sign(P, Q) or self._exact_sign(P, Q)
-
-    def _exact_sign(self, P, Q):
-        """Sign of f(P/Q) from the exact sum N_k."""
         X = self.q * P
-        k = self._cutoff(X, Q)
-        N, Xn, n = 0, 1, 0
+        k = max(self._cutoff(X, Q), self._hint - 8)
+        bits = _fixed_point_bits(P, Q)
+        floor = _SIGN_FLOOR.numerator * self.L * self.q * self.q
         while True:
-            self._extend(k + 1)
-            for r, h in zip(self._r[n : k + 1], self._h[n : k + 1]):
-                N = N * r * Q + h * Xn
-                Xn *= X
-            n = k + 1
-            s, tail = N * self._r[n] * Q, self._w[n] * Xn
-            if s > tail:
-                return 1
-            if s < -tail:
-                return -1
-            # T = tail / (L q^2 G_{k+1} Q^{k+1}) below _SIGN_FLOOR
-            if tail * _SIGN_FLOOR.denominator < (
-                _SIGN_FLOOR.numerator * self.L * self.q**2 * self._G[n] * Q**n
-            ):
-                raise PrecisionError(
-                    f"cannot certify the sign at t = {P}/{Q}: |value| < {_SIGN_FLOOR}"
-                )
-            k += 8
+            one, F = 1 << bits, floor << bits
+            run = 0, one, 0, None, one
+            while True:
+                run = K, U, A, _, top = self._fixed_point_sums(X, Q, k, run)
+                if one <= K:
+                    break
+                E = K * (top // (one - K) + 1)
+                rounding = E * self._hsum[k]
+                tail = self._w[K] * U
+                R = rounding + tail + self._w[K] * E
+                if (abs(A) - R) * _SIGN_FLOOR.denominator > F:
+                    self._hint = k
+                    return 1 if A > 0 else -1
+                if (abs(A) + R) * _SIGN_FLOOR.denominator < F:
+                    raise PrecisionError(
+                        f"cannot certify the sign at t = {P}/{Q}: |value| < {_SIGN_FLOOR}"
+                    )
+                if tail <= rounding:
+                    break
+                k += 8
+            # the rounding dominates: rerun from n = 0 at twice the bits
+            bits *= 2
 
 
 def _scan_window(f, ma, sa, mb, step, count=None):

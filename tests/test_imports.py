@@ -6,7 +6,8 @@ pulls in ``inspect``), ``typing``, ``csv`` or ``shutil`` (which argparse
 imports to read the terminal width when a parser is not given one), and
 writing a CSV table must not load ``csv`` either. The subprocesses run
 with ``python -S``, because some installs preload ``typing`` through a
-``site`` hook.
+``site`` hook. The zero search must reach no module beyond ``bounds``,
+``errors`` and ``rational`` through its imports.
 """
 
 import ast
@@ -87,3 +88,36 @@ def test_public_annotations_resolve():
         except (NameError, AttributeError, TypeError) as exc:
             failed.append(f"{name}: {exc!r}")
     assert failed == []
+
+
+def _package_imports(module):
+    """The package modules that ``module`` imports anywhere in its source."""
+    names = set()
+    for node in ast.walk(ast.parse((_SRC / "rayleighsums" / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rayleighsums."):
+            names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("rayleighsums."))
+    return {name.split(".")[0] for name in names}
+
+
+def _reach(module):
+    """The package modules that importing ``module`` can load, transitively."""
+    seen, todo = set(), [module]
+    while todo:
+        for name in _package_imports(todo.pop()) - seen:
+            seen.add(name)
+            todo.append(name)
+    return seen
+
+
+def test_the_zero_search_loads_no_algebra():
+    # Loading the zero search for a `zeros` request, without the PolyNu
+    # and RatFuncNu algebra, relies on this: zeros reaches only leaf
+    # modules, where _EvenSeries keeps its own integer series.
+    assert _reach("zeros") <= {"bounds", "errors", "rational"}
+    # the walk follows transitive and function-level imports: sigma loads
+    # mercer, which loads poly and ratfunc, and oracle inside a function
+    assert {"mercer", "poly", "ratfunc", "oracle"} <= _reach("sigma")

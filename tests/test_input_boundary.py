@@ -6,12 +6,16 @@ the library is an ``int`` or ``Fraction``, and that ``bool``, ``float``,
 ``rayleighsums.__all__``: it binds each callable's valid arguments below
 to its signature, checks that the valid call succeeds, and then replaces
 each numeric argument (an ``int`` or ``Fraction``, or the first item of a
-list of them) by each inexact stand-in in turn.
+list of them) by each inexact stand-in in turn. The operators of
+``PolyNu`` and ``RatFuncNu`` take the same operands: an inexact one makes
+them decline (``TypeError``), a ``bool`` operand of ``+ - * /`` raises
+``InvalidParameterError``, and ``==`` with either is False.
 """
 
 from decimal import Decimal
 from fractions import Fraction as F
 import inspect
+import operator
 
 import pytest
 
@@ -20,6 +24,8 @@ from rayleighsums import (
     ChfParams,
     FormalSeries,
     InvalidParameterError,
+    PolyNu,
+    RatFuncNu,
     RayleighError,
     bessel_t_series,
     derive_pqr,
@@ -127,3 +133,65 @@ def test_numeric_parameters_refuse_inexact_values(name):
             else:
                 failed.append(f"{param}={bad!r}: accepted")
     assert failed == []
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "**": operator.pow}
+
+
+def _operator_forms():
+    """(text, call) for each operator form, reflected ones included, of
+    PolyNu and RatFuncNu that takes an int operand; call(v) applies it to v."""
+    forms = []
+    for x in (PolyNu([1, 2]), RatFuncNu(PolyNu([1, 2]), PolyNu([3, 1]))):
+        for symbol, op in _OPERATORS.items():
+            for text, call in (
+                (f"{type(x).__name__} {symbol} v", lambda v, op=op, x=x: op(x, v)),
+                (f"v {symbol} {type(x).__name__}", lambda v, op=op, x=x: op(v, x)),
+            ):
+                try:
+                    call(2)
+                except TypeError:
+                    continue  # no such operator for any operand: PolyNu / v, v ** x
+                forms.append((text, call))
+    return forms
+
+
+def _failures(value, want):
+    """The operator forms whose call on ``value`` does not raise ``want``."""
+    failed = []
+    for text, call in _operator_forms():
+        try:
+            call(value)
+        except Exception as exc:  # noqa: BLE001 - the wrong error is the finding
+            if type(exc).__name__ != want:
+                failed.append(f"{text}: {type(exc).__name__}: {exc}")
+        else:
+            failed.append(f"{text}: accepted")
+    return failed
+
+
+def test_every_operator_form_is_probed():
+    # PolyNu: + - * both ways and x ** n; RatFuncNu: + - * / both ways and x ** n
+    assert len(_operator_forms()) == 16
+
+
+@pytest.mark.parametrize("bad", _BAD[1:], ids=repr)
+def test_inexact_operator_operands_raise_type_error(bad):
+    assert _failures(bad, "TypeError") == []
+
+
+@pytest.mark.parametrize("bad", [True, False], ids=repr)
+def test_bool_operator_operands_raise_invalid_parameter_error(bad):
+    # + - * / refuse it; ** still takes a bool exponent as 0 or 1
+    failed = _failures(bad, "InvalidParameterError")
+    assert failed == ["PolyNu ** v: accepted", "RatFuncNu ** v: accepted"]
+
+
+def test_equality_with_a_bool_or_an_inexact_value_is_false():
+    # `True in sigma_table(3).entries` used to raise InvalidParameterError,
+    # and PolyNu([1]) == True was True.
+    assert True not in sigma_table(3).entries
+    for x in (PolyNu([1]), PolyNu([]), RatFuncNu(1), RatFuncNu(0), RatFuncNu(PolyNu([1, 2]))):
+        for other in (True, False, 1.0, 0.0, Decimal(1), "1"):
+            assert not x == other and not other == x
+            assert x != other and other != x

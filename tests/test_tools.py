@@ -1,7 +1,7 @@
 """Smoke tests of the A/B timer ``tools/ab.py``, each in a subprocess,
 because the timer purges ``rayleighsums`` from ``sys.modules``; of the
-line counter ``tools/loc.py``; and of the repository's pytest
-configuration."""
+line counter ``tools/loc.py``; of the reach report ``tools/reach.py``;
+and of the repository's pytest configuration."""
 
 import json
 import subprocess
@@ -129,3 +129,79 @@ def test_loc_names_the_largest_compile_and_the_change_against_a_base(tmp_path):
     assert float(kb) > float(base_kb) and abs(int(change) - (float(kb) - float(base_kb))) <= 1
     assert rows["new.py"][2:] == ["-", "new"]
     assert rows["largest compile"][0] == "big.py"
+
+
+_REACH_TREE = {
+    "src/rayleighsums/__init__.py": "",
+    "src/rayleighsums/cli.py": """from . import util
+
+
+def run(argv, stdout=None, stderr=None):
+    if argv == ["golden"]:
+        util.golden()
+    else:
+        util.Bench().method()
+    return 0
+""",
+    "src/rayleighsums/util.py": """def golden():
+    def inner():
+        return 1
+
+    return inner()
+
+
+def never():
+    return 0
+
+
+class Bench:
+    def method(self):
+        return self.prop
+
+    @property
+    def prop(self):
+        return 2
+
+    @staticmethod
+    def unused():
+        pass
+""",
+    "tests/test_cli_golden.py": """import pytest
+
+from rayleighsums.cli import run
+
+CORPUS = [["golden"]]
+
+
+@pytest.mark.parametrize("argv", CORPUS)
+def test_golden_cli_output(argv):
+    assert run(argv) == 0
+""",
+    "bench/workloads.py": """class _Workload:
+    def all_requests(self):
+        return [["bench"], ["golden"]]
+
+
+WORKLOADS = {"w": _Workload()}
+""",
+}
+
+
+def test_reach_names_the_functions_no_request_enters(tmp_path):
+    for name, text in _REACH_TREE.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    before = sorted(tmp_path.rglob("*"))
+    done = subprocess.run(
+        [sys.executable, str(_TOOLS / "reach.py"), str(tmp_path)], capture_output=True, text=True, check=True
+    )
+    lines = done.stdout.splitlines()
+    # ["golden"] is in both lists and runs once
+    assert lines[0] == "2 distinct argv lists (1 golden, 2 bench requests); 2 of 7 functions never entered"
+    rows = {line.split()[0]: line.split(None, 4)[1:] for line in lines[2:]}
+    assert rows["cli.py"] == ["0", "of", "1"]
+    # the decorated property and the nested function ran
+    assert rows["util.py"] == ["2", "of", "6", "never, Bench.unused"]
+    assert rows["__init__.py"] == ["0", "of", "0"]
+    # it reads the tree and writes nothing there, not even bytecode
+    assert sorted(tmp_path.rglob("*")) == before

@@ -353,15 +353,19 @@ def _count_newton_calls(monkeypatch):
     return calls
 
 
-def _count_exact_sums(monkeypatch):
-    calls = {"exact": 0}
-    exact_sign = _EvenSeries._exact_sign
+def _count_reruns(monkeypatch):
+    """Count the sign sums rerun at more bits: the runs of sign_at that
+    start at n = 0 on more than the _fixed_point_bits of their point."""
+    calls = {"reruns": 0}
+    sums = _EvenSeries._fixed_point_sums
 
-    def counted(self, *point):
-        calls["exact"] += 1
-        return exact_sign(self, *point)
+    def counted(self, X, Q, k, run):
+        n, one, _, weighted, _ = run
+        if not n and weighted is None and one != 1 << zeros._fixed_point_bits(X // self.q, Q):
+            calls["reruns"] += 1
+        return sums(self, X, Q, k, run)
 
-    monkeypatch.setattr(_EvenSeries, "_exact_sign", counted)
+    monkeypatch.setattr(_EvenSeries, "_fixed_point_sums", counted)
     return calls
 
 
@@ -388,7 +392,7 @@ def test_sign_kernel_cost_on_the_bench_requests(monkeypatch):
         return evaluate
 
     monkeypatch.setattr(_EvenSeries, "_fixed_point_sums", counted_sums)
-    for name in ("_fixed_point_sign", "newton_ratio"):
+    for name in ("sign_at", "newton_ratio"):
         monkeypatch.setattr(_EvenSeries, name, counted(getattr(_EvenSeries, name)))
     for case in _BENCH_REQUESTS:
         assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
@@ -406,14 +410,14 @@ def test_warm_start_needs_about_one_newton_step_per_zero(monkeypatch, case):
     # From the fourth zero on, the extrapolated guess usually needs one.
     newton = _count_newton_calls(monkeypatch)
     calls = _count_refinement_calls(monkeypatch)
-    exact = _count_exact_sums(monkeypatch)
+    reruns = _count_reruns(monkeypatch)
     assert _endpoint_digest(_search(*case)) == _GOLDEN[case]
     assert newton["newton"] <= 1.5 * 30
     # 2 certificates per zero, and few neighbour cells
     assert calls["after"] <= 66
-    # every certificate from the dyadic sums: a bit width too small for
-    # them would double the cost through the exact fallback
-    assert exact["exact"] == 0
+    # every certificate on its first bit width: a width too small for the
+    # rounding would double the cost through reruns
+    assert reruns["reruns"] == 0
 
 
 def _with_guess(wrong_guess):
@@ -568,9 +572,11 @@ def test_bessel_enclosures_equal_step_8_bisection(nu):
     assert [(e.lo, e.hi) for e in found] == _bisection_reference(nu, 20, F(1, 10**10))
 
 
-def _reference_sign(nu, abc, t):
-    """Sign of the plain-Fraction enclosure [S - T, S + T]: same cutoff,
-    tail bound, 8-term deepening and refusal floor as _EvenSeries."""
+def _reference_sign(nu, abc, t, floor=F(1, 10**150)):
+    """Sign of f(t) where |f(t)| > floor, "refused" where |f(t)| < floor,
+    from the plain-Fraction enclosure [S - T, S + T] with the cutoff, tail
+    bound and 8-term deepening of _EvenSeries: it deepens until the
+    enclosure lies above floor, below -floor, or between the two."""
     a, b, c = abc
     g = [F(1)]
 
@@ -604,16 +610,24 @@ def _reference_sign(nu, abc, t):
         tp *= t
     while True:
         bound = tail(k + 1, tp)
-        if s - bound > 0:
+        if s - bound > floor:
             return 1
-        if s + bound < 0:
+        if s + bound < -floor:
             return -1
-        if bound < F(1, 10**150):
-            raise PrecisionError("below the refusal floor")
+        if -floor < s - bound and s + bound < floor:
+            return "refused"
         for n in range(k + 1, k + 9):
             s += coef(n) * tp
             tp *= t
         k += 8
+
+
+def _answer(f, t):
+    """The sign of f at t, or "refused"."""
+    try:
+        return f.sign_at(t.numerator, t.denominator)
+    except PrecisionError:
+        return "refused"
 
 
 _CASES = [
@@ -651,13 +665,7 @@ def _points(draw):
 def test_integer_sign_matches_fraction_reference(point):
     case, t = point
     nu, abc = _CASES[case]
-    try:
-        want = _reference_sign(nu, abc, t)
-    except PrecisionError:
-        with pytest.raises(PrecisionError):
-            _EvenSeries(nu, abc).sign_at(t.numerator, t.denominator)
-        return
-    assert _EvenSeries(nu, abc).sign_at(t.numerator, t.denominator) == want
+    assert _answer(_EvenSeries(nu, abc), t) == _reference_sign(nu, abc, t)
 
 
 # Series whose dyadic sums are checked at a bit width too small for
@@ -697,18 +705,25 @@ def _low_bits_points(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_low_bits_points())
-def test_dyadic_sign_is_undecided_or_right_at_low_bit_widths(point):
+def test_dyadic_sign_is_right_at_any_starting_width(point):
     # Below the usual width the rounding error, not the tail, bounds most
-    # sums, and the certificate must say undecided; without the rounding
-    # term about 4 % of the answers at 4 to 48 bits are wrong.
+    # sums, and the certificate must rerun at more bits; without the
+    # rounding term about 4 % of the answers at 4 to 48 bits are wrong.
     case, t, bits = point
     nu, abc = _LOW_BITS_CASES[case]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(zeros, "_fixed_point_bits", lambda P, Q: bits)
-        got = _EvenSeries(nu, abc)._fixed_point_sign(t.numerator, t.denominator)
-    assert got in (-1, 0, 1)
-    if got:
-        assert got == _reference_sign(nu, abc, t)
+        got = _EvenSeries(nu, abc).sign_at(t.numerator, t.denominator)
+    assert got in (-1, 1)
+    assert got == _reference_sign(nu, abc, t)
+
+
+def test_a_start_too_narrow_for_the_rounding_reruns(monkeypatch):
+    # the rerun counter of the bench test sees a rerun where there is one
+    reruns = _count_reruns(monkeypatch)
+    monkeypatch.setattr(zeros, "_fixed_point_bits", lambda P, Q: 4)
+    assert _EvenSeries(F(0), (F(0), F(0), F(1))).sign_at(1, 1) == 1
+    assert reruns["reruns"] >= 1
 
 
 def _coarse_floor_points():
@@ -724,29 +739,14 @@ def _coarse_floor_points():
 
 
 def test_coarse_floor_refusals_still_raise(monkeypatch):
-    # Above twice the floor both sums certify the same sign; below it the
-    # dyadic sums must leave the point to the exact sum and its refusal.
-    points = [(_EvenSeries(*_LOW_BITS_CASES[case]), t) for case, t in _coarse_floor_points()]
+    # Each point gets a sign exactly where |f| > floor, and a refusal
+    # exactly where |f| < floor.
+    points = _coarse_floor_points()
     monkeypatch.setattr(zeros, "_SIGN_FLOOR", F(1, 10**6))
-    refused = 0
-    for f, t in points:
-        try:
-            want = f._exact_sign(t.numerator, t.denominator)
-        except PrecisionError:
-            refused += 1
-            with pytest.raises(PrecisionError):
-                f.sign_at(t.numerator, t.denominator)
-        else:
-            assert f.sign_at(t.numerator, t.denominator) == want
-    assert 50 <= refused <= len(points) - 50
-
-
-def _answer(f, t):
-    """The sign of f at t, or "refused"."""
-    try:
-        return f.sign_at(t.numerator, t.denominator)
-    except PrecisionError:
-        return "refused"
+    got = [_answer(_EvenSeries(*_LOW_BITS_CASES[case]), t) for case, t in points]
+    want = [_reference_sign(*_LOW_BITS_CASES[case], t, F(1, 10**6)) for case, t in points]
+    assert got == want
+    assert 50 <= got.count("refused") <= len(points) - 50
 
 
 def test_warm_start_cannot_change_an_answer(monkeypatch):
@@ -757,13 +757,13 @@ def test_warm_start_cannot_change_an_answer(monkeypatch):
     monkeypatch.setattr(zeros, "_SIGN_FLOOR", F(1, 10**6))
     fresh = [_answer(_EvenSeries(*_LOW_BITS_CASES[case]), t) for case, t in points]
     shared = [_EvenSeries(*abc) for abc in _LOW_BITS_CASES]
-    warm, sign = [], _EvenSeries._fixed_point_sign
+    warm, sign = [], _EvenSeries.sign_at
 
     def logged(self, P, Q):
         warm.append(self._hint - 8 > self._cutoff(self.q * P, Q))
         return sign(self, P, Q)
 
-    monkeypatch.setattr(_EvenSeries, "_fixed_point_sign", logged)
+    monkeypatch.setattr(_EvenSeries, "sign_at", logged)
     for _ in range(2):
         assert [_answer(shared[case], t) for case, t in points] == fresh
     assert 50 <= fresh.count("refused") <= len(points) - 50

@@ -1,12 +1,13 @@
 """Count library code lines: non-blank lines outside comments and
 module, class and function docstrings, per module under
 ``src/rayleighsums`` and in total. Next to them, the compile peak: the
-``tracemalloc`` peak, in KB, of ``compile()`` on each module's source,
-which is what a run without cached bytecode pays in peak memory. The
-module with the largest peak is named last: importing the package
-without cached bytecode peaks there, so it sets every benchmark
-workload's ``peak_rss_mb``. Then count the stored record fields: the
-``__slots__`` names of every ``Record`` or ``Table`` subclass there.
+``tracemalloc`` peak, in KB, of ``compile()`` on each module's source in
+a fresh interpreter, which is what a run without cached bytecode pays in
+peak memory. The module with the largest peak is named last: importing
+the package without cached bytecode peaks there, so it sets every
+benchmark workload's ``peak_rss_mb``. Then count the stored record
+fields: the ``__slots__`` names of every ``Record`` or ``Table``
+subclass there.
 
 With BASE_DIR, another tree's modules (say, the base of a change), each
 row adds that module's compile peak there and the change in KB.
@@ -15,8 +16,8 @@ Usage: python tools/loc.py [SRC_DIR [BASE_DIR]]
 """
 
 import ast
+import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 _DEFAULT = Path(__file__).resolve().parents[1] / "src" / "rayleighsums"
@@ -43,14 +44,24 @@ def code_lines(text: str, tree) -> int:
     )
 
 
-def compile_peak_kb(text: str, name: str) -> float:
-    """The ``tracemalloc`` peak of compiling ``text``, in KB."""
-    tracemalloc.start()
-    try:
-        compile(text, name, "exec", dont_inherit=True)
-        return tracemalloc.get_traced_memory()[1] / 1024
-    finally:
-        tracemalloc.stop()
+# Compiles the module at argv[1] under tracemalloc and prints the peak in bytes.
+_PEAK = """import sys, tracemalloc
+text = open(sys.argv[1], encoding="utf-8").read()
+tracemalloc.start()
+compile(text, sys.argv[1], "exec", dont_inherit=True)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def compile_peak_kb(path: Path) -> float:
+    """The ``tracemalloc`` peak of compiling the module at ``path``, in KB.
+
+    Each module compiles in a fresh interpreter. In one process, the
+    names an earlier compile interned make a later one cheaper, so the
+    same module read up to 7 KB apart after different predecessors.
+    """
+    done = subprocess.run([sys.executable, "-c", _PEAK, str(path)], capture_output=True, text=True, check=True)
+    return int(done.stdout) / 1024
 
 
 def record_fields(trees) -> int:
@@ -77,19 +88,20 @@ def record_fields(trees) -> int:
 
 def compile_peaks(src: Path) -> dict:
     """Module file name -> compile peak in KB, for the modules in ``src``."""
-    return {path.name: compile_peak_kb(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
+    return {path.name: compile_peak_kb(path) for path in sorted(src.glob("*.py"))}
 
 
 def main(argv) -> None:
     src = Path(argv[0]) if argv else _DEFAULT
     base = compile_peaks(Path(argv[1])) if len(argv) > 1 else None
+    peaks = compile_peaks(src)
     total = peak = 0
-    trees, peaks = [], {}
+    trees = []
     extra = f" {'base KB':>10} {'change':>7}" if base is not None else ""
     print(f"{'module':20} {'lines':>5} {'compile KB':>10}" + extra)
     for path in sorted(src.glob("*.py")):
         text = path.read_text()
-        kb = peaks[path.name] = compile_peak_kb(text, str(path))  # first, before ast.parse interns the names
+        kb = peaks[path.name]
         trees.append(ast.parse(text))
         n = code_lines(text, trees[-1])
         total += n
