@@ -23,7 +23,7 @@ That split is unique, so ``==`` and ``hash`` compare the pair and
   denominator.
 
 The rational coefficients (``coeffs``, ``coeff``, ``leading``) are
-materialized only on demand, for rendering and serialization.
+materialized only on demand. Rendering and serialization read the pair.
 
 The tables take ``PolyNu`` only as input and output; the operators, with
 ``exact_div`` and ``gcd``, are the reference arithmetic under ``RatFuncNu``.
@@ -44,6 +44,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 
+from .errors import InvalidParameterError
 from .rational import exact
 
 __all__ = ["PolyNu"]
@@ -194,19 +195,21 @@ def _split(num: int, den: int, w: list[int]) -> tuple[Fraction, tuple[int, ...]]
 def _term_text(p, number, power, times: str) -> str:
     """p as a signed sum of its nonzero terms, highest degree first, as in
     "-2*nu^2 + nu - 1/3". ``number`` renders a coefficient's magnitude,
-    ``power(k)`` renders nu^k for k >= 1, and ``times`` joins a magnitude
-    other than 1 to its power."""
+    ``power(e)`` renders nu^e for e >= 1, and ``times`` joins a magnitude
+    other than 1 to its power. Each coefficient is the content times a
+    primitive int; an integral content is taken as an int, so every
+    polynomial the CLI prints is walked on ints, with no Fraction."""
     parts: list[str] = []
-    cs = p.coeffs
-    for k in range(len(cs) - 1, -1, -1):
-        c = cs[k]
+    k = p._k.numerator if p._k.denominator == 1 else p._k
+    for e in range(len(p._p) - 1, -1, -1):
+        c = k * p._p[e]
         if not c:
             continue
         mag = abs(c)
-        if k == 0:
+        if e == 0:
             body = number(mag)
         else:
-            body = power(k) if mag == 1 else f"{number(mag)}{times}{power(k)}"
+            body = power(e) if mag == 1 else f"{number(mag)}{times}{power(e)}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -329,6 +332,8 @@ class PolyNu:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "PolyNu":
+        if isinstance(n, bool):
+            raise InvalidParameterError("exponent must be an int, not bool")
         if n < 0:
             raise ValueError("negative polynomial power")
         if not n:

@@ -4,13 +4,13 @@ Rational functions are displayed with the numerator scaled to integer
 coefficients (the canonical internal form keeps the scale on the
 numerator), so sigma_1 prints as 1/(4*nu + 4) rather than (1/4)/(nu + 1).
 Plain polynomials print through ``PolyNu.__str__``, which shares its
-term walk ``poly._term_text`` with ``poly_latex``.
+term walk ``poly._term_text`` with ``poly_latex``. The walk reads the
+integer form ``PolyNu`` stores, content times primitive part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .poly import PolyNu, _term_text
 from .rational import int_str
@@ -42,11 +42,11 @@ def poly_latex(p: PolyNu, var: str = "\\nu") -> str:
 
 
 def _integerized(r: RatFuncNu) -> tuple[PolyNu, PolyNu]:
-    """Scale num and den together so both carry integer coefficients."""
-    scale = 1
-    for c in r.num.coeffs:
-        scale = lcm(scale, c.denominator)
-    return r.num * scale, r.den * scale
+    """Scale num and den together so both carry integer coefficients. The
+    denominator is primitive, so the least such scale is the denominator
+    of the numerator's content; a scalar multiplies only the content."""
+    d = r.num._k.denominator
+    return r.num * d, r.den * d
 
 
 def ratfunc_plain(r: RatFuncNu) -> str:

@@ -11,24 +11,31 @@ The JSON record is the CLI's stable schema:
      "provenance": str}
 
 Rationals serialize as "num/den" with the denominator always explicit;
-polynomial coefficient arrays are ascending (index = power of nu).
+polynomial coefficient arrays are ascending (index = power of nu), and
+each is read off the integer form ``PolyNu`` stores, content times
+primitive part, with no ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 from .chf import ChfParams, STable
 from .errors import InvalidParameterError
 from .mercer import MercerParams, TauTable
 from .poly import PolyNu
 from .ratfunc import RatFuncNu
-from .rational import parse_rational, rational_str
+from .rational import int_str, parse_rational, rational_str
 from .sigma import SigmaTable
 
 __all__ = ["encode_table", "decode_table", "table_csv"]
 
 
 def _poly_strs(p: PolyNu) -> list[str]:
-    return [rational_str(c) for c in p.coeffs]
+    # rational_str of each coefficient n/d * c, with n/d the content and c
+    # a primitive int: in lowest terms it is (n*c/g)/(d/g), g = gcd(c, d).
+    n, d = p._k.as_integer_ratio()
+    return [f"{int_str(n * c // (g := gcd(c, d)))}/{int_str(d // g)}" for c in p._p]
 
 
 def _rational(text, field: str):
@@ -63,15 +70,11 @@ def _decode_entry(d: dict):
 _PARAMS = {"sigma": (), "tau": ("a", "b", "c"), "chf": ("a", "b")}
 
 
-def _nu_str(nu):
-    return nu if nu is None or nu == "symbolic" else rational_str(nu)
-
-
 def encode_table(table) -> dict:
     return {
         "family": table.family,
         "params": {k: rational_str(getattr(table.params, k)) for k in _PARAMS[table.family]},
-        "nu": _nu_str(table.nu),
+        "nu": table.nu if table.nu in (None, "symbolic") else rational_str(table.nu),
         "order": table.order,
         "entries": [_encode_entry(n, table.entry(n)) for n in range(table.start, table.order + 1)],
         "provenance": table.provenance,

@@ -42,9 +42,13 @@ _MERCER = ["--a", "0", "--b", "1", "--c", "2"]
 
 _OUTPUTS = [
     *[["sums", "sigma", "--order", "3", "--nu", "symbolic", "--format", f] for f in _FORMATS],
+    *[["sums", "sigma", "--order", "12", "--nu", "symbolic", "--format", f] for f in _FORMATS],
     ["sums", "sigma", "--order", "2"],
     *_formats(["sums", "sigma", "--order", "4", "--nu", "1/3"]),
     *[["sums", "tau", *_TAU, "--order", "2", "--nu", "symbolic", "--format", f] for f in _FORMATS],
+    # fractional contents and negative coefficients
+    *[["sums", "tau", "--a", "1/2", "--b", "-3", "--c", "2/3", "--order", "6", "--nu", "symbolic",
+       "--format", f] for f in _FORMATS],
     *_formats(["sums", "tau", *_TAU, "--order", "3", "--nu", "1/2"]),
     *_formats(["sums", "chf", *_CHF, "--order", "5"]),
     ["sums", "sigma", "--order", "2", "--nu", "-1/3", "--decimal", "0"],
@@ -145,6 +149,10 @@ _GOLDEN = {
     'sums sigma --order 3 --nu symbolic --format json': 'c58fdd70a194c583b1eb9925b38866c6632c1c2e5ad384184573d37f09d8c2bf',
     'sums sigma --order 3 --nu symbolic --format latex': 'adb898f3940fde3eacb17c6c51c118bb7679975a1c2e36a172cb830808ef735a',
     'sums sigma --order 3 --nu symbolic --format csv': '907f07455ed8f794610c1f5c8cb2f08d9097ad23016021b9f43511a82beeabd7',
+    'sums sigma --order 12 --nu symbolic --format plain': 'ef854cae2cb1b9fe8bf054959fc25aada908b21dc82c0131eb968debbd1c0038',
+    'sums sigma --order 12 --nu symbolic --format json': '427850bfa86ef1818ea159c50c992c1dbf9ff6cabc5ae6819eb55f09e324c979',
+    'sums sigma --order 12 --nu symbolic --format latex': '8068c9bf0528eae0c4f67ff7a3b4c0fd96931dfe09a526624513e4f50443372b',
+    'sums sigma --order 12 --nu symbolic --format csv': '866038228ec9d5b80faddd66f62441eba8cba82cb3a0a5eaa0d1567cd9e45c12',
     'sums sigma --order 2': '185d4df8266854e8cbeb3dc285076c8e558915040432b1a12e0b62e4f5c081ba',
     'sums sigma --order 4 --nu 1/3 --format plain': '08d0c31cd9afab0c4de4e268443829dcb97bdb7de8e56d44bbeb1bec7b732e5b',
     'sums sigma --order 4 --nu 1/3 --format plain --decimal 7': '56eaa6d959100390f722c62f19ae00395e3275cd266dbf370b21d33345af7599',
@@ -158,6 +166,10 @@ _GOLDEN = {
     'sums tau --a 1 --b 2 --c 3 --order 2 --nu symbolic --format json': 'e01b1c65b435232c9e2a3110a33331794a8fc4674ad0ad9ca1cb02bd2dda579c',
     'sums tau --a 1 --b 2 --c 3 --order 2 --nu symbolic --format latex': 'df2e9f84f13157d95ea5a004edc7434bae2f8a75e99c47902af233dac1edb508',
     'sums tau --a 1 --b 2 --c 3 --order 2 --nu symbolic --format csv': '74119bc8771a4348ac0304b0268c62edba300a40ede9e753ea8633f05eaa0f8a',
+    'sums tau --a 1/2 --b -3 --c 2/3 --order 6 --nu symbolic --format plain': 'e2f4843baf7366f2fb0e7c3393f7d9fd1de32537da98280f93f6426e83e26f7b',
+    'sums tau --a 1/2 --b -3 --c 2/3 --order 6 --nu symbolic --format json': '7dc7e73b060ecc88d6d41a609a89554ca0720ba2ce16c13c5d394fa597e7f617',
+    'sums tau --a 1/2 --b -3 --c 2/3 --order 6 --nu symbolic --format latex': 'adc7d16afb3b6000d3919ed3dc9b8070237c84607533d96f6dd55d9a5528f608',
+    'sums tau --a 1/2 --b -3 --c 2/3 --order 6 --nu symbolic --format csv': '88a9b38c7baad074cba1d2af67e36c1908a931505da6cd3dc4f68ce553a4329c',
     'sums tau --a 1 --b 2 --c 3 --order 3 --nu 1/2 --format plain': 'f805fc97ac848955b4d0d6aa82ea36b7ff40615092e780f9c81b5fee9b1fd76b',
     'sums tau --a 1 --b 2 --c 3 --order 3 --nu 1/2 --format plain --decimal 7': '540542af54e96aea5e86b5f620639011d33f41eddd820f4cf95a06d0deebf5f8',
     'sums tau --a 1 --b 2 --c 3 --order 3 --nu 1/2 --format json': 'eb50e3aa5ec9b7c4c88fe825739f0e4a405dfe9aef7c0925dedbeb6a2e6f78a6',

@@ -182,9 +182,8 @@ def test_inexact_operator_operands_raise_type_error(bad):
 
 @pytest.mark.parametrize("bad", [True, False], ids=repr)
 def test_bool_operator_operands_raise_invalid_parameter_error(bad):
-    # + - * / refuse it; ** still takes a bool exponent as 0 or 1
-    failed = _failures(bad, "InvalidParameterError")
-    assert failed == ["PolyNu ** v: accepted", "RatFuncNu ** v: accepted"]
+    # + - * / and ** all refuse it
+    assert _failures(bad, "InvalidParameterError") == []
 
 
 def test_equality_with_a_bool_or_an_inexact_value_is_false():
