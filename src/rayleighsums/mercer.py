@@ -23,7 +23,9 @@ lists Q:
 
 * Mercer, in t = z^2 for the even part w of z^(-nu) N: Q_j(m) is
   ``verify_ode``'s c_j(m), so alpha_j = 4 D_j, beta_j = 2(2nu-1) D_j +
-  2 A_j and gamma_j = nu(nu-1) D_j + nu A_j + E_j, and s_n = tau_n;
+  2 A_j and gamma_j = nu(nu-1) D_j + nu A_j + E_j, which is nu (A_j -
+  D_j) + Bnum_j + D_{j-1} since E_j = Bnum_j + D_{j-1} - nu^2 D_j, and
+  s_n = tau_n;
 * Bessel, Mercer at (0, 0, 1): Q_0 = 4x^2 + 4nu x and Q_1 = 1, which is
   Kishore's (nu+n) sigma_n = (sigma^2)_n after sigma_1 = 1/(4(nu+1));
 * Kummer, in t = z for w = 1F1(a; b; z): Q_0 = x^2 + (b-1) x and Q_1 =
@@ -292,13 +294,15 @@ def _riccati(ode, order: int) -> list:
 
 def _theta_ode(ode: OdeCoefficients, x) -> list:
     """(alpha_j, beta_j, gamma_j) for j = 0..3 with Q_j(m) = c_j(m) of
-    ``verify_ode``, at nu = x, from D_j, A_j and E_j = Bnum_j + D_{j-1} -
-    x^2 D_j."""
+    ``verify_ode``, at nu = x, from D_j, A_j and Bnum_j: with E_j =
+    Bnum_j + D_{j-1} - x^2 D_j the x^2 terms of gamma_j cancel, leaving
+    gamma_j = x (A_j - D_j) + Bnum_j + D_{j-1}."""
     dc, ac, bc = ode.denominator, ode.a_numerator, ode.b_numerator
-    xx = x * x
-    ec = (bc[0] - dc[0] * xx, bc[1] + dc[0] - dc[1] * xx, bc[2] + dc[1] - dc[2] * xx, dc[2])
-    u, v = 4 * x - 2, xx - x
-    return [(4 * d, u * d + 2 * a, v * d + x * a + e) for d, a, e in zip((*dc, 0), (*ac, 0), ec)]
+    u = 4 * x - 2
+    return [
+        (4 * d, u * d + 2 * a, x * (a - d) + b + d_prev)
+        for d, a, b, d_prev in zip((*dc, 0), (*ac, 0), (*bc, 0), (0, *dc))
+    ]
 
 
 def _integer_theta(ode: OdeCoefficients) -> tuple[int, list]:

@@ -15,8 +15,8 @@ That split is unique, so ``==`` and ``hash`` compare the pair and
 - A product multiplies the contents and convolves the integer tuples. By
   Gauss's lemma the product of primitive polynomials is primitive, so no
   content pass and no gcd is needed; a scalar touches only the content.
-- A sum brings the two contents to a common denominator, combines the
-  integers and makes one content pass.
+- A sum brings the two contents to their least common denominator,
+  combines the integers and makes one content pass.
 - ``exact_div`` divides the primitive parts by integer long division and
   the contents as rationals; ``gcd`` runs the primitive PRS on the
   primitive parts; evaluation is integer Horner over a power of the
@@ -25,8 +25,10 @@ That split is unique, so ``==`` and ``hash`` compare the pair and
 The rational coefficients (``coeffs``, ``coeff``, ``leading``) are
 materialized only on demand. Rendering and serialization read the pair.
 
-The tables take ``PolyNu`` only as input and output; the operators, with
-``exact_div`` and ``gcd``, are the reference arithmetic under ``RatFuncNu``.
+The tables take ``PolyNu`` only as input and output. The operators are
+written plainly, with no shortcut paths: with ``exact_div`` and ``gcd``
+they are the tests' reference arithmetic under ``RatFuncNu``, and they
+build the symbolic Q list of ``mercer._theta_ode``.
 
 The fraction-free tables work on bare integer coefficient tuples with the
 helpers below. ``_isumprod`` is their one sum-of-products kernel: it
@@ -41,25 +43,17 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd as _int_gcd
 from math import lcm as _int_lcm
 
 from .errors import InvalidParameterError
-from .rational import exact
+from .rational import exact, int_str
 
 __all__ = ["PolyNu"]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _int_content(v) -> int:
-    g = 0
-    for x in v:
-        g = _int_gcd(g, x)
-        if g == 1:
-            return 1
-    return g
 
 
 def _trim(v) -> tuple[int, ...]:
@@ -74,7 +68,7 @@ def _iprimitive(v: list[int]) -> list[int]:
     """Divide out the content; make the leading coefficient positive."""
     if not v:
         return []
-    g = _int_content(v)
+    g = _int_gcd(*v)
     if v[-1] < 0:
         g = -g
     return [c // g for c in v] if g != 1 else v
@@ -182,14 +176,20 @@ def _ihorner(u: tuple[int, ...], n: int, d: int) -> int:
     return acc
 
 
-def _split(num: int, den: int, w: list[int]) -> tuple[Fraction, tuple[int, ...]]:
-    """``num/den * w`` for integer w as (content, primitive part)."""
+def _split(den: int, w: list[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """``w/den`` for integer w as (content, primitive part)."""
     while w and not w[-1]:
         w.pop()
-    if not w or not num:
+    if not w:
         return _F0, ()
     p = _iprimitive(w)
-    return Fraction(num * (w[-1] // p[-1]), den), tuple(p)
+    return Fraction(w[-1] // p[-1], den), tuple(p)
+
+
+def _plain(x) -> str:
+    """An int or Fraction as "n" or "n/d", at any size (``int_str``)."""
+    num = int_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
 
 
 def _term_text(p, number, power, times: str) -> str:
@@ -226,7 +226,7 @@ class PolyNu:
         c = [exact(x, "coefficient") for x in coeffs]
         den = _int_lcm(*(x.denominator for x in c))
         ints = [x.numerator * (den // x.denominator) for x in c]
-        self._k, self._p = _split(1, den, ints)
+        self._k, self._p = _split(den, ints)
 
     @classmethod
     def _make(cls, k: Fraction, p: tuple[int, ...]) -> "PolyNu":
@@ -267,6 +267,8 @@ class PolyNu:
 
     def __hash__(self) -> int:
         k = self._k
+        if len(self._p) < 2:  # equal to the number k, so hashed as k
+            return hash(k)
         return hash((k.numerator, k.denominator, self._p))
 
     def __neg__(self) -> "PolyNu":
@@ -276,29 +278,13 @@ class PolyNu:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not o._p:
-            return self
-        if not self._p:
-            return o
-        a, b = self._p, o._p
-        if a == b:
-            return PolyNu._make(self._k + o._k, a)
-        # k1*a + k2*b = (h/L) * (m1*a + m2*b) over the common denominator L.
+        # k1*a + k2*b = (m1*a + m2*b) / L over the least common denominator L
         k1, k2 = self._k, o._k
-        d1, d2 = k1.denominator, k2.denominator
-        g = _int_gcd(d1, d2)
-        m1 = k1.numerator * (d2 // g)
-        m2 = k2.numerator * (d1 // g)
-        h = _int_gcd(m1, m2)
-        if h != 1:
-            m1 //= h
-            m2 //= h
-        if len(a) < len(b):
-            a, b, m1, m2 = b, a, m2, m1
-        w = [m1 * x for x in a]
-        for i, y in enumerate(b):
-            w[i] += m2 * y
-        return PolyNu._make(*_split(h, d1 // g * d2, w))
+        den = _int_lcm(k1.denominator, k2.denominator)
+        m1 = k1.numerator * (den // k1.denominator)
+        m2 = k2.numerator * (den // k2.denominator)
+        w = [m1 * x + m2 * y for x, y in zip_longest(self._p, o._p, fillvalue=0)]
+        return PolyNu._make(*_split(den, w))
 
     __radd__ = __add__
 
@@ -320,14 +306,7 @@ class PolyNu:
         if not isinstance(other, PolyNu):
             return NotImplemented
         a, b = self._p, other._p
-        if not a or not b:
-            return PolyNu.ZERO
-        k = self._k * other._k
-        if len(b) == 1:
-            return PolyNu._make(k, a)
-        if len(a) == 1:
-            return PolyNu._make(k, b)
-        return PolyNu._make(k, _iconv(a, b))
+        return PolyNu._make(self._k * other._k, _iconv(a, b) if a and b else ())
 
     __rmul__ = __mul__
 
@@ -336,21 +315,14 @@ class PolyNu:
             raise InvalidParameterError("exponent must be an int, not bool")
         if n < 0:
             raise ValueError("negative polynomial power")
-        if not n:
-            return PolyNu.ONE
-        k = self._k**n
-        p = self._p
-        if len(p) <= 1:
-            return PolyNu._make(k, p)
-        result = None
-        while True:
+        result, base = PolyNu.ONE, self
+        while True:  # square and multiply
             if n & 1:
-                result = p if result is None else _iconv(result, p)
+                result = result * base
             n >>= 1
             if not n:
-                break
-            p = _iconv(p, p)
-        return PolyNu._make(k, result)
+                return result
+            base = base * base
 
     def __call__(self, x: int | Fraction) -> Fraction:
         x = exact(x, "x")
@@ -414,7 +386,7 @@ class PolyNu:
         return f"PolyNu({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        return _term_text(self, str, lambda k: "nu" if k == 1 else f"nu^{k}", "*")
+        return _term_text(self, _plain, lambda k: "nu" if k == 1 else f"nu^{k}", "*")
 
 
 PolyNu.ZERO = PolyNu()

@@ -190,8 +190,8 @@ class RatFuncNu:
         return self._den == PolyNu.ONE and self._num == other
 
     def __hash__(self) -> int:
-        if self._den == PolyNu.ONE and self._num.degree <= 0:
-            return hash(self._num.coeff(0))
+        if self._den == PolyNu.ONE:  # equal to its numerator, so hashed as it
+            return hash(self._num)
         return hash((self._num, self._den))
 
     def __call__(self, nu0: int | Fraction) -> Fraction:
@@ -311,7 +311,7 @@ class FactorPowers:
         quo = _ilongdiv(left, self.product(peeled))
         if quo is None or left:
             raise ConsistencyError("the full product is not prod f^e over the denominator")
-        num = PolyNu._make(*_split(1, scale, h))
+        num = PolyNu._make(*_split(scale, h))
         return RatFuncNu._from_coprime(num, PolyNu._make(Fraction(1), tuple(quo)))
 
     def peel_table(self, nums, den, steps) -> list:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import PolyNu, _term_text
+from .poly import PolyNu, _plain, _term_text
 from .rational import int_str
 from .ratfunc import RatFuncNu
 
@@ -26,8 +26,7 @@ __all__ = [
 
 
 def value_plain(x: Fraction) -> str:
-    num = int_str(x.numerator)
-    return num if x.denominator == 1 else f"{num}/{int_str(x.denominator)}"
+    return _plain(x)
 
 
 def value_latex(x: Fraction) -> str:

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rayleighsums import InvalidParameterError, PolyNu
+from rayleighsums import InvalidParameterError, PolyNu, RatFuncNu
 from rayleighsums.poly import _isumprod
 from rayleighsums.render import poly_latex
 
@@ -141,15 +141,19 @@ def is_primitive(p):
 
 
 @settings(deadline=None, max_examples=150)
-@given(a=coeff_lists, b=coeff_lists, c=coeff_lists, s=fractions, x=fractions, n=st.integers(0, 4))
+@given(a=coeff_lists, b=coeff_lists, c=coeff_lists, s=fractions, x=fractions, n=st.integers(0, 7))
 def test_kernel_matches_fraction_lists(a, b, c, s, x, n):
     ra, rb, rc = ref(a), ref(b), ref(c)
     pa, pb, pc = PolyNu(a), PolyNu(b), PolyNu(c)
+    rs = ref([s * y for y in ra])
     assert pa.coeffs == ra and pa.degree == len(ra) - 1
     assert (pa + pb).coeffs == ref_add(ra, rb)
     assert (pa - pb).coeffs == ref_add(ra, tuple(-y for y in rb))
+    assert (pa + pa * s).coeffs == ref_add(ra, rs)  # equal primitive parts
+    assert pa - pa == PolyNu.ZERO and hash(pa - pa) == hash(PolyNu.ZERO)
     assert (pa * pb).coeffs == ref_mul(ra, rb)
-    assert (pa * s).coeffs == (s * pa).coeffs == ref([s * y for y in ra])
+    assert (pa * s).coeffs == (s * pa).coeffs == rs
+    assert (pa * PolyNu([s])).coeffs == (PolyNu([s]) * pa).coeffs == rs  # a constant operand
     power = (F(1),)
     for _ in range(n):
         power = ref_mul(power, ra)
@@ -162,8 +166,13 @@ def test_kernel_matches_fraction_lists(a, b, c, s, x, n):
     else:
         assert content == 0 and not prim
 
-    # == agrees with hash across different construction routes
-    for other in (PolyNu(list(ra)), (pa + pc) - pc, pa * 1, content * prim):
+    # == agrees with hash across different construction routes, with the
+    # RatFuncNu over 1 and with the number a constant polynomial equals
+    others = [PolyNu(list(ra)), (pa + pc) - pc, pa * 1, content * prim, RatFuncNu(pa)]
+    if len(ra) < 2:
+        k = ra[0] if ra else F(0)
+        others += [k, RatFuncNu(k)] + ([k.numerator] if k.denominator == 1 else [])
+    for other in others:
         assert other == pa and hash(other) == hash(pa)
 
     if rb:
@@ -209,6 +218,14 @@ def test_bool_operand_refused():
         with pytest.raises(InvalidParameterError, match="operand"):
             op()
     assert p * 2 == 2 * p == PolyNu([2, 2])
+
+
+def test_integral_float_exponents_refused():
+    # PolyNu([3]) ** 2.0 used to hold the float 9.0, and p ** 0.0 was 1
+    for x in (PolyNu([3]), PolyNu([1, 2]), RatFuncNu(3)):
+        for n in (0.0, 2.0):
+            with pytest.raises(TypeError):
+                x**n
 
 
 def _ref_iconv(u, v):

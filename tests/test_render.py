@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from rayleighsums import PolyNu, RatFuncNu
 from rayleighsums.cli import run
-from rayleighsums.rational import rational_str
+from rayleighsums.rational import int_str, rational_str
 from rayleighsums.render import poly_latex, ratfunc_latex, ratfunc_plain, value_latex
 from rayleighsums.serialize import _poly_strs
 
@@ -129,6 +129,11 @@ def test_fixed_cases_cover_constants_zero_and_fractional_contents():
 def test_coefficient_strings_past_the_int_to_str_limit():
     p = PolyNu([F(10**4400 + 1, 3), F(-7, 2), 0, 5 * 10**4400])
     assert _poly_strs(p) == [rational_str(c) for c in p.coeffs]
+    big = int_str(10**4400)
+    assert str(PolyNu([10**4400, 1])) == f"nu + {big}"
+    assert str(PolyNu([F(10**4400, 3), 1])) == f"nu + {big}/3"
+    assert str(PolyNu([F(-1, 10**4400), 1])) == f"nu - 1/{big}"
+    assert ratfunc_plain(RatFuncNu(PolyNu([10**4400, 1]), PolyNu([1, 1]))) == f"(nu + {big})/(nu + 1)"
 
 
 _SYMBOLIC = [
